@@ -18,6 +18,15 @@ state and output noise within a step is integrated to quadrature precision.
 The initial state is drawn from the stationary distribution, so every record
 is stationary from the first sample.
 
+The step recursion ``x[n+1] = phi x[n] + w[n]`` is evaluated as a blocked
+affine prefix scan (Blelloch 1990), not one step at a time: panels of 1024
+steps are split into blocks of 32, each block is solved from a zero start by
+one product with a block-Toeplitz matrix of powers of ``phi``, and only the
+block-start states are carried in sequence.  Outputs are formed for a whole
+panel at once.  The noise is drawn per chunk of whole panels, and every
+product has the same shape whatever the chunk size, so records do not depend
+on ``chunk_steps``.
+
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
 complex weights the analytic engine uses, and the averaged periodogram is
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -40,6 +50,12 @@ from .spectra import SpectrumRecord, coeffs, resolve_y
 _DT_SAFETY = 0.8
 #: slowest resolvable band edge: at least this many cycles must fit in a record
 MIN_CYCLES_IN_RECORD = 100.0
+# steps per block of the affine scan, and per panel of 32 blocks
+_BLOCK = 32
+_PANEL = 32 * _BLOCK
+# negative eigenvalue mass, relative to the largest eigenvalue, that
+# _factor_psd may clip as rounding noise
+_PSD_CLIP_TOL = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -73,7 +89,10 @@ class SimConfig:
     ``dt`` must stay below a tenth of the fastest relaxation rate;
     :func:`stability_dt` gives the bound.  ``y_policy`` selects the
     combination weight used when the records are reduced to a spectral
-    density (same conventions as the analytic sweep).
+    density (same conventions as the analytic sweep).  ``chunk_steps`` is
+    the number of steps whose noise is drawn at once; it is rounded up to
+    whole scan panels of 1024 steps, bounds the noise buffer to
+    ``n_traj * chunk * 5`` floats, and never changes the records.
     """
 
     dt: float
@@ -197,13 +216,27 @@ def _step_operators(drift, f_in, intens, c_out, e_sel, dt, gl_order: int = 48):
 
 
 def _factor_psd(cov: np.ndarray) -> np.ndarray:
-    """Cholesky-like factor of a positive semi-definite covariance."""
+    """Cholesky-like factor of a positive semi-definite covariance.
+
+    A singular covariance, where Cholesky fails, is factored from its
+    eigendecomposition with the negative eigenvalues clipped to zero.  The
+    clip is only taken as rounding noise: when the dropped mass exceeds
+    ``_PSD_CLIP_TOL`` of the largest eigenvalue the covariance is rejected.
+    """
     if not np.any(cov):
         return np.zeros_like(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(cov)
+        dropped = -float(np.sum(vals[vals < 0.0]))
+        top = float(vals[-1])
+        if dropped > _PSD_CLIP_TOL * top:
+            raise SimulationError(
+                f"noise covariance is not positive semi-definite: clipping would drop "
+                f"negative eigenvalue mass {dropped:.3e} against a largest eigenvalue "
+                f"of {top:.3e} (tolerance {_PSD_CLIP_TOL:g} relative)"
+            ) from None
         vals = np.clip(vals, 0.0, None)
         return vecs * np.sqrt(vals)
 
@@ -297,12 +330,13 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
         )
 
     n_steps = int(round(cfg.t_dur / cfg.dt))
+    n_panels = -(-n_steps // _PANEL)
     phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
     noise_factor = _factor_psd(cov)
     zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
 
     # per-step deterministic drive (signal pulse, constant within a step)
-    f_amp = np.zeros(n_steps)
+    f_amp = np.zeros(n_panels * _PANEL)
     if cfg.signal is not None:
         amp = cfg.signal.quad_amp(d)
         i0 = int(round(cfg.signal.t_start / cfg.dt))
@@ -333,33 +367,94 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     b_plus = np.empty((n_tr, n_steps), dtype=store)
     b_minus = np.empty((n_tr, n_steps), dtype=store)
 
-    x = np.empty((3, n_tr))
+    x = np.empty((n_tr, 3))  # one state row per trajectory
     for k, rng in enumerate(rngs):
-        x[:, k] = stat_factor @ rng.standard_normal(3)
+        x[k] = stat_factor @ rng.standard_normal(3)
 
-    for start in range(0, n_steps, cfg.chunk_steps):
-        stop = min(start + cfg.chunk_steps, n_steps)
-        csteps = stop - start
-        eps = np.empty((csteps, 5, n_tr))
+    # every chunk holds whole panels, so the scan sees the same shapes whatever
+    # chunk_steps is; the padded tail of the last panel carries zero noise
+    chunk = _PANEL * min(-(-cfg.chunk_steps // _PANEL), n_panels)
+    scan = _BlockScan(phi)
+    # transposed operators for trajectory-major rows, contiguous for BLAS
+    to_w = np.ascontiguousarray(noise_factor[:3].T)
+    to_z = np.ascontiguousarray(noise_factor[3:].T)
+    zx_t = np.ascontiguousarray(zx.T)
+    eps = np.empty((n_tr, chunk, 5))  # trajectory-major draws, reused per chunk
+    for start in range(0, n_steps, chunk):
+        stop = min(start + chunk, n_steps)
+        c = stop - start
         for k, rng in enumerate(rngs):
-            eps[:, :, k] = rng.standard_normal((csteps, 5))
-        joint = np.einsum("ij,sjk->sik", noise_factor, eps)
-        for s in range(csteps):
-            n = start + s
-            z = zx @ x + joint[s, 3:, :]
-            if f_amp[n] != 0.0:
-                z += (z_kick * f_amp[n])[:, None]
-            b_plus[:, n] = z[0]
-            b_minus[:, n] = z[1]
-            x = phi @ x + joint[s, :3, :]
-            if f_amp[n] != 0.0:
-                x += (x_kick * f_amp[n])[:, None]
+            rng.standard_normal(out=eps[k, :c])
+        eps[:, c:] = 0.0
+        for a in range(0, c, _PANEL):
+            n0 = start + a
+            e = eps[:, a:a + _PANEL]
+            w = e @ to_w                        # state increments
+            z = e @ to_z                        # output noise
+            f = f_amp[n0:n0 + _PANEL]
+            if np.any(f):
+                w += f[:, None] * x_kick
+                z += f[:, None] * z_kick
+            x_prev, x = scan(w, x)
+            z += x_prev @ zx_t
+            m = min(_PANEL, n_steps - n0)
+            b_plus[:, n0:n0 + m] = z[:, :m, 0]
+            b_minus[:, n0:n0 + m] = z[:, :m, 1]
         if not np.all(np.isfinite(x)):
             raise SimulationError(f"state diverged by step {stop} (of {n_steps})")
 
     return TimeSeriesBundle(
         d=d, cfg=cfg, dt=cfg.dt, b_plus=b_plus, b_minus=b_minus, traj_seeds=traj_seeds
     )
+
+
+class _BlockScan:
+    """Blocked affine prefix scan of ``x[n+1] = phi x[n] + w[n]`` over a panel.
+
+    A panel of ``_PANEL`` steps is cut into blocks of ``_BLOCK`` steps.  Each
+    block is solved from a zero start with one product against the lower
+    block-Toeplitz matrix of powers of ``phi``; only the block-start states are
+    carried sequentially, and their propagated contribution is added with a
+    second product.  States are rows (one per trajectory).
+    """
+
+    def __init__(self, phi: np.ndarray):
+        n = phi.shape[0]
+        powers = [np.eye(n)]
+        for _ in range(_BLOCK - 1):
+            powers.append(phi @ powers[-1])
+        # toeplitz[i, :, j, :] = (phi^(j-1-i))^T for i < j: state before step j
+        toeplitz = np.zeros((_BLOCK, n, _BLOCK, n))
+        for i in range(_BLOCK):
+            for j in range(i + 1, _BLOCK):
+                toeplitz[i, :, j, :] = powers[j - 1 - i].T
+        self.toeplitz = toeplitz.reshape(_BLOCK * n, _BLOCK * n)
+        self.from_start = np.hstack([p.T for p in powers[:_BLOCK]])
+        self.phi_t = phi.T
+        # the carry applies phi^_BLOCK once per block over the whole run, so a
+        # power a few ulps off drifts the slow mechanical mode systematically
+        # (about 1e-12 relative over 1.6e5 steps): use the exact power of phi,
+        # rounded once
+        exact = np.linalg.matrix_power(np.vectorize(Fraction, otypes=[object])(phi), _BLOCK)
+        self.phi_block_t = exact.astype(float).T
+        self.n = n
+
+    def __call__(self, w: np.ndarray, x0: np.ndarray):
+        """States before every step of the panel, and the state after it.
+
+        ``w`` has shape ``(n_traj, _PANEL, n)``, ``x0`` shape ``(n_traj, n)``.
+        """
+        n_tr, n = x0.shape[0], self.n
+        w = w.reshape(-1, _BLOCK * n)
+        local = w @ self.toeplitz              # block solutions from zero start
+        ends = (local[:, -n:] @ self.phi_t + w[:, -n:]).reshape(n_tr, -1, n)
+        starts = np.empty_like(ends)
+        x = x0
+        for b in range(ends.shape[1]):
+            starts[:, b] = x
+            x = x @ self.phi_block_t + ends[:, b]
+        local += starts.reshape(-1, n) @ self.from_start
+        return local.reshape(n_tr, _PANEL, n), x
 
 
 # --- spectral estimation ------------------------------------------------------

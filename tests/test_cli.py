@@ -159,3 +159,26 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_atomic_write_leaves_only_the_target(tmp_path):
+    from optotriplet.cli import _atomic_write
+
+    target = tmp_path / "out.csv"
+    _atomic_write(str(target), "a,b\n")
+    _atomic_write(str(target), "c,d\n")
+    assert target.read_text() == "c,d\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    plain = tmp_path / "plain"
+    plain.write_text("")  # the mode open() gives under the current umask
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path):
+    from optotriplet.cli import _atomic_write
+
+    (tmp_path / "taken").mkdir()  # a directory cannot be replaced by a file
+    with pytest.raises(OSError):
+        _atomic_write(str(tmp_path / "taken"), "x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any((tmp_path / "taken").iterdir())

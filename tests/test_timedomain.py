@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
     SimulationError,
+    _factor_psd,
+    _step_operators,
     _system_matrices,
     default_band,
     sigma_weights,
@@ -97,6 +100,79 @@ def test_chunking_invisible(d_lossy):
     b = ot.simulate(d_lossy, short_cfg(d_lossy, chunk_steps=4096))
     assert np.array_equal(a.b_plus, b.b_plus)
     assert np.array_equal(a.b_minus, b.b_minus)
+
+
+def test_chunking_invisible_at_the_edges(d_lossy):
+    ref = ot.simulate(d_lossy, short_cfg(d_lossy))
+    for chunk_steps in (1, 10 * ref.n_steps):
+        ts = ot.simulate(d_lossy, short_cfg(d_lossy, chunk_steps=chunk_steps))
+        assert np.array_equal(ts.b_plus, ref.b_plus)
+        assert np.array_equal(ts.b_minus, ref.b_minus)
+
+
+def _reference_records(d, cfg, pulse_window):
+    """Plain step-by-step recursion with the simulator's operators and draws."""
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
+    phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
+    noise_factor = _factor_psd(cov)
+    zx = (c_out @ j_dt) / cfg.dt
+    x_kick = j_dt[:, 2]
+    z_kick = (c_out @ jj[:, 2]) / cfg.dt
+    if cfg.noise:
+        stat_cov = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
+        stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
+    else:
+        stat_factor = np.zeros((3, 3))
+    n_steps = int(round(cfg.t_dur / cfg.dt))
+    f_amp = np.zeros(n_steps)
+    f_amp[slice(*pulse_window)] = cfg.signal.quad_amp(d)
+    out = np.empty((2, cfg.n_traj, n_steps))
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+    for k, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        x = stat_factor @ rng.standard_normal(3)
+        joint = rng.standard_normal((n_steps, 5)) @ noise_factor.T
+        for n in range(n_steps):
+            out[:, k, n] = zx @ x + joint[n, 3:] + z_kick * f_amp[n]
+            x = phi @ x + joint[n, :3] + x_kick * f_amp[n]
+    return out
+
+
+@pytest.mark.parametrize("noise", [True, False])
+def test_scan_matches_reference_recursion(d_lossy, noise):
+    # 3000 steps: three panels of 1024 steps, the last one partial; the pulse
+    # straddles the first panel boundary at step 1024
+    dt = ot.default_sim_config(d_lossy).dt
+    pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * dt, t_start=1000 * dt)
+    cfg = short_cfg(d_lossy, n_traj=3, t_dur=3000 * dt, signal=pulse, noise=noise)
+    ts = ot.simulate(d_lossy, cfg)
+    assert ts.n_steps == 3000
+    ref = _reference_records(d_lossy, cfg, (1000, 1060))
+    for got, want in ((ts.b_plus, ref[0]), (ts.b_minus, ref[1])):
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_scan_carry_does_not_drift(d_lossy):
+    # the block carry applies phi^32 about 1.6e3 times here; a power of phi a
+    # few ulps off drifts the slow mechanical mode to ~4e-13 of the response
+    dt = ot.default_sim_config(d_lossy).dt
+    pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * dt, t_start=1000 * dt)
+    cfg = short_cfg(d_lossy, n_traj=1, t_dur=50_000 * dt, signal=pulse, noise=False)
+    ts = ot.simulate(d_lossy, cfg)
+    ref = _reference_records(d_lossy, cfg, (1000, 1060))
+    for got, want in ((ts.b_plus, ref[0]), (ts.b_minus, ref[1])):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_factor_psd_clips_only_rounding_noise():
+    v = np.array([[1.0, 2.0, 3.0], [2.0, -1.0, 0.5], [0.3, 0.1, 1.0]])
+    rounded = v.T @ np.diag([1.0, 0.5, -1e-15]) @ v  # Cholesky fails here
+    factor = _factor_psd(rounded)
+    np.testing.assert_allclose(factor @ factor.T, rounded, atol=1e-12)
+    indefinite = v.T @ np.diag([1.0, 0.5, -1e-6]) @ v
+    with pytest.raises(SimulationError, match="negative eigenvalue mass"):
+        _factor_psd(indefinite)
 
 
 def test_dt_bound_rejected_upfront(d_lossy):
