@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -43,6 +44,51 @@ def test_sweep_reproducible_bytes(tmp_path):
     for out in (out1, out2):
         assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig3-nonsym-lossy"]) == 0
     assert (out1 / "fig3-nonsym-lossy.csv").read_bytes() == (out2 / "fig3-nonsym-lossy.csv").read_bytes()
+
+
+# SHA-256 of the CSVs written by the per-row writer that preceded the columnar
+# table; any drift in values or formatting changes them
+GOLDEN_SWEEP_SHA256 = {
+    "fig2-sym": "298d1903bd3735f3406c7d425a273297f94c21ef202b64e0f3b7ab9bd2f20b54",
+    "fig2-nonsym": "8a734834109ed4deadc8b2e98e015a9005c0edf28d1d92a8b17db36594646b24",
+    "fig2-nonsym-10P": "bfea506d45100ce6c9d64cff90588a0055dbfd9dbab46ee1cc7ea42df71e5884",
+    "fig3-nonsym-lossy": "6107c4ab4ca96848927047c42fc4d27212e759a9963f2b3e7a7054aeff73ff1a",
+    "fig3-nonsym-lossless": "8a734834109ed4deadc8b2e98e015a9005c0edf28d1d92a8b17db36594646b24",
+    "fig3-nonsym-lossy-10P": "3f92fba7219a32feb4c057f10b736139d87d4fd1181470328bb2407d7700eaca",
+    "fig3-nonsym-lossless-10P": "bfea506d45100ce6c9d64cff90588a0055dbfd9dbab46ee1cc7ea42df71e5884",
+    "fig4-sym-lossy": "eb5e3e73d2f4620da442e26e107ca1fdf6c6dc42c8d63753b8b2e45ba785d866",
+    "fig4-sym-lossless": "298d1903bd3735f3406c7d425a273297f94c21ef202b64e0f3b7ab9bd2f20b54",
+    "fig4-sym-lossy-10P": "376b70f4d17be6d9241f5ce44d259fb5a5ce8be97958d563236de511c4708ae0",
+    "fig4-sym-lossless-10P": "467b456ed024ad04a8a091a2bcfcfdc9356efc676d74ea9f6ec713fa86eac49f",
+}
+GOLDEN_FIG2_SYM_LINEAR50_SHA256 = "da0049bbcc1d305b1de520be0e4a507781186b9f385684b181ac160aff02cb66"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sweep_golden_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out]) == 0
+    assert set(GOLDEN_SWEEP_SHA256) == set(ot.SWEEP_SCENARIOS)
+    got = {name: sha256_of(out / f"{name}.csv") for name in GOLDEN_SWEEP_SHA256}
+    assert got == GOLDEN_SWEEP_SHA256
+
+
+def test_sweep_golden_bytes_grid_override(tmp_path):
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--grid", "linear:50:1e3:1e5"]) == 0
+    assert sha256_of(out / "fig2-sym.csv") == GOLDEN_FIG2_SYM_LINEAR50_SHA256
+
+
+def test_sweep_golden_bytes_single_scenario(tmp_path):
+    # computed on its own, not as a repeat of an equal scenario in the same run
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out,
+                "--scenario", "fig3-nonsym-lossless"]) == 0
+    assert sha256_of(out / "fig3-nonsym-lossless.csv") == GOLDEN_SWEEP_SHA256["fig3-nonsym-lossless"]
 
 
 def test_sweep_grid_override(tmp_path):
