@@ -23,6 +23,7 @@ from .params import (
 from .spectra import (
     CoeffSet,
     SpectrumRecord,
+    SpectrumTable,
     coeffs,
     make_grid,
     measurement_strength,
@@ -58,9 +59,9 @@ __all__ = [
     "__version__",
     "PhysParams", "DerivedParams", "RegimeCheck", "RegimeReport", "ParameterError",
     "derive", "check_regime", "table1_preset", "load_config", "thermal_occupancy",
-    "CoeffSet", "SpectrumRecord", "coeffs", "noise_weights", "s_qu", "s_thermal",
-    "s_sql", "s_qu_sym_lossless", "s_qu_nonsym_resonant", "measurement_strength",
-    "make_grid", "spectrum_sweep",
+    "CoeffSet", "SpectrumRecord", "SpectrumTable", "coeffs", "noise_weights", "s_qu",
+    "s_thermal", "s_sql", "s_qu_sym_lossless", "s_qu_nonsym_resonant",
+    "measurement_strength", "make_grid", "spectrum_sweep",
     "OptResult", "y_opt_analytic", "y_opt_numeric", "optimal_sweep",
     "ForceBudget", "s_fa", "min_force", "band_integral", "band_integral_check",
     "SimConfig", "SignalPulse", "SimulationError", "TimeSeriesBundle",

@@ -37,7 +37,7 @@ from .params import (
     table1_preset,
 )
 from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, Scenario
-from .spectra import SpectrumRecord, make_grid, spectrum_sweep
+from .spectra import SpectrumTable, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
     SimulationError,
@@ -84,22 +84,22 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(records: list[SpectrumRecord], tau: float) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        row = (
-            r.omega,
-            r.omega * tau / (2.0 * math.pi),
-            r.y.real,
-            r.y.imag,
-            r.s_qu,
-            r.s_t,
-            r.s_f,
-            r.s_sql,
-            r.ratio,
-        )
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(table: SpectrumTable, tau: float) -> str:
+    """CSV of a sweep table; every value is written with ``repr`` (shortest round trip)."""
+    # one row template; S_T is the same on every row, so it is formatted once
+    row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
+    columns = (
+        table.omega,
+        table.omega * tau / (2.0 * math.pi),
+        table.y.real,
+        table.y.imag,
+        table.s_qu,
+        table.s_f,
+        table.s_sql,
+        table.ratio,
+    )
+    rows = zip(*(col.tolist() for col in columns))
+    return "\n".join([",".join(CSV_COLUMNS), *(row % r for r in rows)]) + "\n"
 
 
 def _resolve_params(args) -> PhysParams:
@@ -173,17 +173,35 @@ def cmd_sweep(args) -> int:
 
     d_base = derive(p)
     scen_entries = []
+    # scenarios equal up to their name write equal CSVs (the grid override is
+    # the same for all of them): the first is computed, later ones copy its file
+    written: dict[Scenario, tuple[str, int]] = {}
     for name in names:
         scen = SWEEP_SCENARIOS[name]
         p_s = scen.apply(p)
         d_s = derive(p_s)
-        grid = make_grid(p_s.tau, **grid_override) if grid_override else scen.grid(p_s.tau)
-        records = spectrum_sweep(d_s, grid, y_policy=scen.y_policy, tag=name)
         out_path = os.path.join(args.out, f"{name}.csv")
-        _atomic_write(out_path, _csv_text(records, p_s.tau))
-        print(f"wrote {out_path} ({len(records)} rows, {scen.describe()})")
+        key = dataclasses.replace(scen, name="")
+        if key in written:
+            first_path, n_rows = written[key]
+            with open(first_path, encoding="utf-8", newline="") as fh:
+                _atomic_write(out_path, fh.read())
+        else:
+            grid = make_grid(p_s.tau, **grid_override) if grid_override else scen.grid(p_s.tau)
+            table = spectrum_sweep(d_s, grid, y_policy=scen.y_policy, tag=name)
+            _atomic_write(out_path, _csv_text(table, p_s.tau))
+            n_rows = len(table)
+            written[key] = (out_path, n_rows)
+        print(f"wrote {out_path} ({n_rows} rows, {scen.describe()})")
+        regime = check_regime(d_s)
+        for c in regime.checks:
+            if c.status == "fail":
+                print(f"warning: scenario {name} fails the {c.name} regime check "
+                      f"(ratio {c.ratio:.4g}, threshold {c.threshold:g}) -- {c.note}",
+                      file=sys.stderr)
         entry = _scenario_entry(scen)
         entry["csv"] = f"{name}.csv"
+        entry["regime"] = dataclasses.asdict(regime)
         if grid_override:
             entry["grid_override"] = grid_override
         scen_entries.append(entry)

@@ -279,6 +279,43 @@ class SpectrumRecord:
     tag: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class SpectrumTable:
+    """Outputs of a sweep as columns, one entry per grid frequency.
+
+    ``omega``, ``s_qu``, ``s_f``, ``s_sql`` and ``ratio`` are float arrays and
+    ``y`` is the complex weight actually used, all of the grid's length;
+    ``s_t`` is the frequency-independent thermal term.  ``len(table)`` is the
+    number of frequencies and ``table[i]`` (hence ``for r in table``) gives
+    the row as a :class:`SpectrumRecord`; the library itself works on the
+    columns.
+    """
+
+    omega: np.ndarray
+    y: np.ndarray
+    s_qu: np.ndarray
+    s_t: float
+    s_f: np.ndarray
+    s_sql: np.ndarray
+    ratio: np.ndarray
+    tag: str = ""
+
+    def __len__(self) -> int:
+        return self.omega.size
+
+    def __getitem__(self, i) -> SpectrumRecord:
+        return SpectrumRecord(
+            omega=float(self.omega[i]),
+            y=complex(self.y[i]),
+            s_qu=float(self.s_qu[i]),
+            s_t=self.s_t,
+            s_f=float(self.s_f[i]),
+            s_sql=float(self.s_sql[i]),
+            ratio=float(self.ratio[i]),
+            tag=self.tag,
+        )
+
+
 def resolve_y(d: DerivedParams, c: CoeffSet, y_policy) -> np.ndarray:
     """Turn a weight policy into per-frequency complex values.
 
@@ -294,22 +331,21 @@ def resolve_y(d: DerivedParams, c: CoeffSet, y_policy) -> np.ndarray:
         return np.broadcast_to(np.asarray(y_opt_analytic(c, d), dtype=complex), (n,)).copy()
     if np.ndim(y_policy) == 0:
         return np.full(n, complex(y_policy))
-    table = np.asarray(y_policy, dtype=complex)
+    table = np.array(y_policy, dtype=complex)
     if table.shape != (n,):
         raise ValueError(f"per-frequency y table has shape {table.shape}, grid has {n} points")
     return table
 
 
-def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal", tag: str = "") -> list[SpectrumRecord]:
+def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal", tag: str = "") -> SpectrumTable:
     """Evaluate all spectral densities over a frequency grid.
 
-    ``grid`` must be finite and strictly increasing.  Returns one record per
-    frequency; the records carry the weight actually used so the output is
-    self-describing.  Evaluation is vectorized and order-independent.
+    ``grid`` must be finite and strictly increasing; it may be empty.
+    Returns one :class:`SpectrumTable` with a column entry per frequency; it
+    carries the weight actually used so the output is self-describing.
+    Evaluation is vectorized and order-independent.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return []
+    grid = np.array(grid, dtype=float)  # the table keeps its own copy
     if not np.all(np.isfinite(grid)):
         bad = grid[~np.isfinite(grid)][0]
         raise ValueError(f"grid contains non-finite frequency {bad!r}")
@@ -324,17 +360,5 @@ def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal", tag: str = "") ->
         raise ValueError(f"spectral density is not finite at omega = {bad!r} rad/s")
     st = s_thermal(d)
     ss = np.asarray(s_sql(d.gamma_m, grid), dtype=float)
-
-    return [
-        SpectrumRecord(
-            omega=float(grid[i]),
-            y=complex(y[i]),
-            s_qu=float(sq[i]),
-            s_t=st,
-            s_f=float(sq[i] + st),
-            s_sql=float(ss[i]),
-            ratio=float(sq[i] / ss[i]),
-            tag=tag,
-        )
-        for i in range(grid.size)
-    ]
+    return SpectrumTable(omega=grid, y=y, s_qu=sq, s_t=st, s_f=sq + st, s_sql=ss,
+                         ratio=sq / ss, tag=tag)

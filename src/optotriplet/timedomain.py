@@ -44,7 +44,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .constants import HBAR
 from .params import DerivedParams
-from .spectra import SpectrumRecord, coeffs, resolve_y
+from .spectra import SpectrumTable, coeffs, resolve_y, spectrum_sweep
 
 # fraction of the linear-stability step bound used by default configs
 _DT_SAFETY = 0.8
@@ -379,13 +379,16 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     to_w = np.ascontiguousarray(noise_factor[:3].T)
     to_z = np.ascontiguousarray(noise_factor[3:].T)
     zx_t = np.ascontiguousarray(zx.T)
-    eps = np.empty((n_tr, chunk, 5))  # trajectory-major draws, reused per chunk
+    # trajectory-major draws, reused per chunk; a noiseless run mixes its
+    # all-zero noise factor into zeros and draws nothing
+    eps = np.zeros((n_tr, chunk, 5))
     for start in range(0, n_steps, chunk):
         stop = min(start + chunk, n_steps)
         c = stop - start
-        for k, rng in enumerate(rngs):
-            rng.standard_normal(out=eps[k, :c])
-        eps[:, c:] = 0.0
+        if cfg.noise:
+            for k, rng in enumerate(rngs):
+                rng.standard_normal(out=eps[k, :c])
+            eps[:, c:] = 0.0
         for a in range(0, c, _PANEL):
             n0 = start + a
             e = eps[:, a:a + _PANEL]
@@ -595,13 +598,14 @@ class ComparisonReport:
         ])
 
 
-def compare(analytic: list[SpectrumRecord], est: PsdEstimate, band: tuple[float, float]) -> ComparisonReport:
+def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]) -> ComparisonReport:
     """Pointwise check of the estimate against analytic ``S_qu + S_T``.
 
-    ``analytic`` must hold one record per estimate bin inside ``band`` at the
-    same frequencies.  Passes when at least 95% of the band bins agree within
-    three error bars.  Rejects bands that do not overlap the estimate or that
-    reach below the resolution supported by the record length.
+    ``analytic`` is a sweep table evaluated exactly at the estimate's bins
+    inside ``band``; its ``omega`` and ``s_f`` columns are compared.  Passes
+    when at least 95% of the band bins agree within three error bars.
+    Rejects bands that do not overlap the estimate or that reach below the
+    resolution supported by the record length.
     """
     lo, hi = band
     if not (0.0 < lo < hi):
@@ -621,8 +625,8 @@ def compare(analytic: list[SpectrumRecord], est: PsdEstimate, band: tuple[float,
     omega_sel = est.omega[sel]
     psd_sel = est.psd[sel]
 
-    ana_omega = np.array([r.omega for r in analytic])
-    ana_sf = np.array([r.s_f for r in analytic])
+    ana_omega = analytic.omega
+    ana_sf = analytic.s_f
     if ana_omega.shape != omega_sel.shape or not np.allclose(
         ana_omega, omega_sel, rtol=1e-9, atol=0.0
     ):
@@ -648,10 +652,8 @@ def compare(analytic: list[SpectrumRecord], est: PsdEstimate, band: tuple[float,
 
 
 def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, float],
-                         y_policy=None, tag: str = "") -> list[SpectrumRecord]:
-    """Analytic sweep evaluated exactly on an estimate's band bins."""
-    from .spectra import spectrum_sweep
-
+                         y_policy=None, tag: str = "") -> SpectrumTable:
+    """Analytic sweep table evaluated exactly on an estimate's band bins."""
     y_policy = "optimal" if y_policy is None else y_policy
     sel = (est.omega >= band[0]) & (est.omega <= band[1])
     return spectrum_sweep(d, est.omega[sel], y_policy=y_policy, tag=tag)
@@ -671,7 +673,8 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
                    band: tuple[float, float] | None = None):
     """Simulate, estimate and compare in one call.
 
-    Returns ``(report, estimate, analytic_records)``.
+    Returns ``(report, estimate, analytic)`` with the analytic
+    :class:`~optotriplet.spectra.SpectrumTable` of the band bins.
     """
     ts = simulate(d, cfg)
     est = estimate_psd(ts, segments=segments)

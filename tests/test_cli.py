@@ -91,6 +91,47 @@ def test_sweep_golden_bytes_single_scenario(tmp_path):
     assert sha256_of(out / "fig3-nonsym-lossless.csv") == GOLDEN_SWEEP_SHA256["fig3-nonsym-lossless"]
 
 
+def test_sweep_equal_scenarios_share_bytes_under_grid_override(tmp_path):
+    # fig4-sym-lossless equals fig2-sym up to its name and reuses its output
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--grid", "linear:50:1e3:1e5",
+                "--scenario", "fig2-sym", "--scenario", "fig4-sym-lossless"]) == 0
+    for name in ("fig2-sym", "fig4-sym-lossless"):
+        assert sha256_of(out / f"{name}.csv") == GOLDEN_FIG2_SYM_LINEAR50_SHA256
+
+
+def test_sweep_manifest_regime(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out,
+                "--scenario", "fig2-sym", "--scenario", "fig3-nonsym-lossy"]) == 0
+    assert "warning" not in capsys.readouterr().err  # the preset has no failing check
+    manifest = json.loads((out / "manifest.json").read_text())
+    base = ot.table1_preset()
+    for entry in manifest["scenarios"]:
+        regime = entry["regime"]
+        assert set(regime) == {"checks", "b_thermal"}
+        for check in regime["checks"]:
+            assert set(check) == {"name", "ratio", "threshold", "status", "note"}
+        d = ot.derive(ot.SWEEP_SCENARIOS[entry["name"]].apply(base))
+        assert regime == json.loads(json.dumps(dataclasses.asdict(ot.check_regime(d))))
+
+
+def test_sweep_warns_on_failing_regime_check(tmp_path, capsys):
+    cfg = tmp_path / "lossy.cfg"
+    cfg.write_text("gamma_e_plus = 1e5\n")  # gamma_e/gamma_0 of the upper mode far above 0.1
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--preset", "table1", "--out", out,
+                "--scenario", "fig3-nonsym-lossy", "--scenario", "fig3-nonsym-lossless"]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert "fig3-nonsym-lossy" in warnings[0] and "loss_smallness" in warnings[0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    statuses = {e["name"]: {c["name"]: c["status"] for c in e["regime"]["checks"]}
+                for e in manifest["scenarios"]}
+    assert statuses["fig3-nonsym-lossy"]["loss_smallness"] == "fail"
+    assert statuses["fig3-nonsym-lossless"]["loss_smallness"] == "pass"
+
+
 def test_sweep_grid_override(tmp_path):
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",

@@ -262,7 +262,7 @@ def test_make_grid():
 
 
 def test_sweep_empty(d_lossy):
-    assert ot.spectrum_sweep(d_lossy, []) == []
+    assert len(ot.spectrum_sweep(d_lossy, [])) == 0
 
 
 def test_sweep_records(d_lossy):

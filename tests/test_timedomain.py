@@ -311,7 +311,7 @@ def test_compare_rejects_misscaled(d_lossy):
     est = ot.estimate_psd(ts, segments=8)
     band = default_band(d_lossy, cfg)
     analytic = ot.timedomain.analytic_records_for(d_lossy, est, band)
-    doubled = [dataclasses.replace(r, s_f=2.0 * r.s_f) for r in analytic]
+    doubled = dataclasses.replace(analytic, s_f=2.0 * analytic.s_f)
     rep = ot.compare(doubled, est, band)
     assert not rep.passed
     assert "FAIL" in rep.format()
@@ -327,7 +327,7 @@ def test_compare_band_guards(d_lossy):
         ot.compare([], est, (1e9, 2e9))
     band = default_band(d_lossy, cfg)
     with pytest.raises(ValueError, match="band bins"):
-        ot.compare([], est, band)
+        ot.compare(ot.spectrum_sweep(d_lossy, []), est, band)
 
 
 def test_monte_carlo_agreement_smoke(d_sym):
