@@ -187,6 +187,22 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+# report of the small oracle run below; any change in the sampled records,
+# the estimator or the report format changes it
+GOLDEN_ORACLE_SMALL_REPORT = """\
+scenario sym-lossless (symmetric, lossless, pump x1)
+trajectories 8, duration 0.008 s, dt 3.5133948177426444e-07 s, segments 8, seed 4
+spectral comparison: PASS
+  band                [7.853982e+04, 7.330383e+05] rad/s
+  bins compared       104
+  per-bin 1-sigma     12.500 %
+  within 3 sigma      100.00 % (need >= 95 %)
+  worst deviation     2.848 sigma
+  median est/analytic 1.018975
+  reduced chi-square  1.0319
+"""
+
+
 def test_oracle_small_run(tmp_path, capsys):
     out = tmp_path / "oracle"
     args = ["oracle", "--preset", "table1", "--scenario", "sym-lossless",
@@ -195,6 +211,7 @@ def test_oracle_small_run(tmp_path, capsys):
     assert run(args) == 0
     report = (out / "sym-lossless-report.txt").read_text()
     assert "PASS" in report
+    assert report == GOLDEN_ORACLE_SMALL_REPORT
     assert (out / "sym-lossless-timeseries.txt").exists()
     manifest = json.loads((out / "sym-lossless-manifest.json").read_text())
     assert manifest["sim"]["n_traj"] == 8
