@@ -56,24 +56,29 @@ EXIT_COMPARISON = 3
 
 CSV_COLUMNS = ("omega_rad_s", "omega_tau_over_2pi", "y_re", "y_im",
                "S_qu", "S_T", "S_f", "S_SQL", "R")
+# rows formatted per CSV chunk; bounds the writer's memory on huge grids
+_CSV_CHUNK_ROWS = 8192
 
 
 class ConfigError(ValueError):
     """Usage-level problem: bad flags, missing or malformed config."""
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a uniquely named file in the same directory.
+def _atomic_write(path: str, chunks) -> None:
+    """Write ``chunks`` (a string or an iterable of strings) to ``path`` through a
+    uniquely named file in the same directory.
 
     The file only appears under its final name once complete, and concurrent
     writers never share a temporary file.  The temporary file is removed when
     the write fails.
     """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s default mode
@@ -84,22 +89,29 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(table: SpectrumTable, tau: float) -> str:
-    """CSV of a sweep table; every value is written with ``repr`` (shortest round trip)."""
+def _csv_text(table: SpectrumTable, tau: float):
+    """CSV of a sweep table as chunks of at most ``_CSV_CHUNK_ROWS`` rows.
+
+    Every value is written with ``repr`` (shortest round trip).  Only one
+    chunk's strings are alive at a time, so memory stays bounded on huge grids.
+    """
     # one row template; S_T is the same on every row, so it is formatted once
     row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
-    columns = (
-        table.omega,
-        table.omega * tau / (2.0 * math.pi),
-        table.y.real,
-        table.y.imag,
-        table.s_qu,
-        table.s_f,
-        table.s_sql,
-        table.ratio,
-    )
-    rows = zip(*(col.tolist() for col in columns))
-    return "\n".join([",".join(CSV_COLUMNS), *(row % r for r in rows)]) + "\n"
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        sl = slice(start, start + _CSV_CHUNK_ROWS)
+        columns = (
+            table.omega[sl],
+            table.omega[sl] * tau / (2.0 * math.pi),
+            table.y.real[sl],
+            table.y.imag[sl],
+            table.s_qu[sl],
+            table.s_f[sl],
+            table.s_sql[sl],
+            table.ratio[sl],
+        )
+        rows = zip(*(col.tolist() for col in columns))
+        yield "\n".join([row % r for r in rows]) + "\n"
 
 
 def _resolve_params(args) -> PhysParams:
@@ -134,19 +146,8 @@ def _manifest(p: PhysParams, d: DerivedParams, extra: dict) -> str:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "phys_params": dataclasses.asdict(p),
-        "derived": {
-            "gamma_m": d.gamma_m,
-            "gamma_plus": d.gamma_plus,
-            "gamma_minus": d.gamma_minus,
-            "gamma": d.gamma,
-            "x0": d.x0,
-            "omega0": d.omega0,
-            "eta_plus": d.eta_plus,
-            "eta_minus": d.eta_minus,
-            "c0_sq": d.c0_sq,
-            "n_t": d.n_t,
-            "b_thermal": d.b_thermal,
-        },
+        "derived": {f.name: getattr(d, f.name)
+                    for f in dataclasses.fields(DerivedParams) if f.name != "phys"},
     }
     payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -185,7 +186,7 @@ def cmd_sweep(args) -> int:
         if key in written:
             first_path, n_rows = written[key]
             with open(first_path, encoding="utf-8", newline="") as fh:
-                _atomic_write(out_path, fh.read())
+                _atomic_write(out_path, iter(lambda: fh.read(1 << 20), ""))
         else:
             grid = make_grid(p_s.tau, **grid_override) if grid_override else scen.grid(p_s.tau)
             table = spectrum_sweep(d_s, grid, y_policy=scen.y_policy, tag=name)

@@ -13,8 +13,9 @@ intensity ``n_T + 1/2``.
 
 Sampling is exact, not Euler-Maruyama: states advance by the matrix
 exponential with the exact Ito noise increment, the recorded outputs are the
-exact boxcar averages of ``b_pm`` over each step, and the joint covariance of
-state and output noise within a step is integrated to quadrature precision.
+exact boxcar averages of ``b_pm`` over each step, and the step propagators and
+the joint covariance of state and output noise within a step are blocks of
+matrix exponentials (Van Loan 1978), exact up to rounding at any step size.
 The initial state is drawn from the stationary distribution, so every record
 is stationary from the first sample.
 
@@ -92,7 +93,8 @@ class SimConfig:
     density (same conventions as the analytic sweep).  ``chunk_steps`` is
     the number of steps whose noise is drawn at once; it is rounded up to
     whole scan panels of 1024 steps, bounds the noise buffer to
-    ``n_traj * chunk * 5`` floats, and never changes the records.
+    ``n_traj * chunk * 5`` floats, and never changes the records.  Records
+    are float64.
     """
 
     dt: float
@@ -104,11 +106,8 @@ class SimConfig:
     noise: bool = True
     tag: str = ""
     chunk_steps: int = 16384
-    dtype: str = "float64"  # storage dtype of the records; "float32" halves memory
 
     def __post_init__(self):
-        if self.dtype not in ("float32", "float64"):
-            raise SimulationError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
         if self.dt <= 0.0 or not math.isfinite(self.dt):
             raise SimulationError(f"dt must be positive and finite, got {self.dt!r}")
         if self.t_dur <= 0.0 or self.t_dur < 2.0 * self.dt:
@@ -166,51 +165,42 @@ def _system_matrices(d: DerivedParams, noise_on: bool):
     return drift, f_in, intens, c_out, e_sel
 
 
-def _step_operators(drift, f_in, intens, c_out, e_sel, dt, gl_order: int = 48):
+def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
     """One-step propagators and the exact joint noise covariance.
 
     Returns ``phi = exp(M dt)``, the step integrals ``J = int_0^dt exp(M s) ds``
     and ``JJ = int_0^dt K(u) du`` with ``K(s) = int_0^s exp(M v) dv``, and the
     5x5 covariance of the stacked per-step noise (state increment, output
-    average).  All integrals are Gauss-Legendre quadrature of the explicit
-    matrix-exponential integrands; with ``|M| dt <~ 0.1`` the result is exact
-    to machine precision.
+    average).  Every integral is a block of a matrix exponential (Van Loan
+    1978): ``phi``, ``J`` and ``JJ`` are the first block row of
+    ``exp([[M, I, 0], [0, 0, I], [0, 0, 0]] dt)``, and the covariance is that
+    of the state augmented with the integrated outputs, ``A = [[M, 0], [C, 0]]``
+    driven through ``B = [F; -E]``; its output rows and columns are divided by
+    ``dt``.  Both are exact up to rounding at any step size.
     """
     n = drift.shape[0]
-    # exp of the augmented block matrix yields exp(M s) and K(s) together
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = drift
-    aug[:n, n:] = np.eye(n)
+    m = n + c_out.shape[0]
+    chain = np.zeros((3 * n, 3 * n))
+    chain[:n, :n] = drift
+    chain[:n, n:2 * n] = np.eye(n)
+    chain[n:2 * n, 2 * n:] = np.eye(n)
+    blocks = expm(chain * dt)
+    phi, j_dt, jj = blocks[:n, :n], blocks[:n, n:2 * n], blocks[:n, 2 * n:]
 
-    nodes, weights = np.polynomial.legendre.leggauss(gl_order)
-    s_nodes = 0.5 * dt * (nodes + 1.0)
-    s_weights = 0.5 * dt * weights
-
-    fdf = f_in @ intens @ f_in.T
-
-    cov_ww = np.zeros((n, n))
-    cov_we = np.zeros((n, 2))
-    cov_ee = np.zeros((2, 2))
-    jj = np.zeros((n, n))
-    for s, w in zip(s_nodes, s_weights):
-        blocks = expm(aug * s)
-        exp_s = blocks[:n, :n]
-        k_s = blocks[:n, n:]
-        g_s = c_out @ k_s @ f_in - e_sel  # output-noise kernel at lag s
-        cov_ww += w * (exp_s @ fdf @ exp_s.T)
-        cov_we += w * (exp_s @ (f_in @ intens @ g_s.T))
-        cov_ee += w * (g_s @ intens @ g_s.T)
-        jj += w * k_s
-
-    blocks = expm(aug * dt)
-    phi = blocks[:n, :n]
-    j_dt = blocks[:n, n:]
-
-    cov = np.zeros((n + 2, n + 2))
-    cov[:n, :n] = cov_ww
-    cov[:n, n:] = cov_we / dt
-    cov[n:, :n] = cov_we.T / dt
-    cov[n:, n:] = cov_ee / dt**2
+    # Van Loan: exp([[-A, B Q B^T], [0, A^T]] dt) = [[., G], [0, exp(A dt)^T]],
+    # and int_0^dt exp(A s) B Q B^T exp(A s)^T ds = exp(A dt) G
+    a = np.zeros((m, m))
+    a[:n, :n] = drift
+    a[n:, :n] = c_out
+    b = np.vstack([f_in, -e_sel])
+    van_loan = np.zeros((2 * m, 2 * m))
+    van_loan[:m, :m] = -a
+    van_loan[:m, m:] = b @ intens @ b.T
+    van_loan[m:, m:] = a.T
+    blocks = expm(van_loan * dt)
+    cov = blocks[m:, m:].T @ blocks[:m, m:]
+    cov[:, n:] /= dt  # integrated outputs -> step averages
+    cov[n:, :] /= dt
     cov = 0.5 * (cov + cov.T)
     return phi, j_dt, jj, cov
 
@@ -278,19 +268,15 @@ class TimeSeriesBundle:
         n = self.n_steps
         omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=self.dt)
         wp, wm = sigma_weights(self.d, omega, y_policy)
-        xp = np.conj(np.fft.rfft(np.asarray(self.b_plus, dtype=float), axis=1))
-        xm = np.conj(np.fft.rfft(np.asarray(self.b_minus, dtype=float), axis=1))
+        xp = np.conj(np.fft.rfft(self.b_plus, axis=1))
+        xm = np.conj(np.fft.rfft(self.b_minus, axis=1))
         out = np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
         self.sigma = out
         return out
 
     def dump_text(self, path, trajectory: int = 0) -> None:
         """Columnar dump of one trajectory: time, b_plus_a, b_minus_a."""
-        data = np.column_stack([
-            self.times,
-            np.asarray(self.b_plus[trajectory], dtype=float),
-            np.asarray(self.b_minus[trajectory], dtype=float),
-        ])
+        data = np.column_stack([self.times, self.b_plus[trajectory], self.b_minus[trajectory]])
         np.savetxt(path, data, header="time b_plus_a b_minus_a", comments="")
 
 
@@ -363,9 +349,8 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     traj_seeds = tuple(int(s.spawn_key[-1]) for s in children)  # children of cfg.seed
 
     n_tr = cfg.n_traj
-    store = np.dtype(cfg.dtype)
-    b_plus = np.empty((n_tr, n_steps), dtype=store)
-    b_minus = np.empty((n_tr, n_steps), dtype=store)
+    b_plus = np.empty((n_tr, n_steps))
+    b_minus = np.empty((n_tr, n_steps))
 
     x = np.empty((n_tr, 3))  # one state row per trajectory
     for k, rng in enumerate(rngs):
@@ -462,14 +447,24 @@ class _BlockScan:
 
 # --- spectral estimation ------------------------------------------------------
 
-def _hann(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+def _welch_segments(n_len: int, dt: float, segments: int):
+    """Split of ``n_len`` samples into ``segments`` Hann-windowed segments.
 
-
-def _segment_bins(n_seg_len: int, dt: float) -> np.ndarray:
-    """Positive interior FFT bins (DC and Nyquist dropped) in rad/s."""
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n_seg_len, d=dt)
-    return omega[1:-1] if n_seg_len % 2 == 0 else omega[1:]
+    Returns the segment length, the periodic Hann window, the slice of the
+    positive interior FFT bins (DC and Nyquist dropped) and those bins in
+    rad/s.
+    """
+    if segments < 8:
+        raise ValueError(f"need at least 8 segments, got {segments}")
+    seg_len = n_len // segments
+    if seg_len < 64:
+        raise ValueError(
+            f"series too short: {n_len} samples give segments of {seg_len} (< 64)"
+        )
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+    keep = slice(1, -1) if seg_len % 2 == 0 else slice(1, None)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[keep]
+    return seg_len, win, keep, omega
 
 
 def welch_psd(x: np.ndarray, dt: float, segments: int):
@@ -484,27 +479,14 @@ def welch_psd(x: np.ndarray, dt: float, segments: int):
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
-    n_len = x.shape[-1]
-    if segments < 8:
-        raise ValueError(f"need at least 8 segments, got {segments}")
-    seg_len = n_len // segments
-    if seg_len < 64:
-        raise ValueError(
-            f"series too short: {n_len} samples give segments of {seg_len} (< 64)"
-        )
-    win = _hann(seg_len)
+    seg_len, win, keep, omega = _welch_segments(x.shape[-1], dt, segments)
     norm = dt / np.sum(win**2)
     acc = 0.0
     for s in range(segments):
-        seg = np.asarray(x[..., s * seg_len:(s + 1) * seg_len], dtype=float)
-        spec = np.fft.rfft(seg * win, axis=-1)
+        spec = np.fft.rfft(x[..., s * seg_len:(s + 1) * seg_len] * win, axis=-1)
         acc = acc + np.abs(spec) ** 2
     psd = norm * np.mean(acc.reshape(-1, acc.shape[-1]), axis=0) / segments
-    if seg_len % 2 == 0:
-        psd = psd[1:-1]
-    else:
-        psd = psd[1:]
-    return _segment_bins(seg_len, dt), psd
+    return omega, psd[keep]
 
 
 @dataclass(frozen=True)
@@ -533,26 +515,16 @@ def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
     channels are kept), and the periodograms are averaged over segments and
     trajectories in fixed order.
     """
-    if segments < 8:
-        raise ValueError(f"need at least 8 segments, got {segments}")
     n_len = ts.n_steps
-    seg_len = n_len // segments
-    if seg_len < 64:
-        raise ValueError(
-            f"series too short: {n_len} samples give segments of {seg_len} (< 64)"
-        )
     dt = ts.dt
-    omega = _segment_bins(seg_len, dt)
+    seg_len, win, keep, omega = _welch_segments(n_len, dt, segments)
     wp, wm = sigma_weights(ts.d, omega, ts.cfg.y_policy)
-
-    win = _hann(seg_len)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
-    keep = slice(1, -1) if seg_len % 2 == 0 else slice(1, None)
     acc = np.zeros(omega.size)
     for s in range(segments):
         sl = slice(s * seg_len, (s + 1) * seg_len)
-        xp = dt * np.conj(np.fft.rfft(np.asarray(ts.b_plus[:, sl], dtype=float) * win, axis=1))
-        xm = dt * np.conj(np.fft.rfft(np.asarray(ts.b_minus[:, sl], dtype=float) * win, axis=1))
+        xp = dt * np.conj(np.fft.rfft(ts.b_plus[:, sl] * win, axis=1))
+        xm = dt * np.conj(np.fft.rfft(ts.b_minus[:, sl] * win, axis=1))
         mix = wp[None, :] * xp[:, keep] + wm[None, :] * xm[:, keep]
         acc += norm * np.sum(np.abs(mix) ** 2, axis=0)
     n_ind = segments * ts.cfg.n_traj

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import optotriplet as ot
-from optotriplet.cli import CSV_COLUMNS, main
+from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, main
 
 
 def run(args):
@@ -89,6 +89,48 @@ def test_sweep_golden_bytes_single_scenario(tmp_path):
     assert run(["sweep", "--preset", "table1", "--out", out,
                 "--scenario", "fig3-nonsym-lossless"]) == 0
     assert sha256_of(out / "fig3-nonsym-lossless.csv") == GOLDEN_SWEEP_SHA256["fig3-nonsym-lossless"]
+
+
+def test_sweep_csv_in_several_chunks(tmp_path):
+    # two full chunks and a partial one, against a plain per-row rendering
+    n = 2 * _CSV_CHUNK_ROWS + 7
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig3-nonsym-lossy",
+                "--scenario", "fig2-nonsym", "--scenario", "fig3-nonsym-lossless",
+                "--grid", f"log:{n}:1e3:1e7"]) == 0
+    # the repeat of an equal scenario is a copy of more than one read block
+    first = (out / "fig2-nonsym.csv").read_bytes()
+    assert len(first) > 1 << 20
+    assert (out / "fig3-nonsym-lossless.csv").read_bytes() == first
+    p = ot.SWEEP_SCENARIOS["fig3-nonsym-lossy"].apply(ot.table1_preset())
+    table = ot.spectrum_sweep(ot.derive(p), ot.make_grid(p.tau, kind="log", n=n, lo=1e3, hi=1e7))
+    lines = [",".join(CSV_COLUMNS)]
+    for i in range(n):
+        values = (table.omega[i], table.omega[i] * p.tau / (2.0 * np.pi), table.y[i].real,
+                  table.y[i].imag, table.s_qu[i], table.s_t, table.s_f[i], table.s_sql[i],
+                  table.ratio[i])
+        lines.append(",".join(repr(float(v)) for v in values))
+    assert (out / "fig3-nonsym-lossy.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_manifests_carry_every_derived_field(tmp_path):
+    base = ot.table1_preset()
+    want_fields = [f.name for f in dataclasses.fields(ot.DerivedParams) if f.name != "phys"]
+    assert {"eta_nom", "a0_sq", "c0"} <= set(want_fields)
+
+    def expected(p):
+        d = ot.derive(p)
+        return {name: getattr(d, name) for name in want_fields}
+
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["derived"] == expected(base)
+
+    out = tmp_path / "oracle"
+    assert run(["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--out", out,
+                "--trajectories", 1, "--duration", 0.004, "--segments", 8]) in (0, 3)
+    manifest = json.loads((out / "nonsym-lossy-manifest.json").read_text())
+    assert manifest["derived"] == expected(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(base))
 
 
 def test_sweep_manifest_regime(tmp_path, capsys):

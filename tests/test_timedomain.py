@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.integrate import quad_vec
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
@@ -165,6 +166,48 @@ def test_scan_carry_does_not_drift(d_lossy):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dt_mult", [1, 8])
+@pytest.mark.parametrize("scenario", ["sym-lossless", "nonsym-lossy"])
+def test_step_operators_match_quadrature(scenario, dt_mult):
+    # every operator against adaptive quadrature of its explicit integrand,
+    # built from exp(M s) and K(s) = int_0^s exp(M v) dv alone
+    d = ot.derive(ot.ORACLE_SCENARIOS[scenario].apply(ot.table1_preset()))
+    dt = dt_mult * ot.default_sim_config(d).dt
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, True)
+    phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, dt)
+    aug = np.zeros((6, 6))
+    aug[:3, :3] = drift
+    aug[:3, 3:] = np.eye(3)
+
+    def exp_k(s):
+        blocks = expm(aug * s)
+        return blocks[:3, :3], blocks[:3, 3:]
+
+    def kernel(s):  # output-noise kernel at lag s
+        return c_out @ exp_k(s)[1] @ f_in - e_sel
+
+    def state_noise(s):
+        e = exp_k(s)[0] @ f_in
+        return e @ intens @ e.T
+
+    integrands = [
+        (j_dt, lambda s: exp_k(s)[0], 1.0),
+        (jj, lambda s: exp_k(s)[1], 1.0),
+        (cov[:3, :3], state_noise, 1.0),
+        (cov[:3, 3:], lambda s: exp_k(s)[0] @ f_in @ intens @ kernel(s).T, dt),
+        (cov[3:, 3:], lambda s: kernel(s) @ intens @ kernel(s).T, dt**2),
+    ]
+    for got, integrand, scale in integrands:
+        want = quad_vec(integrand, 0.0, dt, epsabs=0.0, epsrel=1e-15, norm="max")[0] / scale
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    np.testing.assert_array_equal(cov, cov.T)
+    np.testing.assert_allclose(phi, expm(drift * dt), rtol=0.0, atol=1e-14)
+
+    # the stationary covariance is a fixed point of one exact step
+    p_stat = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
+    np.testing.assert_allclose(phi @ p_stat @ phi.T + cov[:3, :3], p_stat, rtol=1e-13, atol=0.0)
+
+
 def test_factor_psd_clips_only_rounding_noise():
     v = np.array([[1.0, 2.0, 3.0], [2.0, -1.0, 0.5], [0.3, 0.1, 1.0]])
     rounded = v.T @ np.diag([1.0, 0.5, -1e-15]) @ v  # Cholesky fails here
@@ -197,8 +240,6 @@ def test_config_validation(d_lossy):
         ot.SimConfig(dt=1e-7, t_dur=1e-8)
     with pytest.raises(SimulationError):
         ot.SimConfig(dt=1e-7, t_dur=1.0, n_traj=0)
-    with pytest.raises(SimulationError):
-        ot.SimConfig(dt=1e-7, t_dur=1.0, dtype="float16")
 
 
 def test_signal_linearity_noiseless(d_lossy):
