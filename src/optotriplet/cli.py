@@ -40,12 +40,10 @@ from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, Scenario
 from .spectra import SpectrumTable, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
+    ComparisonReport,
     SimulationError,
-    default_band,
     default_sim_config,
-    estimate_psd,
-    analytic_records_for,
-    compare,
+    run_comparison,
     simulate,
 )
 
@@ -56,6 +54,7 @@ EXIT_COMPARISON = 3
 
 CSV_COLUMNS = ("omega_rad_s", "omega_tau_over_2pi", "y_re", "y_im",
                "S_qu", "S_T", "S_f", "S_SQL", "R")
+BINS_COLUMNS = ("omega", "est", "analytic", "dev_sigma")
 # rows formatted per CSV chunk; bounds the writer's memory on huge grids
 _CSV_CHUNK_ROWS = 8192
 
@@ -112,6 +111,13 @@ def _csv_text(table: SpectrumTable, tau: float):
         )
         rows = zip(*(col.tolist() for col in columns))
         yield "\n".join([row % r for r in rows]) + "\n"
+
+
+def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> str:
+    """Per-bin diagnostics of a comparison, every value written with ``repr``."""
+    columns = (analytic.omega, report.est_psd, analytic.s_f, report.dev_sigma)
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join([",".join(BINS_COLUMNS) + "\n"] + ["%r,%r,%r,%r\n" % r for r in rows])
 
 
 def _resolve_params(args) -> PhysParams:
@@ -229,11 +235,9 @@ def cmd_oracle(args) -> int:
         overrides["dt"] = args.dt
     cfg = default_sim_config(d, **overrides)
 
-    ts = simulate(d, cfg)
-    est = estimate_psd(ts, segments=args.segments)
-    band = default_band(d, cfg)
-    analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy, tag=scen.name)
-    report = compare(analytic, est, band)
+    # only a dump needs the records; otherwise the run is streamed
+    records = simulate(d, cfg) if args.dump_timeseries else None
+    report, _, analytic = run_comparison(d, cfg, segments=args.segments, records=records)
 
     os.makedirs(args.out, exist_ok=True)
     header = (
@@ -243,8 +247,10 @@ def cmd_oracle(args) -> int:
     )
     report_text = header + report.format() + "\n"
     _atomic_write(os.path.join(args.out, f"{scen.name}-report.txt"), report_text)
-    if args.dump_timeseries:
-        ts.dump_text(os.path.join(args.out, f"{scen.name}-timeseries.txt"))
+    if records is not None:
+        records.dump_text(os.path.join(args.out, f"{scen.name}-timeseries.txt"))
+    if not report.passed:
+        _atomic_write(os.path.join(args.out, f"{scen.name}-bins.csv"), _bins_csv(report, analytic))
     manifest = _manifest(p, d, {
         "command": "oracle",
         "scenario": _scenario_entry(scen),

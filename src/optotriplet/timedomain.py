@@ -24,9 +24,14 @@ affine prefix scan (Blelloch 1990), not one step at a time: panels of 1024
 steps are split into blocks of 32, each block is solved from a zero start by
 one product with a block-Toeplitz matrix of powers of ``phi``, and only the
 block-start states are carried in sequence.  Outputs are formed for a whole
-panel at once.  The noise is drawn per chunk of whole panels, and every
-product has the same shape whatever the chunk size, so records do not depend
-on ``chunk_steps``.
+panel at once, and the noise is drawn one panel at a time.
+
+Two consumers read the panels.  :func:`simulate` collects them into records
+of ``2 * n_traj * n_steps`` floats, for inspection (``sigma_timeseries``,
+``dump_text``) and signal-transfer checks; it refuses records above 4 GiB.
+:func:`run_comparison` streams them into the Welch estimator one segment at a
+time, so its memory is ``O(n_traj * segment)`` whatever the run length, and
+its estimate is bit-identical to :func:`estimate_psd` of the records.
 
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
@@ -57,6 +62,11 @@ _PANEL = 32 * _BLOCK
 # negative eigenvalue mass, relative to the largest eigenvalue, that
 # _factor_psd may clip as rounding noise
 _PSD_CLIP_TOL = 1e-12
+# largest records simulate() materialises: 4 GiB is 25x the default oracle
+# run's 168 MB, and with the temporaries of sigma_timeseries or dump_text on
+# top it already exceeds the memory of a typical workstation; the spectral
+# check streams and never needs the records
+_MAX_RECORD_BYTES = 4 * 2**30
 
 
 class SimulationError(RuntimeError):
@@ -85,16 +95,15 @@ class SignalPulse:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run settings for :func:`simulate`.
+    """Run settings for :func:`simulate` and :func:`run_comparison`.
 
     ``dt`` must stay below a tenth of the fastest relaxation rate;
     :func:`stability_dt` gives the bound.  ``y_policy`` selects the
     combination weight used when the records are reduced to a spectral
-    density (same conventions as the analytic sweep).  ``chunk_steps`` is
-    the number of steps whose noise is drawn at once; it is rounded up to
-    whole scan panels of 1024 steps, bounds the noise buffer to
-    ``n_traj * chunk * 5`` floats, and never changes the records.  Records
-    are float64.
+    density (same conventions as the analytic sweep).  Records are float64:
+    :func:`simulate` holds ``2 * n_traj * n_steps`` of them, while
+    :func:`run_comparison` streams the run and holds two segments of
+    ``n_traj * (n_steps // segments)`` plus one scan panel of noise.
     """
 
     dt: float
@@ -105,7 +114,6 @@ class SimConfig:
     signal: SignalPulse | None = None
     noise: bool = True
     tag: str = ""
-    chunk_steps: int = 16384
 
     def __post_init__(self):
         if self.dt <= 0.0 or not math.isfinite(self.dt):
@@ -114,8 +122,6 @@ class SimConfig:
             raise SimulationError(f"t_dur must cover at least two steps, got {self.t_dur!r}")
         if self.n_traj < 1:
             raise SimulationError(f"n_traj must be >= 1, got {self.n_traj!r}")
-        if self.chunk_steps < 1:
-            raise SimulationError(f"chunk_steps must be >= 1, got {self.chunk_steps!r}")
 
 
 def stability_dt(d: DerivedParams) -> float:
@@ -293,13 +299,20 @@ def sigma_weights(d: DerivedParams, omega, y_policy):
     return (y - 0.5) * chi / c.a_plus, (y + 0.5) * chi / c.a_minus
 
 
-def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
-    """Integrate the quadrature dynamics and record both outputs.
+def _n_steps(cfg: SimConfig) -> int:
+    return int(round(cfg.t_dur / cfg.dt))
 
-    Rejects steps above the stability bound and drift matrices that are not
-    strictly stable (those have no stationary state to sample).  Identical
-    config and seed give bit-identical records; the result does not depend
-    on ``chunk_steps``.
+
+def _panels(d: DerivedParams, cfg: SimConfig):
+    """Check a run and return its trajectory seeds and a generator of outputs.
+
+    Steps above the stability bound, drift matrices that are not strictly
+    stable (those have no stationary state to sample) and signal windows
+    outside the run are rejected here; all numerical work waits for the
+    first panel.  The generator yields ``(b_plus, b_minus)`` for each panel
+    of ``_PANEL`` steps in order, each of shape ``(n_traj, m)`` with ``m``
+    short only for the last panel.  Each trajectory draws from its own PCG64
+    stream, in the same order whatever consumes the panels.
     """
     bound = stability_dt(d)
     if cfg.dt >= bound:
@@ -314,15 +327,9 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
             f"drift matrix is not stable (eigenvalue real parts {np.sort(eigs.real)}); "
             "the sensor self-oscillates for these parameters"
         )
-
-    n_steps = int(round(cfg.t_dur / cfg.dt))
-    n_panels = -(-n_steps // _PANEL)
-    phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
-    noise_factor = _factor_psd(cov)
-    zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
-
-    # per-step deterministic drive (signal pulse, constant within a step)
-    f_amp = np.zeros(n_panels * _PANEL)
+    n_steps = _n_steps(cfg)
+    # deterministic drive (signal pulse, constant within a step) over steps [i0, i1)
+    amp, i0, i1 = 0.0, 0, 0
     if cfg.signal is not None:
         amp = cfg.signal.quad_amp(d)
         i0 = int(round(cfg.signal.t_start / cfg.dt))
@@ -332,65 +339,85 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
                 f"signal window [{cfg.signal.t_start}, "
                 f"{cfg.signal.t_start + cfg.signal.duration}] s does not fit the run"
             )
-        f_amp[i0:i1] = amp
-    e_drive = np.array([0.0, 0.0, 1.0])
-    x_kick = j_dt @ e_drive           # state response to unit drive over one step
-    z_kick = (c_out @ jj @ e_drive) / cfg.dt
-
-    if cfg.noise:
-        stat_cov = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
-        stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
-    else:
-        stat_factor = np.zeros((3, 3))
-
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.n_traj)
-    rngs = [np.random.Generator(np.random.PCG64(s)) for s in children]
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
     traj_seeds = tuple(int(s.spawn_key[-1]) for s in children)  # children of cfg.seed
 
-    n_tr = cfg.n_traj
-    b_plus = np.empty((n_tr, n_steps))
-    b_minus = np.empty((n_tr, n_steps))
+    def run():
+        phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
+        noise_factor = _factor_psd(cov)
+        zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
+        e_drive = np.array([0.0, 0.0, 1.0])
+        x_kick = j_dt @ e_drive           # state response to unit drive over one step
+        z_kick = (c_out @ jj @ e_drive) / cfg.dt
 
-    x = np.empty((n_tr, 3))  # one state row per trajectory
-    for k, rng in enumerate(rngs):
-        x[k] = stat_factor @ rng.standard_normal(3)
-
-    # every chunk holds whole panels, so the scan sees the same shapes whatever
-    # chunk_steps is; the padded tail of the last panel carries zero noise
-    chunk = _PANEL * min(-(-cfg.chunk_steps // _PANEL), n_panels)
-    scan = _BlockScan(phi)
-    # transposed operators for trajectory-major rows, contiguous for BLAS
-    to_w = np.ascontiguousarray(noise_factor[:3].T)
-    to_z = np.ascontiguousarray(noise_factor[3:].T)
-    zx_t = np.ascontiguousarray(zx.T)
-    # trajectory-major draws, reused per chunk; a noiseless run mixes its
-    # all-zero noise factor into zeros and draws nothing
-    eps = np.zeros((n_tr, chunk, 5))
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        c = stop - start
         if cfg.noise:
-            for k, rng in enumerate(rngs):
-                rng.standard_normal(out=eps[k, :c])
-            eps[:, c:] = 0.0
-        for a in range(0, c, _PANEL):
-            n0 = start + a
-            e = eps[:, a:a + _PANEL]
-            w = e @ to_w                        # state increments
-            z = e @ to_z                        # output noise
-            f = f_amp[n0:n0 + _PANEL]
-            if np.any(f):
+            stat_cov = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
+            stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
+        else:
+            stat_factor = np.zeros((3, 3))
+
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in children]
+        n_tr = cfg.n_traj
+        x = np.empty((n_tr, 3))  # one state row per trajectory
+        for k, rng in enumerate(rngs):
+            x[k] = stat_factor @ rng.standard_normal(3)
+
+        scan = _BlockScan(phi)
+        # transposed operators for trajectory-major rows, contiguous for BLAS
+        to_w = np.ascontiguousarray(noise_factor[:3].T)
+        to_z = np.ascontiguousarray(noise_factor[3:].T)
+        zx_t = np.ascontiguousarray(zx.T)
+        # trajectory-major draws, reused per panel; the padded tail of the last
+        # panel carries zero noise, so every product has the same shape, and a
+        # noiseless run mixes its all-zero noise factor into zeros and draws nothing
+        eps = np.zeros((n_tr, _PANEL, 5))
+        for n0 in range(0, n_steps, _PANEL):
+            m = min(_PANEL, n_steps - n0)
+            if cfg.noise:
+                for k, rng in enumerate(rngs):
+                    rng.standard_normal(out=eps[k, :m])
+                eps[:, m:] = 0.0
+            w = eps @ to_w                      # state increments
+            z = eps @ to_z                      # output noise
+            if amp and i0 < n0 + _PANEL and n0 < i1:
+                f = np.zeros(_PANEL)
+                f[max(i0 - n0, 0):i1 - n0] = amp
                 w += f[:, None] * x_kick
                 z += f[:, None] * z_kick
             x_prev, x = scan(w, x)
+            if not np.all(np.isfinite(x)):
+                raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
             z += x_prev @ zx_t
-            m = min(_PANEL, n_steps - n0)
-            b_plus[:, n0:n0 + m] = z[:, :m, 0]
-            b_minus[:, n0:n0 + m] = z[:, :m, 1]
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(f"state diverged by step {stop} (of {n_steps})")
+            yield z[:, :m, 0], z[:, :m, 1]
 
+    return traj_seeds, run()
+
+
+def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
+    """Integrate the quadrature dynamics and record both outputs.
+
+    Rejects steps above the stability bound, drift matrices that are not
+    strictly stable, and runs whose records would exceed
+    ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams such runs instead.
+    Identical config and seed give bit-identical records.
+    """
+    n_steps = _n_steps(cfg)
+    size = 2 * cfg.n_traj * n_steps * 8
+    if size > _MAX_RECORD_BYTES:
+        raise SimulationError(
+            f"records of {cfg.n_traj} trajectories x {n_steps} steps would take "
+            f"{size / 2**30:.2f} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
+            "run_comparison streams the spectral check without materialising them"
+        )
+    traj_seeds, panels = _panels(d, cfg)
+    b_plus = np.empty((cfg.n_traj, n_steps))
+    b_minus = np.empty((cfg.n_traj, n_steps))
+    n0 = 0
+    for zp, zm in panels:
+        m = zp.shape[1]
+        b_plus[:, n0:n0 + m] = zp
+        b_minus[:, n0:n0 + m] = zm
+        n0 += m
     return TimeSeriesBundle(
         d=d, cfg=cfg, dt=cfg.dt, b_plus=b_plus, b_minus=b_minus, traj_seeds=traj_seeds
     )
@@ -507,6 +534,45 @@ class PsdEstimate:
     band: tuple[float, float]
 
 
+class _MixedWelch:
+    """Averaged periodogram of the combined record, one segment at a time.
+
+    Each segment of the two channels is Hann-windowed and transformed, the
+    transforms are mixed per bin with the weights of :func:`sigma_weights`
+    (so cross-correlations between the channels are kept), and the
+    periodograms are summed over trajectories, then over segments in order.
+    The guards of :func:`_welch_segments` raise on construction.
+    """
+
+    def __init__(self, d: DerivedParams, y_policy, n_len: int, dt: float, segments: int):
+        self.seg_len, self.win, self.keep, self.omega = _welch_segments(n_len, dt, segments)
+        self.wp, self.wm = sigma_weights(d, self.omega, y_policy)
+        self.norm = 1.0 / (dt * np.sum(self.win**2))  # |dt * DFT|^2 -> density
+        self.acc = np.zeros(self.omega.size)
+        self.n_len, self.dt, self.segments = n_len, dt, segments
+
+    def add(self, b_plus: np.ndarray, b_minus: np.ndarray) -> None:
+        """Accumulate one segment, both arrays of shape ``(n_traj, seg_len)``."""
+        dt, keep = self.dt, self.keep
+        xp = dt * np.conj(np.fft.rfft(b_plus * self.win, axis=1))
+        xm = dt * np.conj(np.fft.rfft(b_minus * self.win, axis=1))
+        mix = self.wp[None, :] * xp[:, keep] + self.wm[None, :] * xm[:, keep]
+        self.acc += self.norm * np.sum(np.abs(mix) ** 2, axis=0)
+
+    def estimate(self, n_traj: int) -> PsdEstimate:
+        n_ind = self.segments * n_traj
+        return PsdEstimate(
+            omega=self.omega,
+            psd=self.acc / n_ind,
+            rel_err=1.0 / math.sqrt(n_ind),
+            n_ind=n_ind,
+            segments=self.segments,
+            t_dur=self.n_len * self.dt,
+            t_seg=self.seg_len * self.dt,
+            band=(float(self.omega[0]), float(self.omega[-1])),
+        )
+
+
 def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
     """Spectral density of the combined record from a run's output series.
 
@@ -515,37 +581,55 @@ def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
     channels are kept), and the periodograms are averaged over segments and
     trajectories in fixed order.
     """
-    n_len = ts.n_steps
-    dt = ts.dt
-    seg_len, win, keep, omega = _welch_segments(n_len, dt, segments)
-    wp, wm = sigma_weights(ts.d, omega, ts.cfg.y_policy)
-    norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
-    acc = np.zeros(omega.size)
+    welch = _MixedWelch(ts.d, ts.cfg.y_policy, ts.n_steps, ts.dt, segments)
+    seg_len = welch.seg_len
     for s in range(segments):
         sl = slice(s * seg_len, (s + 1) * seg_len)
-        xp = dt * np.conj(np.fft.rfft(ts.b_plus[:, sl] * win, axis=1))
-        xm = dt * np.conj(np.fft.rfft(ts.b_minus[:, sl] * win, axis=1))
-        mix = wp[None, :] * xp[:, keep] + wm[None, :] * xm[:, keep]
-        acc += norm * np.sum(np.abs(mix) ** 2, axis=0)
-    n_ind = segments * ts.cfg.n_traj
-    psd = acc / n_ind
-    return PsdEstimate(
-        omega=omega,
-        psd=psd,
-        rel_err=1.0 / math.sqrt(n_ind),
-        n_ind=n_ind,
-        segments=segments,
-        t_dur=n_len * dt,
-        t_seg=seg_len * dt,
-        band=(float(omega[0]), float(omega[-1])),
-    )
+        welch.add(ts.b_plus[:, sl], ts.b_minus[:, sl])
+    return welch.estimate(ts.cfg.n_traj)
+
+
+def _stream_psd(d: DerivedParams, cfg: SimConfig, segments: int) -> PsdEstimate:
+    """:func:`estimate_psd` of ``simulate(d, cfg)`` without the records.
+
+    The panels fill one segment buffer per channel, and each full segment
+    goes to the same accumulator step as a record slice, so the estimate is
+    bit-identical.  The samples after the last whole segment are not needed
+    and not simulated.
+    """
+    _, panels = _panels(d, cfg)
+    welch = _MixedWelch(d, cfg.y_policy, _n_steps(cfg), cfg.dt, segments)
+    seg_len = welch.seg_len
+    used = segments * seg_len
+    seg_plus = np.empty((cfg.n_traj, seg_len))
+    seg_minus = np.empty((cfg.n_traj, seg_len))
+    n0 = 0
+    for zp, zm in panels:
+        m = min(zp.shape[1], used - n0)
+        a = 0
+        while a < m:
+            fill = (n0 + a) % seg_len
+            take = min(seg_len - fill, m - a)
+            seg_plus[:, fill:fill + take] = zp[:, a:a + take]
+            seg_minus[:, fill:fill + take] = zm[:, a:a + take]
+            a += take
+            if fill + take == seg_len:
+                welch.add(seg_plus, seg_minus)
+        n0 += m
+        if n0 == used:
+            break
+    return welch.estimate(cfg.n_traj)
 
 
 # --- comparison against the analytic engine -----------------------------------
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Band-wise agreement between estimated and analytic densities."""
+    """Band-wise agreement between estimated and analytic densities.
+
+    ``est_psd`` and ``dev_sigma`` hold, per band bin, the estimate and its
+    signed deviation from the analytic density in error bars.
+    """
 
     band: tuple[float, float]
     n_bins: int
@@ -555,6 +639,8 @@ class ComparisonReport:
     chi2_reduced: float
     rel_err: float
     passed: bool
+    est_psd: np.ndarray = field(repr=False, compare=False)
+    dev_sigma: np.ndarray = field(repr=False, compare=False)
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -619,6 +705,8 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
         chi2_reduced=float(np.mean(dev**2)),
         rel_err=est.rel_err,
         passed=frac >= 0.95,
+        est_psd=psd_sel,
+        dev_sigma=dev,
     )
     return report
 
@@ -634,7 +722,7 @@ def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, 
 def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
     """Comparison band supported by a run: resolution-limited lower edge up to
     ten cycles of the measurement window (clipped inside Nyquist)."""
-    lo = MIN_CYCLES_IN_RECORD * 2.0 * math.pi / (int(round(cfg.t_dur / cfg.dt)) * cfg.dt)
+    lo = MIN_CYCLES_IN_RECORD * 2.0 * math.pi / (_n_steps(cfg) * cfg.dt)
     hi = min(2.0 * math.pi * 10.0 / d.phys.tau, 0.8 * math.pi / cfg.dt)
     if hi <= lo:
         raise ValueError(f"run too short for any comparison band (lo {lo:g} >= hi {hi:g})")
@@ -642,14 +730,21 @@ def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
 
 
 def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
-                   band: tuple[float, float] | None = None):
+                   band: tuple[float, float] | None = None,
+                   records: TimeSeriesBundle | None = None):
     """Simulate, estimate and compare in one call.
 
-    Returns ``(report, estimate, analytic)`` with the analytic
+    The run is streamed into the estimator segment by segment, so memory does
+    not grow with its length.  ``records``, the result of ``simulate(d, cfg)``
+    when a caller needs it anyway, is estimated from instead of running again;
+    the estimate is bit-identical either way.  Returns
+    ``(report, estimate, analytic)`` with the analytic
     :class:`~optotriplet.spectra.SpectrumTable` of the band bins.
     """
-    ts = simulate(d, cfg)
-    est = estimate_psd(ts, segments=segments)
+    if records is None:
+        est = _stream_psd(d, cfg, segments)
+    else:
+        est = estimate_psd(records, segments=segments)
     if band is None:
         band = default_band(d, cfg)
     analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy, tag=cfg.tag)

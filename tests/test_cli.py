@@ -255,6 +255,7 @@ def test_oracle_small_run(tmp_path, capsys):
     assert "PASS" in report
     assert report == GOLDEN_ORACLE_SMALL_REPORT
     assert (out / "sym-lossless-timeseries.txt").exists()
+    assert not (out / "sym-lossless-bins.csv").exists()
     manifest = json.loads((out / "sym-lossless-manifest.json").read_text())
     assert manifest["sim"]["n_traj"] == 8
 
@@ -263,6 +264,53 @@ def test_oracle_small_run(tmp_path, capsys):
     args[args.index("--out") + 1] = out2
     assert run(args) == 0
     assert (out / "sym-lossless-report.txt").read_bytes() == (out2 / "sym-lossless-report.txt").read_bytes()
+
+
+def test_oracle_streamed_report_matches_dump_run(tmp_path, capsys):
+    # without --dump-timeseries the run is streamed, not materialised; the
+    # golden report above comes from the materialising run
+    out = tmp_path / "oracle"
+    assert run(["oracle", "--preset", "table1", "--scenario", "sym-lossless",
+                "--out", out, "--trajectories", 8, "--duration", 0.008,
+                "--segments", 8, "--seed", 4]) == 0
+    assert (out / "sym-lossless-report.txt").read_text() == GOLDEN_ORACLE_SMALL_REPORT
+    assert sorted(p.name for p in out.iterdir()) == [
+        "sym-lossless-manifest.json", "sym-lossless-report.txt"]
+
+
+def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
+    sweep = ot.timedomain.analytic_records_for
+
+    def misscaled(*args, **kwargs):
+        table = sweep(*args, **kwargs)
+        return dataclasses.replace(table, s_f=0.25 * table.s_f)
+
+    monkeypatch.setattr(ot.timedomain, "analytic_records_for", misscaled)
+    out = tmp_path / "oracle"
+    assert run(["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--out", out,
+                "--trajectories", 2, "--duration", 0.004, "--segments", 8, "--seed", 1]) == 3
+    report = (out / "nonsym-lossy-report.txt").read_text()
+    assert "FAIL" in report
+    n_bins = int(report.split("bins compared")[1].split()[0])
+    worst = float(report.split("worst deviation")[1].split()[0])
+    header, rows = read_csv(out / "nonsym-lossy-bins.csv")
+    assert header == ["omega", "est", "analytic", "dev_sigma"]
+    assert rows.shape == (n_bins, 4)
+    omega, est, analytic, dev = rows.T
+    assert np.all(np.diff(omega) > 0.0)
+    assert f"{np.max(np.abs(dev)):.3f}" == f"{worst:.3f}"
+    rel_err = 1.0 / np.sqrt(2 * 8)
+    assert np.allclose(dev, (est - analytic) / (rel_err * analytic), rtol=1e-12, atol=0.0)
+
+
+def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
+    # 64 trajectories x 5.7e6 steps would take 5.4 GiB of records; only the
+    # dump materialises them
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--duration", 2.0,
+                "--dump-timeseries"]) == 2
+    err = capsys.readouterr().err
+    assert "GiB" in err and "run_comparison" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_oracle_dt_violation(tmp_path, capsys):

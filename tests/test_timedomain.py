@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,21 +95,6 @@ def test_seed_determinism(d_lossy):
     assert np.array_equal(a.b_minus, b.b_minus)
     c = ot.simulate(d_lossy, dataclasses.replace(cfg, seed=cfg.seed + 1))
     assert not np.array_equal(a.b_plus, c.b_plus)
-
-
-def test_chunking_invisible(d_lossy):
-    a = ot.simulate(d_lossy, short_cfg(d_lossy, chunk_steps=977))
-    b = ot.simulate(d_lossy, short_cfg(d_lossy, chunk_steps=4096))
-    assert np.array_equal(a.b_plus, b.b_plus)
-    assert np.array_equal(a.b_minus, b.b_minus)
-
-
-def test_chunking_invisible_at_the_edges(d_lossy):
-    ref = ot.simulate(d_lossy, short_cfg(d_lossy))
-    for chunk_steps in (1, 10 * ref.n_steps):
-        ts = ot.simulate(d_lossy, short_cfg(d_lossy, chunk_steps=chunk_steps))
-        assert np.array_equal(ts.b_plus, ref.b_plus)
-        assert np.array_equal(ts.b_minus, ref.b_minus)
 
 
 def _reference_records(d, cfg, pulse_window):
@@ -320,13 +306,72 @@ def test_sigma_timeseries_and_dump(tmp_path, d_lossy):
 
 # --- estimator + comparison ------------------------------------------------------
 
-def test_estimate_psd_guards(d_lossy):
+def test_estimate_psd_guards(d_lossy, monkeypatch):
     ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=2))
     with pytest.raises(ValueError, match="segments"):
         ot.estimate_psd(ts, segments=4)
     tiny = dataclasses.replace(ts, b_plus=ts.b_plus[:, :400], b_minus=ts.b_minus[:, :400])
     with pytest.raises(ValueError, match="too short"):
         ot.estimate_psd(tiny, segments=8)
+
+    # the streamed run is rejected by the same guards before any simulation work
+    def no_simulation(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(ot.timedomain, "_step_operators", no_simulation)
+    cfg = short_cfg(d_lossy, n_traj=2)
+    with pytest.raises(ValueError, match="segments"):
+        ot.run_comparison(d_lossy, cfg, segments=4)
+    with pytest.raises(ValueError, match="too short"):
+        ot.run_comparison(d_lossy, cfg, segments=ts.n_steps // 63)
+
+
+@pytest.mark.parametrize("n_traj", [1, 3])
+def test_streamed_estimate_matches_records(d_lossy, n_traj):
+    # 7001 steps: six full scan panels and a partial one, and 7001 = 8 * 875 + 1,
+    # so one sample is left after the last segment; the pulse straddles the
+    # panel boundary at step 1024
+    dt = ot.default_sim_config(d_lossy).dt
+    pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * dt, t_start=1000 * dt)
+    cfg = short_cfg(d_lossy, n_traj=n_traj, t_dur=7001 * dt, signal=pulse)
+    ts = ot.simulate(d_lossy, cfg)
+    assert ts.n_steps == 7001
+    want = ot.estimate_psd(ts, segments=8)
+    report, got, _ = ot.run_comparison(d_lossy, cfg, segments=8)
+    assert np.array_equal(got.psd, want.psd)
+    assert np.array_equal(got.omega, want.omega)
+    assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
+    assert report == ot.run_comparison(d_lossy, cfg, segments=8, records=ts)[0]
+
+
+def test_streamed_comparison_memory_stays_below_records(d_lossy):
+    # 8 trajectories x 86241 steps: the records would take 11.0 MB
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=8, t_dur=86_241 * dt)
+    records_bytes = 2 * cfg.n_traj * 86_241 * 8
+    ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=1), segments=16)  # warm caches
+    tracemalloc.start()
+    try:
+        report, _, _ = ot.run_comparison(d_lossy, cfg, segments=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.n_bins > 0
+    assert peak < 0.5 * records_bytes
+
+
+def test_simulate_refuses_records_above_the_cap(d_lossy):
+    # 64 trajectories x 5e6 steps would take 4.77 GiB of records
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=64, t_dur=5e6 * dt)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=r"4\.77 GiB.*run_comparison"):
+            ot.simulate(d_lossy, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_compare_identity_passes(d_lossy):
