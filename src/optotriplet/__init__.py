@@ -35,8 +35,8 @@ from .spectra import (
     s_thermal,
     spectrum_sweep,
 )
-from .optimizer import OptResult, optimal_sweep, y_opt_analytic, y_opt_numeric
-from .sqlimit import ForceBudget, band_integral, band_integral_check, min_force, s_fa
+from .optimizer import y_opt_analytic
+from .sqlimit import ForceBudget, band_integral, min_force, s_fa
 from .timedomain import (
     ComparisonReport,
     PsdEstimate,
@@ -51,7 +51,6 @@ from .timedomain import (
     sigma_weights,
     simulate,
     stability_dt,
-    welch_psd,
 )
 from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, Scenario, variant
 
@@ -62,11 +61,10 @@ __all__ = [
     "CoeffSet", "SpectrumRecord", "SpectrumTable", "coeffs", "noise_weights", "s_qu",
     "s_thermal", "s_sql", "s_qu_sym_lossless", "s_qu_nonsym_resonant",
     "measurement_strength", "make_grid", "spectrum_sweep",
-    "OptResult", "y_opt_analytic", "y_opt_numeric", "optimal_sweep",
-    "ForceBudget", "s_fa", "min_force", "band_integral", "band_integral_check",
+    "y_opt_analytic",
+    "ForceBudget", "s_fa", "min_force", "band_integral",
     "SimConfig", "SignalPulse", "SimulationError", "TimeSeriesBundle",
     "PsdEstimate", "ComparisonReport", "simulate", "estimate_psd", "compare",
     "default_sim_config", "run_comparison", "sigma_weights", "stability_dt",
-    "welch_psd",
     "Scenario", "variant", "SWEEP_SCENARIOS", "ORACLE_SCENARIOS",
 ]

@@ -233,7 +233,10 @@ def cmd_oracle(args) -> int:
         overrides["t_dur"] = args.duration
     if args.dt is not None:
         overrides["dt"] = args.dt
-    cfg = default_sim_config(d, **overrides)
+    try:
+        cfg = default_sim_config(d, **overrides)
+    except SimulationError as exc:  # a flag value out of range
+        raise ConfigError(str(exc)) from exc
 
     # only a dump needs the records; otherwise the run is streamed
     records = simulate(d, cfg) if args.dump_timeseries else None

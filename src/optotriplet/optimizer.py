@@ -7,20 +7,17 @@ the four cancellation targets:
     y_opt = [ w+ (1/2 - Y+) - w- (1/2 + Y-)
             + we+ (1/2 - Ye+) - we- (1/2 + Ye-) ] / (w+ + w- + we+ + we-)
 
-with the weights of :func:`optotriplet.spectra.noise_weights`.  A
-derivative-free simplex search over (Re y, Im y) provides an independent
-numerical check of the closed form.
+with the weights of :func:`optotriplet.spectra.noise_weights`.  The test
+suite checks the closed form against an independent derivative-free simplex
+search over (Re y, Im y).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.optimize import minimize
 
 from .params import DerivedParams
-from .spectra import CoeffSet, noise_weights, s_qu
+from .spectra import CoeffSet, noise_weights
 
 
 def y_opt_analytic(c: CoeffSet, d: DerivedParams):
@@ -41,72 +38,3 @@ def y_opt_analytic(c: CoeffSet, d: DerivedParams):
     )
     y = num / total
     return y if np.ndim(y) else complex(y)
-
-
-@dataclass(frozen=True)
-class OptResult:
-    """Analytic vs numeric minimization outcome at one frequency."""
-
-    omega: float
-    y_analytic: complex
-    y_numeric: complex
-    s_analytic: float
-    s_numeric: float
-    rel_gap: float
-    iterations: int
-    converged: bool
-
-
-# Nelder-Mead with the standard reflection/expansion/contraction/shrink
-# constants (1, 2, 0.5, 0.5); termination on simplex diameter alone so the
-# tolerance argument has a single meaning.
-def y_opt_numeric(c: CoeffSet, d: DerivedParams, init: complex = 0.0, tol: float = 1e-10,
-                  maxiter: int = 2000) -> OptResult:
-    """Simplex minimization of ``s_qu`` over (Re y, Im y) at a single frequency.
-
-    ``c`` must hold scalar (0-d) coefficients.  Non-convergence is reported
-    through the ``converged`` flag rather than an exception.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    if np.ndim(c.omega) != 0:
-        raise ValueError("y_opt_numeric expects coefficients at a single frequency")
-
-    def objective(v):
-        return s_qu(c, d, complex(v[0], v[1]))
-
-    res = minimize(
-        objective,
-        x0=[init.real, init.imag],
-        method="Nelder-Mead",
-        options={"xatol": tol, "fatol": np.inf, "maxiter": maxiter},
-    )
-    y_num = complex(res.x[0], res.x[1])
-    y_ana = y_opt_analytic(c, d)
-    s_ana = float(s_qu(c, d, y_ana))
-    s_num = float(res.fun)
-    gap = abs(s_ana - s_num) / s_ana if s_ana > 0.0 else abs(s_ana - s_num)
-    return OptResult(
-        omega=float(c.omega),
-        y_analytic=y_ana,
-        y_numeric=y_num,
-        s_analytic=s_ana,
-        s_numeric=s_num,
-        rel_gap=gap,
-        iterations=int(res.nit),
-        converged=bool(res.success),
-    )
-
-
-def optimal_sweep(d: DerivedParams, grid, tol: float = 1e-10) -> list[OptResult]:
-    """Run both optimizers at every grid frequency; errors carry the frequency."""
-    from .spectra import coeffs
-
-    out = []
-    for omega in np.asarray(grid, dtype=float):
-        try:
-            c = coeffs(d, float(omega))
-            out.append(y_opt_numeric(c, d, init=0.0, tol=tol))
-        except ValueError as exc:
-            raise ValueError(f"optimization failed at omega = {omega!r} rad/s: {exc}") from exc
-    return out

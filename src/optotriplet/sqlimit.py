@@ -11,7 +11,9 @@ detection band ``[0, 2 pi/tau]`` of a square pulse of duration ``tau`` and
 optimizing over ``K`` gives the minimum detectable force amplitude; the
 normalized budget converts to newtons through ``F = f sqrt(2 hbar omega_m m)``
 (the band integral carries an extra factor of two from the quadrature
-projection of the sine-pulse amplitude).
+projection of the sine-pulse amplitude).  The band integral is evaluated in
+closed form (:func:`band_integral`); the test suite checks it against
+adaptive quadrature of :func:`s_fa`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .constants import HBAR
 from .params import DerivedParams
@@ -114,30 +114,3 @@ def band_integral(gamma_m: float, n_t: float, k_gain: float, tau: float) -> floa
         + (gamma_m**2 + (1.0 / 3.0) * (2.0 * math.pi / tau) ** 2) / k_gain
         + k_gain
     ) / tau
-
-
-def band_integral_check(d: DerivedParams, k_gain: float, tau: float | None = None) -> float:
-    """Relative deviation between quadrature and the closed-form band integral.
-
-    Integrates :func:`s_fa` numerically over ``[0, 2 pi/tau]`` with the
-    ``dOmega/(2 pi)`` measure and compares against :func:`band_integral`.
-    Returns the relative deviation (expected at quadrature precision,
-    well below 1e-6).
-    """
-    if tau is None:
-        tau = d.phys.tau
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau!r}")
-    if k_gain <= 0.0:
-        raise ValueError(f"measurement strength must be > 0, got {k_gain!r}")
-    hi = 2.0 * math.pi / tau
-    value, abserr = quad(
-        lambda om: s_fa(k_gain, d.gamma_m, d.n_t, om), 0.0, hi, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    value /= 2.0 * math.pi
-    closed = band_integral(d.gamma_m, d.n_t, k_gain, tau)
-    if abserr / (2.0 * math.pi) > 1e-8 * abs(closed):
-        raise ArithmeticError(
-            f"band quadrature did not converge (abserr {abserr:.3g} vs value {closed:.3g})"
-        )
-    return abs(value - closed) / abs(closed)

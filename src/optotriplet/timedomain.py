@@ -118,10 +118,14 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0.0 or not math.isfinite(self.dt):
             raise SimulationError(f"dt must be positive and finite, got {self.dt!r}")
+        if not math.isfinite(self.t_dur):
+            raise SimulationError(f"t_dur must be finite, got {self.t_dur!r}")
         if self.t_dur <= 0.0 or self.t_dur < 2.0 * self.dt:
             raise SimulationError(f"t_dur must cover at least two steps, got {self.t_dur!r}")
         if self.n_traj < 1:
             raise SimulationError(f"n_traj must be >= 1, got {self.n_traj!r}")
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def stability_dt(d: DerivedParams) -> float:
@@ -244,7 +248,8 @@ class TimeSeriesBundle:
     ``b_plus``/``b_minus`` have shape ``(n_traj, n_steps)`` and hold the
     boxcar-averaged outputs over each step, stamped at the step start.
     ``traj_seeds`` are the per-trajectory spawn keys of the root seed.
-    ``sigma`` is only filled by :meth:`sigma_timeseries`.
+    The combined record is not stored; :meth:`sigma_timeseries` computes it
+    on each call.
     """
 
     d: DerivedParams
@@ -253,7 +258,6 @@ class TimeSeriesBundle:
     b_plus: np.ndarray
     b_minus: np.ndarray
     traj_seeds: tuple[int, ...]
-    sigma: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -276,9 +280,7 @@ class TimeSeriesBundle:
         wp, wm = sigma_weights(self.d, omega, y_policy)
         xp = np.conj(np.fft.rfft(self.b_plus, axis=1))
         xm = np.conj(np.fft.rfft(self.b_minus, axis=1))
-        out = np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
-        self.sigma = out
-        return out
+        return np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
 
     def dump_text(self, path, trajectory: int = 0) -> None:
         """Columnar dump of one trajectory: time, b_plus_a, b_minus_a."""
@@ -492,28 +494,6 @@ def _welch_segments(n_len: int, dt: float, segments: int):
     keep = slice(1, -1) if seg_len % 2 == 0 else slice(1, None)
     omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[keep]
     return seg_len, win, keep, omega
-
-
-def welch_psd(x: np.ndarray, dt: float, segments: int):
-    """Averaged Hann-windowed periodogram of real records.
-
-    ``x`` has shape ``(..., L)``; leading axes are averaged as independent
-    records.  Normalized so unit-intensity white noise (sample variance
-    ``1/dt``) estimates a flat density of one; a density ``S(Omega)`` in
-    these units integrates to the variance as ``int S dOmega / (2 pi)``.
-    Returns ``(omega, psd)`` over the interior positive bins.
-    """
-    x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
-    seg_len, win, keep, omega = _welch_segments(x.shape[-1], dt, segments)
-    norm = dt / np.sum(win**2)
-    acc = 0.0
-    for s in range(segments):
-        spec = np.fft.rfft(x[..., s * seg_len:(s + 1) * seg_len] * win, axis=-1)
-        acc = acc + np.abs(spec) ** 2
-    psd = norm * np.mean(acc.reshape(-1, acc.shape[-1]), axis=0) / segments
-    return omega, psd[keep]
 
 
 @dataclass(frozen=True)

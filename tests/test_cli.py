@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,8 +322,35 @@ def test_oracle_dt_violation(tmp_path, capsys):
     assert "stability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trajectories", "0", "n_traj"),
+    ("--duration", "0", "t_dur"),
+    ("--dt", "-1", "dt must be positive"),
+    ("--seed", "-1", "seed"),
+])
+def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, flag, value, message):
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_oracle_unknown_scenario(tmp_path):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--scenario", "nope"]) == 1
+
+
+def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
+    # the simplex and quadrature cross-checks live in the test suite; no
+    # command needs scipy.optimize or scipy.integrate
+    src = os.path.dirname(os.path.dirname(ot.__file__))
+    code = (
+        "import sys, optotriplet.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def test_scenarios_touch_only_named_fields():

