@@ -42,9 +42,13 @@ from .sqlimit import min_force
 from .timedomain import (
     ComparisonReport,
     SimulationError,
+    _n_steps,
+    _welch_segments,
+    default_band,
     default_sim_config,
     run_comparison,
     simulate,
+    stability_dt,
 )
 
 EXIT_OK = 0
@@ -235,7 +239,13 @@ def cmd_oracle(args) -> int:
         overrides["dt"] = args.dt
     try:
         cfg = default_sim_config(d, **overrides)
-    except SimulationError as exc:  # a flag value out of range
+        # range checks of the estimator and the band, before anything is
+        # simulated; a step over the stability bound is left to the run, which
+        # rejects it as a numerical failure
+        if cfg.dt < stability_dt(d):
+            _welch_segments(_n_steps(cfg), cfg.dt, args.segments)
+            default_band(d, cfg)
+    except (SimulationError, ValueError) as exc:  # a flag value out of range
         raise ConfigError(str(exc)) from exc
 
     # only a dump needs the records; otherwise the run is streamed

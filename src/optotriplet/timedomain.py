@@ -16,8 +16,10 @@ exponential with the exact Ito noise increment, the recorded outputs are the
 exact boxcar averages of ``b_pm`` over each step, and the step propagators and
 the joint covariance of state and output noise within a step are blocks of
 matrix exponentials (Van Loan 1978), exact up to rounding at any step size.
-The initial state is drawn from the stationary distribution, so every record
-is stationary from the first sample.
+The exponentials are scaling-and-squaring Pade [13/13] approximants (Higham
+2005, SIAM J. Matrix Anal. Appl. 26, 1179).  The initial state is drawn from
+the stationary distribution, the solution of the continuous Lyapunov equation
+in its Kronecker form, so every record is stationary from the first sample.
 
 The step recursion ``x[n+1] = phi x[n] + w[n]`` is evaluated as a blocked
 affine prefix scan (Blelloch 1990), not one step at a time: panels of 1024
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .constants import HBAR
 from .params import DerivedParams
@@ -175,6 +176,53 @@ def _system_matrices(d: DerivedParams, noise_on: bool):
     return drift, f_in, intens, c_out, e_sel
 
 
+# coefficients b_k of the Pade [13/13] numerator p(A) = sum_k b_k A^k (the
+# denominator is p(-A)), and the largest 1-norm for which the approximant is
+# accurate to double precision (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: Pade [13/13] with scaling and squaring (Higham 2005).
+
+    ``a`` is scaled by ``2**-s`` until its 1-norm is at most ``_THETA13``, the
+    approximant ``(V - U)^-1 (V + U)`` of the scaled matrix is formed from its
+    even powers, and the result is squared ``s`` times.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solution ``X`` of ``A X + X A^T = Q``.
+
+    Solved as the ``n^2`` linear system ``(I (x) A + A (x) I) vec X = vec Q``;
+    the operator is the same for row- and column-major ``vec``.  Meant for the
+    3x3 drift, where the system is 9x9.
+    """
+    n = a.shape[0]
+    ident = np.eye(n)
+    kron = np.kron(ident, a) + np.kron(a, ident)
+    return np.linalg.solve(kron, q.reshape(-1)).reshape(n, n)
+
+
 def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
     """One-step propagators and the exact joint noise covariance.
 
@@ -194,7 +242,7 @@ def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
     chain[:n, :n] = drift
     chain[:n, n:2 * n] = np.eye(n)
     chain[n:2 * n, 2 * n:] = np.eye(n)
-    blocks = expm(chain * dt)
+    blocks = _expm(chain * dt)
     phi, j_dt, jj = blocks[:n, :n], blocks[:n, n:2 * n], blocks[:n, 2 * n:]
 
     # Van Loan: exp([[-A, B Q B^T], [0, A^T]] dt) = [[., G], [0, exp(A dt)^T]],
@@ -207,7 +255,7 @@ def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
     van_loan[:m, :m] = -a
     van_loan[:m, m:] = b @ intens @ b.T
     van_loan[m:, m:] = a.T
-    blocks = expm(van_loan * dt)
+    blocks = _expm(van_loan * dt)
     cov = blocks[m:, m:].T @ blocks[:m, m:]
     cov[:, n:] /= dt  # integrated outputs -> step averages
     cov[n:, :] /= dt
@@ -353,7 +401,7 @@ def _panels(d: DerivedParams, cfg: SimConfig):
         z_kick = (c_out @ jj @ e_drive) / cfg.dt
 
         if cfg.noise:
-            stat_cov = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
+            stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
             stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
         else:
             stat_factor = np.zeros((3, 3))

@@ -327,6 +327,9 @@ def test_oracle_dt_violation(tmp_path, capsys):
     ("--duration", "0", "t_dur"),
     ("--dt", "-1", "dt must be positive"),
     ("--seed", "-1", "seed"),
+    ("--segments", "4", "at least 8 segments"),
+    ("--duration", "1e-4", "series too short"),  # segments under 64 samples
+    ("--duration", "8e-4", "too short for any comparison band"),
 ])
 def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, flag, value, message):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, flag, value]) == 1
@@ -335,22 +338,44 @@ def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, flag, value, 
     assert not any(tmp_path.iterdir())
 
 
+def test_oracle_dump_checks_segments_before_simulating(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a run that its flags rule out")
+
+    monkeypatch.setattr(ot.cli, "simulate", refuse)
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--segments", "4",
+                "--dump-timeseries"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_oracle_unknown_scenario(tmp_path):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--scenario", "nope"]) == 1
 
 
-def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
-    # the simplex and quadrature cross-checks live in the test suite; no
-    # command needs scipy.optimize or scipy.integrate
+def _loaded_scipy_modules(code):
+    """scipy modules loaded after running ``code`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(ot.__file__))
-    code = (
-        "import sys, optotriplet.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-    )
+    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
+    # scipy is a test-only dependency: the simplex, quadrature and reference
+    # matrix-function cross-checks live in the test suite
+    assert _loaded_scipy_modules("import optotriplet, optotriplet.cli") == "[]"
+
+
+def test_oracle_run_loads_no_scipy(tmp_path):
+    # the step operators and the stationary covariance are numpy-only
+    code = ("from optotriplet.cli import main; "
+            f"assert main(['oracle', '--preset', 'table1', '--trajectories', '2', "
+            f"'--out', {str(tmp_path)!r}]) == 0")
+    assert _loaded_scipy_modules(code) == "[]"
+    assert (tmp_path / "sym-lossless-report.txt").exists()
 
 
 def test_scenarios_touch_only_named_fields():

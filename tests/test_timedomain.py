@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
+    _THETA13,
     SimulationError,
+    _expm,
     _factor_psd,
+    _lyapunov,
     _step_operators,
     _system_matrices,
     _welch_segments,
@@ -129,7 +133,7 @@ def _reference_records(d, cfg, pulse_window):
     x_kick = j_dt[:, 2]
     z_kick = (c_out @ jj[:, 2]) / cfg.dt
     if cfg.noise:
-        stat_cov = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
+        stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
         stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
     else:
         stat_factor = np.zeros((3, 3))
@@ -215,6 +219,83 @@ def test_step_operators_match_quadrature(scenario, dt_mult):
     # the stationary covariance is a fixed point of one exact step
     p_stat = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
     np.testing.assert_allclose(phi @ p_stat @ phi.T + cov[:3, :3], p_stat, rtol=1e-13, atol=0.0)
+
+
+# norm 0 is the zero matrix, whose exponential is the identity to the rounding
+# of the final solve (b0 I)^-1 (b0 I), 1.1e-16; the other tolerances are about
+# three times the worst error measured against scipy.linalg.expm on this
+# matrix: 2.0e-16, 1.6e-16, 3.3e-15 and 1.8e-14
+@pytest.mark.parametrize("norm, tol", [(0.0, 2.3e-16), (0.5, 5e-16), (5.0, 5e-16),
+                                       (50.0, 1e-14), (200.0, 5e-14)])
+def test_expm_matches_scipy(norm, tol):
+    a = np.random.default_rng(0).standard_normal((6, 6))
+    a *= norm / np.linalg.norm(a, 1)
+    assert (norm > _THETA13) == (norm >= 50.0)  # the last two take the squaring branch
+    want = expm(a)
+    assert np.max(np.abs(_expm(a) - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dt_mult", [1, 8])
+@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
+def test_expm_of_the_step_operator_blocks_matches_scipy(monkeypatch, scenario, dt_mult):
+    # the chain and Van Loan matrices exactly as _step_operators builds them;
+    # the worst error measured is 2.4e-16 of the largest entry
+    d = ot.derive(ot.ORACLE_SCENARIOS[scenario].apply(ot.table1_preset()))
+    dt = dt_mult * ot.default_sim_config(d).dt
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return _expm(a)
+
+    monkeypatch.setattr(ot.timedomain, "_expm", recording)
+    _step_operators(*_system_matrices(d, True), dt)
+    assert [a.shape for a in seen] == [(9, 9), (10, 10)]
+    for a in seen:
+        want = expm(a)
+        assert np.max(np.abs(_expm(a) - want)) <= 5e-16 * np.max(np.abs(want))
+
+
+def _exact_lyapunov(a, q):
+    """Solution of ``A X + X A^T = Q`` in rationals, rounded once to floats.
+
+    Gauss-Jordan elimination of the ``n^2`` system built entry by entry from
+    ``(A X + X A^T)_ij = sum_k A_ik X_kj + X_ik A_jk``; the float inputs are
+    taken as the exact rationals they are.
+    """
+    n = a.shape[0]
+    af = [[Fraction(float(v)) for v in row] for row in a]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * (n * n)
+            for k in range(n):
+                row[k * n + j] += af[i][k]
+                row[i * n + k] += af[j][k]
+            rows.append(row + [Fraction(float(q[i, j]))])
+    for c in range(n * n):
+        pivot = next(r for r in range(c, n * n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n * n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return np.array([float(rows[r][-1] / rows[r][r]) for r in range(n * n)]).reshape(n, n)
+
+
+def test_lyapunov_matches_exact_rational_solve():
+    # the sym-lossless drift: scipy's solve_continuous_lyapunov is off by 4.0e-10
+    # of the largest entry here, the Kronecker solve by 7.2e-13
+    d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
+    drift, f_in, intens, _, _ = _system_matrices(d, True)
+    q = -(f_in @ intens @ f_in.T)
+    got = _lyapunov(drift, q)
+    want = _exact_lyapunov(drift, q)
+    assert np.max(np.abs(got - want)) <= 2e-12 * np.max(np.abs(want))
+    # residual measured at 4.3e-13 of the largest entry of Q; symmetric exactly
+    residual = drift @ got + got @ drift.T - q
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(q))
+    assert np.max(np.abs(got - got.T)) <= 1e-15 * np.max(np.abs(got))
 
 
 def test_factor_psd_clips_only_rounding_noise():
