@@ -22,7 +22,6 @@ from .params import (
 )
 from .spectra import (
     CoeffSet,
-    SpectrumRecord,
     SpectrumTable,
     coeffs,
     make_grid,
@@ -58,7 +57,7 @@ __all__ = [
     "__version__",
     "PhysParams", "DerivedParams", "RegimeCheck", "RegimeReport", "ParameterError",
     "derive", "check_regime", "table1_preset", "load_config", "thermal_occupancy",
-    "CoeffSet", "SpectrumRecord", "SpectrumTable", "coeffs", "noise_weights", "s_qu",
+    "CoeffSet", "SpectrumTable", "coeffs", "noise_weights", "s_qu",
     "s_thermal", "s_sql", "s_qu_sym_lossless", "s_qu_nonsym_resonant",
     "measurement_strength", "make_grid", "spectrum_sweep",
     "y_opt_analytic",

@@ -37,7 +37,7 @@ from .params import (
     table1_preset,
 )
 from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, Scenario
-from .spectra import SpectrumTable, make_grid, spectrum_sweep
+from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
     ComparisonReport,
@@ -59,7 +59,7 @@ EXIT_COMPARISON = 3
 CSV_COLUMNS = ("omega_rad_s", "omega_tau_over_2pi", "y_re", "y_im",
                "S_qu", "S_T", "S_f", "S_SQL", "R")
 BINS_COLUMNS = ("omega", "est", "analytic", "dev_sigma")
-# rows formatted per CSV chunk; bounds the writer's memory on huge grids
+# rows evaluated and formatted per CSV chunk; bounds a sweep's memory on huge grids
 _CSV_CHUNK_ROWS = 8192
 
 
@@ -92,26 +92,30 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def _csv_text(table: SpectrumTable, tau: float):
-    """CSV of a sweep table as chunks of at most ``_CSV_CHUNK_ROWS`` rows.
+def _csv_text(d: DerivedParams, grid: np.ndarray, y_policy, tau: float):
+    """CSV of the sweep of a checked ``grid`` as chunks of at most
+    ``_CSV_CHUNK_ROWS`` rows.
 
-    Every value is written with ``repr`` (shortest round trip).  Only one
-    chunk's strings are alive at a time, so memory stays bounded on huge grids.
+    Each chunk's rows are evaluated by :func:`spectrum_sweep` on their slice of
+    the grid, and every value is written with ``repr`` (shortest round trip).
+    Only one chunk's table and strings are alive at a time, so memory stays
+    bounded on huge grids.
     """
-    # one row template; S_T is the same on every row, so it is formatted once
-    row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
     yield ",".join(CSV_COLUMNS) + "\n"
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+    for start in range(0, grid.size, _CSV_CHUNK_ROWS):
         sl = slice(start, start + _CSV_CHUNK_ROWS)
+        table = spectrum_sweep(d, grid[sl], y_policy)
+        # one row template; S_T is the same on every row, so it is formatted once
+        row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
         columns = (
-            table.omega[sl],
-            table.omega[sl] * tau / (2.0 * math.pi),
-            table.y.real[sl],
-            table.y.imag[sl],
-            table.s_qu[sl],
-            table.s_f[sl],
-            table.s_sql[sl],
-            table.ratio[sl],
+            table.omega,
+            table.omega * tau / (2.0 * math.pi),
+            table.y.real,
+            table.y.imag,
+            table.s_qu,
+            table.s_f,
+            table.s_sql,
+            table.ratio,
         )
         rows = zip(*(col.tolist() for col in columns))
         yield "\n".join([row % r for r in rows]) + "\n"
@@ -179,8 +183,14 @@ def cmd_sweep(args) -> int:
             f"unknown scenario(s): {', '.join(unknown)}; "
             f"known: {', '.join(SWEEP_SCENARIOS)}"
         )
-    os.makedirs(args.out, exist_ok=True)
     grid_override = _parse_grid(args.grid) if args.grid else None
+    if grid_override:
+        # lo and hi are given, so one grid serves every scenario
+        try:
+            override_grid = _checked_grid(make_grid(p.tau, **grid_override))
+        except ValueError as exc:
+            raise ConfigError(f"bad grid {args.grid!r}: {exc}") from exc
+    os.makedirs(args.out, exist_ok=True)
 
     d_base = derive(p)
     scen_entries = []
@@ -198,10 +208,10 @@ def cmd_sweep(args) -> int:
             with open(first_path, encoding="utf-8", newline="") as fh:
                 _atomic_write(out_path, iter(lambda: fh.read(1 << 20), ""))
         else:
-            grid = make_grid(p_s.tau, **grid_override) if grid_override else scen.grid(p_s.tau)
-            table = spectrum_sweep(d_s, grid, y_policy=scen.y_policy, tag=name)
-            _atomic_write(out_path, _csv_text(table, p_s.tau))
-            n_rows = len(table)
+            # the whole grid is checked here, as each chunk only checks its own slice
+            grid = override_grid if grid_override else _checked_grid(scen.grid(p_s.tau))
+            _atomic_write(out_path, _csv_text(d_s, grid, scen.y_policy, p_s.tau))
+            n_rows = grid.size
             written[key] = (out_path, n_rows)
         print(f"wrote {out_path} ({n_rows} rows, {scen.describe()})")
         regime = check_regime(d_s)
@@ -230,7 +240,7 @@ def cmd_oracle(args) -> int:
             f"unknown scenario {args.scenario_name!r}; known: {', '.join(ORACLE_SCENARIOS)}"
         )
     d = derive(scen.apply(p))
-    overrides = {"seed": args.seed, "tag": scen.name}
+    overrides = {"seed": args.seed}
     if args.trajectories is not None:
         overrides["n_traj"] = args.trajectories
     if args.duration is not None:

@@ -254,8 +254,8 @@ def make_grid(tau: float, kind: str = "log", n: int = GRID_POINTS_DEFAULT,
         lo = 2.0 * math.pi / (100.0 * tau)
     if hi is None:
         hi = 2.0 * math.pi * 10.0 / tau
-    if not (0.0 < lo < hi):
-        raise ValueError(f"grid bounds must satisfy 0 < lo < hi, got {lo!r}, {hi!r}")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"grid bounds must be finite with 0 < lo < hi, got {lo!r}, {hi!r}")
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n!r}")
     if kind == "log":
@@ -265,20 +265,6 @@ def make_grid(tau: float, kind: str = "log", n: int = GRID_POINTS_DEFAULT,
     raise ValueError(f"unknown grid kind {kind!r} (expected 'log' or 'linear')")
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
-    """Per-frequency outputs of a sweep, in the normalized spectral units."""
-
-    omega: float
-    y: complex
-    s_qu: float
-    s_t: float
-    s_f: float
-    s_sql: float
-    ratio: float
-    tag: str = ""
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Outputs of a sweep as columns, one entry per grid frequency.
@@ -286,9 +272,7 @@ class SpectrumTable:
     ``omega``, ``s_qu``, ``s_f``, ``s_sql`` and ``ratio`` are float arrays and
     ``y`` is the complex weight actually used, all of the grid's length;
     ``s_t`` is the frequency-independent thermal term.  ``len(table)`` is the
-    number of frequencies and ``table[i]`` (hence ``for r in table``) gives
-    the row as a :class:`SpectrumRecord`; the library itself works on the
-    columns.
+    number of frequencies.
     """
 
     omega: np.ndarray
@@ -298,22 +282,9 @@ class SpectrumTable:
     s_f: np.ndarray
     s_sql: np.ndarray
     ratio: np.ndarray
-    tag: str = ""
 
     def __len__(self) -> int:
         return self.omega.size
-
-    def __getitem__(self, i) -> SpectrumRecord:
-        return SpectrumRecord(
-            omega=float(self.omega[i]),
-            y=complex(self.y[i]),
-            s_qu=float(self.s_qu[i]),
-            s_t=self.s_t,
-            s_f=float(self.s_f[i]),
-            s_sql=float(self.s_sql[i]),
-            ratio=float(self.ratio[i]),
-            tag=self.tag,
-        )
 
 
 def resolve_y(d: DerivedParams, c: CoeffSet, y_policy) -> np.ndarray:
@@ -337,7 +308,19 @@ def resolve_y(d: DerivedParams, c: CoeffSet, y_policy) -> np.ndarray:
     return table
 
 
-def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal", tag: str = "") -> SpectrumTable:
+def _checked_grid(grid) -> np.ndarray:
+    """Copy of ``grid`` as floats; raises unless it is finite, 1-d and strictly
+    increasing (it may be empty)."""
+    grid = np.array(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        bad = grid[~np.isfinite(grid)][0]
+        raise ValueError(f"grid contains non-finite frequency {bad!r}")
+    if grid.ndim != 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
+        raise ValueError("grid must be a strictly increasing 1-d array")
+    return grid
+
+
+def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal") -> SpectrumTable:
     """Evaluate all spectral densities over a frequency grid.
 
     ``grid`` must be finite and strictly increasing; it may be empty.
@@ -345,12 +328,7 @@ def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal", tag: str = "") ->
     carries the weight actually used so the output is self-describing.
     Evaluation is vectorized and order-independent.
     """
-    grid = np.array(grid, dtype=float)  # the table keeps its own copy
-    if not np.all(np.isfinite(grid)):
-        bad = grid[~np.isfinite(grid)][0]
-        raise ValueError(f"grid contains non-finite frequency {bad!r}")
-    if grid.ndim != 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
-        raise ValueError("grid must be a strictly increasing 1-d array")
+    grid = _checked_grid(grid)  # the table keeps its own copy
 
     c = coeffs(d, grid)
     y = resolve_y(d, c, y_policy)
@@ -361,4 +339,4 @@ def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal", tag: str = "") ->
     st = s_thermal(d)
     ss = np.asarray(s_sql(d.gamma_m, grid), dtype=float)
     return SpectrumTable(omega=grid, y=y, s_qu=sq, s_t=st, s_f=sq + st, s_sql=ss,
-                         ratio=sq / ss, tag=tag)
+                         ratio=sq / ss)

@@ -31,9 +31,11 @@ panel at once, and the noise is drawn one panel at a time.
 Two consumers read the panels.  :func:`simulate` collects them into records
 of ``2 * n_traj * n_steps`` floats, for inspection (``sigma_timeseries``,
 ``dump_text``) and signal-transfer checks; it refuses records above 4 GiB.
-:func:`run_comparison` streams them into the Welch estimator one segment at a
-time, so its memory is ``O(n_traj * segment)`` whatever the run length, and
-its estimate is bit-identical to :func:`estimate_psd` of the records.
+:func:`run_comparison` feeds them straight into the Welch estimator, which
+fills one segment buffer per channel from pieces of any length: one panel at
+a time there, the whole records in :func:`estimate_psd`.  The streamed run
+therefore needs ``O(n_traj * segment)`` memory whatever its length, and its
+estimate is bit-identical to :func:`estimate_psd` of the records.
 
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
@@ -114,7 +116,6 @@ class SimConfig:
     y_policy: object = "optimal"
     signal: SignalPulse | None = None
     noise: bool = True
-    tag: str = ""
 
     def __post_init__(self):
         if self.dt <= 0.0 or not math.isfinite(self.dt):
@@ -556,83 +557,41 @@ class PsdEstimate:
     psd: np.ndarray
     rel_err: float
     n_ind: int
-    segments: int
     t_dur: float
     t_seg: float
-    band: tuple[float, float]
 
 
-class _MixedWelch:
+def _welch(d: DerivedParams, y_policy, dt: float, n_len: int, segments: int, n_traj: int,
+           chunks) -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
 
-    Each segment of the two channels is Hann-windowed and transformed, the
-    transforms are mixed per bin with the weights of :func:`sigma_weights`
-    (so cross-correlations between the channels are kept), and the
-    periodograms are summed over trajectories, then over segments in order.
-    The guards of :func:`_welch_segments` raise on construction.
+    ``chunks`` yields the ``n_len`` samples of both channels in time order as
+    ``(b_plus, b_minus)`` pieces of shape ``(n_traj, m)``, ``m`` arbitrary.
+    They fill one segment buffer per channel; each full segment is
+    Hann-windowed and transformed, the transforms are mixed per bin with the
+    weights of :func:`sigma_weights` (so cross-correlations between the
+    channels are kept), and the periodograms are summed over trajectories,
+    then over segments in order.  The samples after the last whole segment
+    are not needed, and ``chunks`` is not advanced past them.  The guards of
+    :func:`_welch_segments` raise before ``chunks`` is read.
     """
+    seg_len, win, keep, omega = _welch_segments(n_len, dt, segments)
+    wp, wm = sigma_weights(d, omega, y_policy)
+    norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
 
-    def __init__(self, d: DerivedParams, y_policy, n_len: int, dt: float, segments: int):
-        self.seg_len, self.win, self.keep, self.omega = _welch_segments(n_len, dt, segments)
-        self.wp, self.wm = sigma_weights(d, self.omega, y_policy)
-        self.norm = 1.0 / (dt * np.sum(self.win**2))  # |dt * DFT|^2 -> density
-        self.acc = np.zeros(self.omega.size)
-        self.n_len, self.dt, self.segments = n_len, dt, segments
+    def periodogram(seg_plus, seg_minus):
+        # its own frame, so the transforms are freed before the next chunk is made
+        xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1))
+        xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1))
+        mix = wp[None, :] * xp[:, keep] + wm[None, :] * xm[:, keep]
+        return norm * np.sum(np.abs(mix) ** 2, axis=0)
 
-    def add(self, b_plus: np.ndarray, b_minus: np.ndarray) -> None:
-        """Accumulate one segment, both arrays of shape ``(n_traj, seg_len)``."""
-        dt, keep = self.dt, self.keep
-        xp = dt * np.conj(np.fft.rfft(b_plus * self.win, axis=1))
-        xm = dt * np.conj(np.fft.rfft(b_minus * self.win, axis=1))
-        mix = self.wp[None, :] * xp[:, keep] + self.wm[None, :] * xm[:, keep]
-        self.acc += self.norm * np.sum(np.abs(mix) ** 2, axis=0)
-
-    def estimate(self, n_traj: int) -> PsdEstimate:
-        n_ind = self.segments * n_traj
-        return PsdEstimate(
-            omega=self.omega,
-            psd=self.acc / n_ind,
-            rel_err=1.0 / math.sqrt(n_ind),
-            n_ind=n_ind,
-            segments=self.segments,
-            t_dur=self.n_len * self.dt,
-            t_seg=self.seg_len * self.dt,
-            band=(float(self.omega[0]), float(self.omega[-1])),
-        )
-
-
-def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
-    """Spectral density of the combined record from a run's output series.
-
-    The two channels are transformed per Hann segment, mixed per bin with
-    the weights of :func:`sigma_weights` (so cross-correlations between the
-    channels are kept), and the periodograms are averaged over segments and
-    trajectories in fixed order.
-    """
-    welch = _MixedWelch(ts.d, ts.cfg.y_policy, ts.n_steps, ts.dt, segments)
-    seg_len = welch.seg_len
-    for s in range(segments):
-        sl = slice(s * seg_len, (s + 1) * seg_len)
-        welch.add(ts.b_plus[:, sl], ts.b_minus[:, sl])
-    return welch.estimate(ts.cfg.n_traj)
-
-
-def _stream_psd(d: DerivedParams, cfg: SimConfig, segments: int) -> PsdEstimate:
-    """:func:`estimate_psd` of ``simulate(d, cfg)`` without the records.
-
-    The panels fill one segment buffer per channel, and each full segment
-    goes to the same accumulator step as a record slice, so the estimate is
-    bit-identical.  The samples after the last whole segment are not needed
-    and not simulated.
-    """
-    _, panels = _panels(d, cfg)
-    welch = _MixedWelch(d, cfg.y_policy, _n_steps(cfg), cfg.dt, segments)
-    seg_len = welch.seg_len
+    acc = np.zeros(omega.size)
     used = segments * seg_len
-    seg_plus = np.empty((cfg.n_traj, seg_len))
-    seg_minus = np.empty((cfg.n_traj, seg_len))
+    seg_plus = np.empty((n_traj, seg_len))
+    seg_minus = np.empty((n_traj, seg_len))
     n0 = 0
-    for zp, zm in panels:
+    for zp, zm in chunks:
         m = min(zp.shape[1], used - n0)
         a = 0
         while a < m:
@@ -642,11 +601,30 @@ def _stream_psd(d: DerivedParams, cfg: SimConfig, segments: int) -> PsdEstimate:
             seg_minus[:, fill:fill + take] = zm[:, a:a + take]
             a += take
             if fill + take == seg_len:
-                welch.add(seg_plus, seg_minus)
+                acc += periodogram(seg_plus, seg_minus)
         n0 += m
         if n0 == used:
             break
-    return welch.estimate(cfg.n_traj)
+    n_ind = segments * n_traj
+    return PsdEstimate(
+        omega=omega,
+        psd=acc / n_ind,
+        rel_err=1.0 / math.sqrt(n_ind),
+        n_ind=n_ind,
+        t_dur=n_len * dt,
+        t_seg=seg_len * dt,
+    )
+
+
+def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
+    """Spectral density of the combined record from a run's output series.
+
+    Hann segments of both channels are mixed per bin with the weights of
+    :func:`sigma_weights` and averaged over segments and trajectories; the
+    records go to :func:`_welch` as one chunk.
+    """
+    return _welch(ts.d, ts.cfg.y_policy, ts.dt, ts.n_steps, segments, ts.cfg.n_traj,
+                  [(ts.b_plus, ts.b_minus)])
 
 
 # --- comparison against the analytic engine -----------------------------------
@@ -740,11 +718,11 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
 
 
 def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, float],
-                         y_policy=None, tag: str = "") -> SpectrumTable:
+                         y_policy=None) -> SpectrumTable:
     """Analytic sweep table evaluated exactly on an estimate's band bins."""
     y_policy = "optimal" if y_policy is None else y_policy
     sel = (est.omega >= band[0]) & (est.omega <= band[1])
-    return spectrum_sweep(d, est.omega[sel], y_policy=y_policy, tag=tag)
+    return spectrum_sweep(d, est.omega[sel], y_policy=y_policy)
 
 
 def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
@@ -770,10 +748,11 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
     :class:`~optotriplet.spectra.SpectrumTable` of the band bins.
     """
     if records is None:
-        est = _stream_psd(d, cfg, segments)
+        est = _welch(d, cfg.y_policy, cfg.dt, _n_steps(cfg), segments, cfg.n_traj,
+                     _panels(d, cfg)[1])
     else:
         est = estimate_psd(records, segments=segments)
     if band is None:
         band = default_band(d, cfg)
-    analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy, tag=cfg.tag)
+    analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy)
     return compare(analytic, est, band), est, analytic

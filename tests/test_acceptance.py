@@ -150,7 +150,7 @@ def test_criterion_6_figure_properties():
         p = scen.apply(base)
         d = ot.derive(p)
         recs = ot.spectrum_sweep(d, scen.grid(p.tau), y_policy=scen.y_policy)
-        return np.array([r.ratio for r in recs])
+        return recs.ratio
 
     r_sym = ratios("fig2-sym")
     r_non = ratios("fig2-nonsym")
@@ -191,7 +191,7 @@ def test_criterion_7_monte_carlo_agreement():
     all_ok = True
     for name, scen in ot.ORACLE_SCENARIOS.items():
         d = ot.derive(scen.apply(base))
-        cfg = ot.default_sim_config(d, seed=2026, tag=name)
+        cfg = ot.default_sim_config(d, seed=2026)
         report, _, _ = ot.run_comparison(d, cfg, segments=16)
         med_dev = abs(report.median_ratio - 1.0)
         ok = report.passed and med_dev <= 0.05

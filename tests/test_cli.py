@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -184,7 +186,38 @@ def test_sweep_unknown_scenario(tmp_path, capsys):
 
 
 def test_sweep_bad_grid(tmp_path, capsys):
-    assert run(["sweep", "--preset", "table1", "--out", tmp_path, "--grid", "log:10"]) == 1
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--grid", "log:10"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["log:0:1:10", "log:-5:1:10", "log:10:10:1", "log:10:0:10",
+                                  "linear:10:1:nan", "log:10:1:inf"])
+def test_sweep_bad_grid_values(tmp_path, capsys, spec):
+    # well-formed specs that make_grid rejects are usage errors, found before any output
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep", "--preset", "table1", "--out", out, "--grid", spec]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_sweep_memory_is_bounded_per_chunk(tmp_path):
+    # a 100003-point sweep evaluated at once holds about 330 bytes per point
+    # (33 MB); evaluated per CSV chunk it holds one chunk's table and strings
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--grid", "log:300:1:1e7"]) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--preset", "table1", "--out", out, "--scenario",
+                    "fig3-nonsym-lossy", "--grid", "log:100003:1:1e7"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_needs_config_or_preset(capsys):

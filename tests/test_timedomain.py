@@ -17,6 +17,7 @@ from optotriplet.timedomain import (
     _lyapunov,
     _step_operators,
     _system_matrices,
+    _welch,
     _welch_segments,
     default_band,
     sigma_weights,
@@ -454,6 +455,53 @@ def test_streamed_estimate_matches_records(d_lossy, n_traj):
     assert report == ot.run_comparison(d_lossy, cfg, segments=8, records=ts)[0]
 
 
+@pytest.fixture(scope="module")
+def run_7001(d_lossy):
+    # 7001 = 8 * 875 + 1 steps of 3 trajectories, with a pulse across step 1024
+    dt = ot.default_sim_config(d_lossy).dt
+    pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * dt, t_start=1000 * dt)
+    return ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=3, t_dur=7001 * dt, signal=pulse))
+
+
+def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
+    ts = run_7001
+    seg_len = ts.n_steps // 8
+    sizes = [1, 63, 1024, seg_len - 1, seg_len + 1]
+    cuts = np.cumsum(sizes)
+    assert cuts[-1] < ts.n_steps
+
+    def welch(chunks):
+        return _welch(ts.d, ts.cfg.y_policy, ts.dt, ts.n_steps, 8, ts.cfg.n_traj, chunks)
+
+    pieces = zip(np.split(ts.b_plus, cuts, axis=1), np.split(ts.b_minus, cuts, axis=1))
+    got = welch(pieces)
+    want = welch([(ts.b_plus, ts.b_minus)])
+    assert np.array_equal(got.psd, want.psd)
+    assert np.array_equal(got.omega, want.omega)
+    assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
+
+
+def test_estimate_psd_matches_plain_segment_slices(run_7001):
+    # reference without a refill buffer: slice each segment out of the records,
+    # transform with the physics sign e^{+i Omega t}, mix with sigma_weights
+    ts, segments = run_7001, 8
+    n = ts.n_steps // segments
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    bins = slice(1, (n + 1) // 2)  # positive bins without DC and Nyquist
+    omega = 2.0 * np.pi * np.arange(n)[bins] / (n * ts.dt)
+    wp, wm = sigma_weights(ts.d, omega, ts.cfg.y_policy)
+    power = np.zeros(omega.size)
+    for s in range(segments):
+        sl = slice(s * n, (s + 1) * n)
+        xp = ts.dt * n * np.fft.ifft(ts.b_plus[:, sl] * win, axis=1)[:, bins]
+        xm = ts.dt * n * np.fft.ifft(ts.b_minus[:, sl] * win, axis=1)[:, bins]
+        power += np.sum(np.abs(wp * xp + wm * xm) ** 2, axis=0)
+    want = power / (ts.dt * np.sum(win**2) * segments * ts.b_plus.shape[0])
+    est = ot.estimate_psd(ts, segments=segments)
+    np.testing.assert_allclose(est.omega, omega, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(est.psd - want) / want) <= 1e-13
+
+
 def test_streamed_comparison_memory_stays_below_records(d_lossy):
     # 8 trajectories x 86241 steps: the records would take 11.0 MB
     dt = ot.default_sim_config(d_lossy).dt
@@ -492,7 +540,7 @@ def test_compare_identity_passes(d_lossy):
     analytic = ot.timedomain.analytic_records_for(d_lossy, est, band)
     sel = (est.omega >= band[0]) & (est.omega <= band[1])
     forged = dataclasses.replace(est, psd=est.psd.copy())
-    forged.psd[sel] = [r.s_f for r in analytic]
+    forged.psd[sel] = analytic.s_f
     rep = ot.compare(analytic, forged, band)
     assert rep.passed
     assert rep.frac_within_3sigma == 1.0
