@@ -42,6 +42,7 @@ from .sqlimit import min_force
 from .timedomain import (
     ComparisonReport,
     SimulationError,
+    _check_stream,
     _n_steps,
     _welch_segments,
     default_band,
@@ -145,8 +146,6 @@ def _parse_grid(spec: str):
     if len(parts) != 4:
         raise ConfigError(f"grid spec must be kind:N:lo:hi, got {spec!r}")
     kind, n, lo, hi = parts
-    if kind not in ("log", "linear"):
-        raise ConfigError(f"grid kind must be 'log' or 'linear', got {kind!r}")
     try:
         return {"kind": kind, "n": int(n), "lo": float(lo), "hi": float(hi)}
     except ValueError as exc:
@@ -165,13 +164,6 @@ def _manifest(p: PhysParams, d: DerivedParams, extra: dict) -> str:
     }
     payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _scenario_entry(s: Scenario) -> dict:
-    entry = dataclasses.asdict(s)
-    if not isinstance(entry["y_policy"], str):
-        entry["y_policy"] = repr(entry["y_policy"])
-    return entry
 
 
 def cmd_sweep(args) -> int:
@@ -220,7 +212,7 @@ def cmd_sweep(args) -> int:
                 print(f"warning: scenario {name} fails the {c.name} regime check "
                       f"(ratio {c.ratio:.4g}, threshold {c.threshold:g}) -- {c.note}",
                       file=sys.stderr)
-        entry = _scenario_entry(scen)
+        entry = dataclasses.asdict(scen)
         entry["csv"] = f"{name}.csv"
         entry["regime"] = dataclasses.asdict(regime)
         if grid_override:
@@ -249,10 +241,11 @@ def cmd_oracle(args) -> int:
         overrides["dt"] = args.dt
     try:
         cfg = default_sim_config(d, **overrides)
-        # range checks of the estimator and the band, before anything is
-        # simulated; a step over the stability bound is left to the run, which
-        # rejects it as a numerical failure
+        # range checks of the working set, the estimator and the band, before
+        # anything is simulated; a step over the stability bound is left to the
+        # run, which rejects it as a numerical failure
         if cfg.dt < stability_dt(d):
+            _check_stream(cfg, args.segments)
             _welch_segments(_n_steps(cfg), cfg.dt, args.segments)
             default_band(d, cfg)
     except (SimulationError, ValueError) as exc:  # a flag value out of range
@@ -276,7 +269,7 @@ def cmd_oracle(args) -> int:
         _atomic_write(os.path.join(args.out, f"{scen.name}-bins.csv"), _bins_csv(report, analytic))
     manifest = _manifest(p, d, {
         "command": "oracle",
-        "scenario": _scenario_entry(scen),
+        "scenario": dataclasses.asdict(scen),
         "sim": {
             "dt": cfg.dt, "t_dur": cfg.t_dur, "n_traj": cfg.n_traj,
             "seed": cfg.seed, "segments": args.segments, "band": list(report.band),

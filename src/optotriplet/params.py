@@ -243,14 +243,13 @@ def _status(ratio: float, threshold: float) -> str:
     return "fail"
 
 
-def check_regime(d: DerivedParams, p: PhysParams | None = None) -> RegimeReport:
+def check_regime(d: DerivedParams) -> RegimeReport:
     """Evaluate the smallness conditions behind the analytic treatment.
 
     Always returns a report; out-of-regime parameters show up as flags,
-    never as exceptions.  Neither input is mutated.
+    never as exceptions.  The input is not mutated.
     """
-    if p is None:
-        p = d.phys
+    p = d.phys
     thr = SMALLNESS_THRESHOLD
 
     ratios = []

@@ -26,7 +26,9 @@ affine prefix scan (Blelloch 1990), not one step at a time: panels of 1024
 steps are split into blocks of 32, each block is solved from a zero start by
 one product with a block-Toeplitz matrix of powers of ``phi``, and only the
 block-start states are carried in sequence.  Outputs are formed for a whole
-panel at once, and the noise is drawn one panel at a time.
+panel at once, and the noise is drawn one panel at a time, from one PCG64
+stream per trajectory spawned from the run's seed when the first panel is
+drawn.
 
 Two consumers read the panels.  :func:`simulate` collects them into records
 of ``2 * n_traj * n_steps`` floats, for inspection (``sigma_timeseries``,
@@ -35,7 +37,10 @@ of ``2 * n_traj * n_steps`` floats, for inspection (``sigma_timeseries``,
 fills one segment buffer per channel from pieces of any length: one panel at
 a time there, the whole records in :func:`estimate_psd`.  The streamed run
 therefore needs ``O(n_traj * segment)`` memory whatever its length, and its
-estimate is bit-identical to :func:`estimate_psd` of the records.
+estimate is bit-identical to :func:`estimate_psd` of the records.  It refuses
+a run whose working set (segment buffers and transforms, one scan panel, the
+bin weights) would exceed the same 4 GiB, before any array of that size is
+built.
 
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
@@ -68,7 +73,7 @@ _PSD_CLIP_TOL = 1e-12
 # largest records simulate() materialises: 4 GiB is 25x the default oracle
 # run's 168 MB, and with the temporaries of sigma_timeseries or dump_text on
 # top it already exceeds the memory of a typical workstation; the spectral
-# check streams and never needs the records
+# check streams and never needs the records, and its working set has the same cap
 _MAX_RECORD_BYTES = 4 * 2**30
 
 
@@ -106,7 +111,8 @@ class SimConfig:
     density (same conventions as the analytic sweep).  Records are float64:
     :func:`simulate` holds ``2 * n_traj * n_steps`` of them, while
     :func:`run_comparison` streams the run and holds two segments of
-    ``n_traj * (n_steps // segments)`` plus one scan panel of noise.
+    ``n_traj * (n_steps // segments)``, their transforms and one scan panel.
+    Both refuse runs that would need more than 4 GiB.
     """
 
     dt: float
@@ -296,17 +302,18 @@ class TimeSeriesBundle:
 
     ``b_plus``/``b_minus`` have shape ``(n_traj, n_steps)`` and hold the
     boxcar-averaged outputs over each step, stamped at the step start.
-    ``traj_seeds`` are the per-trajectory spawn keys of the root seed.
     The combined record is not stored; :meth:`sigma_timeseries` computes it
     on each call.
     """
 
     d: DerivedParams
     cfg: SimConfig
-    dt: float
     b_plus: np.ndarray
     b_minus: np.ndarray
-    traj_seeds: tuple[int, ...]
+
+    @property
+    def dt(self) -> float:
+        return self.cfg.dt
 
     @property
     def n_steps(self) -> int:
@@ -316,24 +323,23 @@ class TimeSeriesBundle:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps) * self.dt
 
-    def sigma_timeseries(self, y_policy=None) -> np.ndarray:
+    def sigma_timeseries(self) -> np.ndarray:
         """Materialize the real-valued combined record per trajectory.
 
         Transforms the full records, applies the per-bin complex weights and
         transforms back; mainly for inspection, the spectral comparison never
         needs the time-domain combination.
         """
-        y_policy = self.cfg.y_policy if y_policy is None else y_policy
         n = self.n_steps
         omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=self.dt)
-        wp, wm = sigma_weights(self.d, omega, y_policy)
+        wp, wm = sigma_weights(self.d, omega, self.cfg.y_policy)
         xp = np.conj(np.fft.rfft(self.b_plus, axis=1))
         xm = np.conj(np.fft.rfft(self.b_minus, axis=1))
         return np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
 
-    def dump_text(self, path, trajectory: int = 0) -> None:
-        """Columnar dump of one trajectory: time, b_plus_a, b_minus_a."""
-        data = np.column_stack([self.times, self.b_plus[trajectory], self.b_minus[trajectory]])
+    def dump_text(self, path) -> None:
+        """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a."""
+        data = np.column_stack([self.times, self.b_plus[0], self.b_minus[0]])
         np.savetxt(path, data, header="time b_plus_a b_minus_a", comments="")
 
 
@@ -355,14 +361,15 @@ def _n_steps(cfg: SimConfig) -> int:
 
 
 def _panels(d: DerivedParams, cfg: SimConfig):
-    """Check a run and return its trajectory seeds and a generator of outputs.
+    """Check a run and return a generator of its outputs.
 
     Steps above the stability bound, drift matrices that are not strictly
     stable (those have no stationary state to sample) and signal windows
     outside the run are rejected here; all numerical work waits for the
-    first panel.  The generator yields ``(b_plus, b_minus)`` for each panel
-    of ``_PANEL`` steps in order, each of shape ``(n_traj, m)`` with ``m``
-    short only for the last panel.  Each trajectory draws from its own PCG64
+    first panel, and so does every object whose size grows with ``n_traj``.
+    The generator yields ``(b_plus, b_minus)`` for each panel of ``_PANEL``
+    steps in order, each of shape ``(n_traj, m)`` with ``m`` short only for
+    the last panel.  Each trajectory draws from its own PCG64
     stream, in the same order whatever consumes the panels.
     """
     bound = stability_dt(d)
@@ -390,8 +397,6 @@ def _panels(d: DerivedParams, cfg: SimConfig):
                 f"signal window [{cfg.signal.t_start}, "
                 f"{cfg.signal.t_start + cfg.signal.duration}] s does not fit the run"
             )
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
-    traj_seeds = tuple(int(s.spawn_key[-1]) for s in children)  # children of cfg.seed
 
     def run():
         phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
@@ -407,7 +412,8 @@ def _panels(d: DerivedParams, cfg: SimConfig):
         else:
             stat_factor = np.zeros((3, 3))
 
-        rngs = [np.random.Generator(np.random.PCG64(s)) for s in children]
+        rngs = [np.random.Generator(np.random.PCG64(s))
+                for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)]
         n_tr = cfg.n_traj
         x = np.empty((n_tr, 3))  # one state row per trajectory
         for k, rng in enumerate(rngs):
@@ -441,7 +447,7 @@ def _panels(d: DerivedParams, cfg: SimConfig):
             z += x_prev @ zx_t
             yield z[:, :m, 0], z[:, :m, 1]
 
-    return traj_seeds, run()
+    return run()
 
 
 def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
@@ -460,7 +466,7 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
             f"{size / 2**30:.2f} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
             "run_comparison streams the spectral check without materialising them"
         )
-    traj_seeds, panels = _panels(d, cfg)
+    panels = _panels(d, cfg)
     b_plus = np.empty((cfg.n_traj, n_steps))
     b_minus = np.empty((cfg.n_traj, n_steps))
     n0 = 0
@@ -469,9 +475,7 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
         b_plus[:, n0:n0 + m] = zp
         b_minus[:, n0:n0 + m] = zm
         n0 += m
-    return TimeSeriesBundle(
-        d=d, cfg=cfg, dt=cfg.dt, b_plus=b_plus, b_minus=b_minus, traj_seeds=traj_seeds
-    )
+    return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
 
 
 class _BlockScan:
@@ -561,12 +565,32 @@ class PsdEstimate:
     t_seg: float
 
 
-def _welch(d: DerivedParams, y_policy, dt: float, n_len: int, segments: int, n_traj: int,
-           chunks) -> PsdEstimate:
+def _check_stream(cfg: SimConfig, segments: int) -> None:
+    """Reject a streamed run whose working set would exceed ``_MAX_RECORD_BYTES``.
+
+    Only sizes are computed, so the check itself holds no array.  Fewer than
+    8 segments are left to the guard of :func:`_welch_segments`.
+    """
+    seg_len = _n_steps(cfg) // max(segments, 8)
+    # float64 values held per segment sample and trajectory (the two segment
+    # buffers and the periodogram's transforms), per scan-panel step and
+    # trajectory, and per segment sample (the bin weights while they are
+    # computed): tracemalloc peaks of run_comparison, rounded up
+    size = 8 * (cfg.n_traj * (6 * seg_len + 20 * _PANEL) + 24 * seg_len)
+    if size > _MAX_RECORD_BYTES:
+        raise SimulationError(
+            f"a streamed run of {cfg.n_traj} trajectories in segments of {seg_len} steps "
+            f"would hold {size / 2**30:.2f} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
+            "use fewer trajectories, a larger dt or more segments"
+        )
+
+
+def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks) -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
 
-    ``chunks`` yields the ``n_len`` samples of both channels in time order as
-    ``(b_plus, b_minus)`` pieces of shape ``(n_traj, m)``, ``m`` arbitrary.
+    ``chunks`` yields the ``n_len`` samples of both channels of a run of
+    ``cfg`` in time order as ``(b_plus, b_minus)`` pieces of shape
+    ``(cfg.n_traj, m)``, ``m`` arbitrary.
     They fill one segment buffer per channel; each full segment is
     Hann-windowed and transformed, the transforms are mixed per bin with the
     weights of :func:`sigma_weights` (so cross-correlations between the
@@ -575,8 +599,9 @@ def _welch(d: DerivedParams, y_policy, dt: float, n_len: int, segments: int, n_t
     are not needed, and ``chunks`` is not advanced past them.  The guards of
     :func:`_welch_segments` raise before ``chunks`` is read.
     """
+    dt, n_traj = cfg.dt, cfg.n_traj
     seg_len, win, keep, omega = _welch_segments(n_len, dt, segments)
-    wp, wm = sigma_weights(d, omega, y_policy)
+    wp, wm = sigma_weights(d, omega, cfg.y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
 
     def periodogram(seg_plus, seg_minus):
@@ -623,8 +648,7 @@ def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
     :func:`sigma_weights` and averaged over segments and trajectories; the
     records go to :func:`_welch` as one chunk.
     """
-    return _welch(ts.d, ts.cfg.y_policy, ts.dt, ts.n_steps, segments, ts.cfg.n_traj,
-                  [(ts.b_plus, ts.b_minus)])
+    return _welch(ts.d, ts.cfg, ts.n_steps, segments, [(ts.b_plus, ts.b_minus)])
 
 
 # --- comparison against the analytic engine -----------------------------------
@@ -718,9 +742,8 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
 
 
 def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, float],
-                         y_policy=None) -> SpectrumTable:
+                         y_policy="optimal") -> SpectrumTable:
     """Analytic sweep table evaluated exactly on an estimate's band bins."""
-    y_policy = "optimal" if y_policy is None else y_policy
     sel = (est.omega >= band[0]) & (est.omega <= band[1])
     return spectrum_sweep(d, est.omega[sel], y_policy=y_policy)
 
@@ -736,23 +759,25 @@ def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
 
 
 def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
-                   band: tuple[float, float] | None = None,
                    records: TimeSeriesBundle | None = None):
     """Simulate, estimate and compare in one call.
 
     The run is streamed into the estimator segment by segment, so memory does
-    not grow with its length.  ``records``, the result of ``simulate(d, cfg)``
-    when a caller needs it anyway, is estimated from instead of running again;
-    the estimate is bit-identical either way.  Returns
+    not grow with its length; a run whose working set would exceed
+    ``_MAX_RECORD_BYTES``, and one too short for :func:`default_band`, is
+    rejected before anything is simulated.  ``records``, the result of
+    ``simulate(d, cfg)`` when a caller needs it anyway, is estimated from
+    instead of running again; the estimate is bit-identical either way.  Returns
     ``(report, estimate, analytic)`` with the analytic
     :class:`~optotriplet.spectra.SpectrumTable` of the band bins.
     """
     if records is None:
-        est = _welch(d, cfg.y_policy, cfg.dt, _n_steps(cfg), segments, cfg.n_traj,
-                     _panels(d, cfg)[1])
-    else:
-        est = estimate_psd(records, segments=segments)
-    if band is None:
+        panels = _panels(d, cfg)
+        _check_stream(cfg, segments)
         band = default_band(d, cfg)
+        est = _welch(d, cfg, _n_steps(cfg), segments, panels)
+    else:
+        band = default_band(d, cfg)
+        est = estimate_psd(records, segments=segments)
     analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy)
     return compare(analytic, est, band), est, analytic

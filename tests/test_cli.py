@@ -193,7 +193,7 @@ def test_sweep_bad_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["log:0:1:10", "log:-5:1:10", "log:10:10:1", "log:10:0:10",
-                                  "linear:10:1:nan", "log:10:1:inf"])
+                                  "linear:10:1:nan", "log:10:1:inf", "cubic:10:1:10"])
 def test_sweep_bad_grid_values(tmp_path, capsys, spec):
     # well-formed specs that make_grid rejects are usage errors, found before any output
     out = tmp_path / "out"
@@ -363,8 +363,16 @@ def test_oracle_dt_violation(tmp_path, capsys):
     ("--segments", "4", "at least 8 segments"),
     ("--duration", "1e-4", "series too short"),  # segments under 64 samples
     ("--duration", "8e-4", "too short for any comparison band"),
+    # streamed working sets of 108 GiB and 61 GiB, far above the 4 GiB cap
+    ("--dt", "1e-10", "GiB"),
+    ("--trajectories", "100000", "GiB"),
 ])
-def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, flag, value, message):
+def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, flag, value,
+                                                 message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a comparison that its flags rule out")
+
+    monkeypatch.setattr(ot.cli, "run_comparison", refuse)
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -397,11 +397,6 @@ def test_stationary_start(d_sym):
     assert np.mean(np.abs(diff) <= 4.0 * sigma) > 0.9
 
 
-def test_traj_seeds_recorded(d_lossy):
-    ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=3))
-    assert len(ts.traj_seeds) == 3
-
-
 def test_sigma_timeseries_and_dump(tmp_path, d_lossy):
     cfg = short_cfg(d_lossy, n_traj=2)
     ts = ot.simulate(d_lossy, cfg)
@@ -435,6 +430,8 @@ def test_estimate_psd_guards(d_lossy, monkeypatch):
         ot.run_comparison(d_lossy, cfg, segments=4)
     with pytest.raises(ValueError, match="too short"):
         ot.run_comparison(d_lossy, cfg, segments=ts.n_steps // 63)
+    with pytest.raises(ValueError, match="too short for any comparison band"):
+        ot.run_comparison(d_lossy, short_cfg(d_lossy, t_dur=8e-4), segments=8)
 
 
 @pytest.mark.parametrize("n_traj", [1, 3])
@@ -471,7 +468,7 @@ def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
     assert cuts[-1] < ts.n_steps
 
     def welch(chunks):
-        return _welch(ts.d, ts.cfg.y_policy, ts.dt, ts.n_steps, 8, ts.cfg.n_traj, chunks)
+        return _welch(ts.d, ts.cfg, ts.n_steps, 8, chunks)
 
     pieces = zip(np.split(ts.b_plus, cuts, axis=1), np.split(ts.b_minus, cuts, axis=1))
     got = welch(pieces)
@@ -526,6 +523,27 @@ def test_simulate_refuses_records_above_the_cap(d_lossy):
     try:
         with pytest.raises(SimulationError, match=r"4\.77 GiB.*run_comparison"):
             ot.simulate(d_lossy, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("overrides", [{"dt": 1e-10}, {"n_traj": 100_000}])
+def test_streamed_run_refuses_working_set_above_the_cap(d_lossy, monkeypatch, overrides):
+    # default duration: 5.7e8 steps of 64 trajectories, or 1.6e5 steps of 1e5
+    # trajectories; the segment buffers alone would take 34 GiB or 15 GiB, and
+    # the bin weights of 1.8e7 bins about 6 GB
+    def no_simulation(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(ot.timedomain, "_step_operators", no_simulation)
+    monkeypatch.setattr(ot.timedomain, "sigma_weights", no_simulation)
+    cfg = ot.default_sim_config(d_lossy, **overrides)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=r"GiB \(cap 4 GiB\)"):
+            ot.run_comparison(d_lossy, cfg, segments=16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
