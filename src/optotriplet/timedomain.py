@@ -28,16 +28,22 @@ one product with a block-Toeplitz matrix of powers of ``phi``, and only the
 block-start states are carried in sequence.  Outputs are formed for a whole
 panel at once, and the noise is drawn one panel at a time, from one PCG64
 stream per trajectory spawned from the run's seed when the first panel is
-drawn.
+drawn.  The streams are drawn on every usable CPU, one thread per contiguous
+group of trajectories; each stream is still read in order, so the records are
+the same bit for bit whatever the number of CPUs.  The scan's two large
+products are issued per trajectory, small enough that BLAS runs them on the
+calling thread and leaves the other CPUs to the draws.
 
 Two consumers read the panels.  :func:`simulate` collects them into records
 of ``2 * n_traj * n_steps`` floats, for inspection (``sigma_timeseries``,
-``dump_text``) and signal-transfer checks; it refuses records above 4 GiB.
+``dump_text``) and signal-transfer checks; it refuses records that, with
+their scan panel, would exceed 4 GiB.
 :func:`run_comparison` feeds them straight into the Welch estimator, which
 fills one segment buffer per channel from pieces of any length: one panel at
 a time there, the whole records in :func:`estimate_psd`.  The streamed run
-therefore needs ``O(n_traj * segment)`` memory whatever its length, and its
-estimate is bit-identical to :func:`estimate_psd` of the records.  It refuses
+therefore needs ``O(n_traj * segment)`` memory whatever its length.  Its
+estimate covers only the comparison band's bins, and each of them is
+bit-identical to the same bin of :func:`estimate_psd` of the records.  It refuses
 a run whose working set (segment buffers and transforms, one scan panel, the
 bin weights) would exceed the same 4 GiB, before any array of that size is
 built.
@@ -51,6 +57,7 @@ compared against ``S_qu + S_T``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -111,8 +118,11 @@ class SimConfig:
     density (same conventions as the analytic sweep).  Records are float64:
     :func:`simulate` holds ``2 * n_traj * n_steps`` of them, while
     :func:`run_comparison` streams the run and holds two segments of
-    ``n_traj * (n_steps // segments)``, their transforms and one scan panel.
-    Both refuse runs that would need more than 4 GiB.
+    ``n_traj * (n_steps // segments)``, their transforms and one scan panel,
+    and mixes only the comparison band's bins.  Both refuse runs that would
+    need more than 4 GiB.  The noise of ``n_traj`` trajectories is drawn on up
+    to ``n_traj`` threads, one per usable CPU; the records do not depend on
+    how many.
     """
 
     dt: float
@@ -360,6 +370,15 @@ def _n_steps(cfg: SimConfig) -> int:
     return int(round(cfg.t_dur / cfg.dt))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _panels(d: DerivedParams, cfg: SimConfig):
     """Check a run and return a generator of its outputs.
 
@@ -428,24 +447,40 @@ def _panels(d: DerivedParams, cfg: SimConfig):
         # panel carries zero noise, so every product has the same shape, and a
         # noiseless run mixes its all-zero noise factor into zeros and draws nothing
         eps = np.zeros((n_tr, _PANEL, 5))
-        for n0 in range(0, n_steps, _PANEL):
-            m = min(_PANEL, n_steps - n0)
-            if cfg.noise:
-                for k, rng in enumerate(rngs):
-                    rng.standard_normal(out=eps[k, :m])
-                eps[:, m:] = 0.0
-            w = eps @ to_w                      # state increments
-            z = eps @ to_z                      # output noise
-            if amp and i0 < n0 + _PANEL and n0 < i1:
-                f = np.zeros(_PANEL)
-                f[max(i0 - n0, 0):i1 - n0] = amp
-                w += f[:, None] * x_kick
-                z += f[:, None] * z_kick
-            x_prev, x = scan(w, x)
-            if not np.all(np.isfinite(x)):
-                raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
-            z += x_prev @ zx_t
-            yield z[:, :m, 0], z[:, :m, 1]
+
+        def draw(lo, hi, m):
+            for k in range(lo, hi):
+                rngs[k].standard_normal(out=eps[k, :m])
+
+        # contiguous groups of trajectories, one per usable CPU; every stream
+        # is still read in order, so the records do not depend on the split
+        n_groups = min(_usable_cpus(), n_tr) if cfg.noise else 1
+        cuts = [n_tr * g // n_groups for g in range(n_groups + 1)]
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=max(n_groups - 1, 1)) as pool:
+            for n0 in range(0, n_steps, _PANEL):
+                m = min(_PANEL, n_steps - n0)
+                if cfg.noise:
+                    # the first group is drawn here while the pool draws the rest
+                    futures = [pool.submit(draw, cuts[g], cuts[g + 1], m)
+                               for g in range(1, n_groups)]
+                    draw(0, cuts[1], m)
+                    for fut in futures:
+                        fut.result()
+                    eps[:, m:] = 0.0
+                w = eps @ to_w                      # state increments
+                z = eps @ to_z                      # output noise
+                if amp and i0 < n0 + _PANEL and n0 < i1:
+                    f = np.zeros(_PANEL)
+                    f[max(i0 - n0, 0):i1 - n0] = amp
+                    w += f[:, None] * x_kick
+                    z += f[:, None] * z_kick
+                x_prev, x = scan(w, x)
+                if not np.all(np.isfinite(x)):
+                    raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
+                z += x_prev @ zx_t
+                yield z[:, :m, 0], z[:, :m, 1]
 
     return run()
 
@@ -454,16 +489,19 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     """Integrate the quadrature dynamics and record both outputs.
 
     Rejects steps above the stability bound, drift matrices that are not
-    strictly stable, and runs whose records would exceed
-    ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams such runs instead.
+    strictly stable, and runs whose records and scan panel would exceed
+    ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams long runs instead.
     Identical config and seed give bit-identical records.
     """
     n_steps = _n_steps(cfg)
     size = 2 * cfg.n_traj * n_steps * 8
-    if size > _MAX_RECORD_BYTES:
+    # the scan panel that fills them, as counted by _check_stream
+    panel = 8 * cfg.n_traj * 20 * _PANEL
+    if size + panel > _MAX_RECORD_BYTES:
         raise SimulationError(
             f"records of {cfg.n_traj} trajectories x {n_steps} steps would take "
-            f"{size / 2**30:.2f} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
+            f"{size / 2**30:.2f} GiB and their scan panel {panel / 2**30:.2f} GiB "
+            f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
             "run_comparison streams the spectral check without materialising them"
         )
     panels = _panels(d, cfg)
@@ -515,15 +553,19 @@ class _BlockScan:
         ``w`` has shape ``(n_traj, _PANEL, n)``, ``x0`` shape ``(n_traj, n)``.
         """
         n_tr, n = x0.shape[0], self.n
-        w = w.reshape(-1, _BLOCK * n)
+        # one product per trajectory, not one for the whole panel: products of
+        # this size stay on the calling thread, so BLAS starts no worker thread
+        # to compete with the noise draws
+        w = w.reshape(n_tr, -1, _BLOCK * n)
         local = w @ self.toeplitz              # block solutions from zero start
-        ends = (local[:, -n:] @ self.phi_t + w[:, -n:]).reshape(n_tr, -1, n)
+        ends = (local[..., -n:].reshape(-1, n) @ self.phi_t
+                + w[..., -n:].reshape(-1, n)).reshape(n_tr, -1, n)
         starts = np.empty_like(ends)
         x = x0
         for b in range(ends.shape[1]):
             starts[:, b] = x
             x = x @ self.phi_block_t + ends[:, b]
-        local += starts.reshape(-1, n) @ self.from_start
+        local += starts @ self.from_start
         return local.reshape(n_tr, _PANEL, n), x
 
 
@@ -585,7 +627,8 @@ def _check_stream(cfg: SimConfig, segments: int) -> None:
         )
 
 
-def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks) -> PsdEstimate:
+def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks,
+           band: tuple[float, float] | None = None) -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
 
     ``chunks`` yields the ``n_len`` samples of both channels of a run of
@@ -596,19 +639,32 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks) 
     weights of :func:`sigma_weights` (so cross-correlations between the
     channels are kept), and the periodograms are summed over trajectories,
     then over segments in order.  The samples after the last whole segment
-    are not needed, and ``chunks`` is not advanced past them.  The guards of
-    :func:`_welch_segments` raise before ``chunks`` is read.
+    are not needed, and ``chunks`` is not advanced past them.  The estimate
+    covers every interior bin, or only the bins inside ``band``, which are
+    then the only ones weighted and mixed; each bin's value is the same
+    either way.  The guards of :func:`_welch_segments`, and the check that
+    ``band`` holds a bin, raise before ``chunks`` is read.
     """
     dt, n_traj = cfg.dt, cfg.n_traj
     seg_len, win, keep, omega = _welch_segments(n_len, dt, segments)
+    if band is not None:
+        lo = int(np.searchsorted(omega, band[0], side="left"))
+        hi = int(np.searchsorted(omega, band[1], side="right"))
+        if lo == hi:
+            raise ValueError(
+                f"band {band!r} does not overlap the estimated bins "
+                f"[{omega[0]:g}, {omega[-1]:g}]"
+            )
+        keep = slice(keep.start + lo, keep.start + hi)
+        omega = omega[lo:hi]
     wp, wm = sigma_weights(d, omega, cfg.y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
 
     def periodogram(seg_plus, seg_minus):
         # its own frame, so the transforms are freed before the next chunk is made
-        xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1))
-        xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1))
-        mix = wp[None, :] * xp[:, keep] + wm[None, :] * xm[:, keep]
+        xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1)[:, keep])
+        xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1)[:, keep])
+        mix = wp[None, :] * xp + wm[None, :] * xm
         return norm * np.sum(np.abs(mix) ** 2, axis=0)
 
     acc = np.zeros(omega.size)
@@ -768,16 +824,15 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
     rejected before anything is simulated.  ``records``, the result of
     ``simulate(d, cfg)`` when a caller needs it anyway, is estimated from
     instead of running again; the estimate is bit-identical either way.  Returns
-    ``(report, estimate, analytic)`` with the analytic
-    :class:`~optotriplet.spectra.SpectrumTable` of the band bins.
+    ``(report, estimate, analytic)``: the estimate and the analytic
+    :class:`~optotriplet.spectra.SpectrumTable` hold the band bins only.
     """
     if records is None:
-        panels = _panels(d, cfg)
+        chunks = _panels(d, cfg)
         _check_stream(cfg, segments)
-        band = default_band(d, cfg)
-        est = _welch(d, cfg, _n_steps(cfg), segments, panels)
     else:
-        band = default_band(d, cfg)
-        est = estimate_psd(records, segments=segments)
+        chunks = [(records.b_plus, records.b_minus)]
+    band = default_band(d, cfg)
+    est = _welch(d, cfg, _n_steps(cfg), segments, chunks, band)
     analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy)
     return compare(analytic, est, band), est, analytic

@@ -394,10 +394,11 @@ def test_oracle_unknown_scenario(tmp_path):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--scenario", "nope"]) == 1
 
 
-def _loaded_scipy_modules(code):
-    """scipy modules loaded after running ``code`` in a fresh interpreter."""
+def _loaded_modules(code, package="scipy"):
+    """Modules of ``package`` loaded after running ``code`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(ot.__file__))
-    code += "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
@@ -407,7 +408,16 @@ def _loaded_scipy_modules(code):
 def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
     # scipy is a test-only dependency: the simplex, quadrature and reference
     # matrix-function cross-checks live in the test suite
-    assert _loaded_scipy_modules("import optotriplet, optotriplet.cli") == "[]"
+    assert _loaded_modules("import optotriplet, optotriplet.cli") == "[]"
+
+
+def test_cli_import_and_sweep_load_no_thread_pool(tmp_path):
+    # only an oracle run draws noise on threads, so no other command imports
+    # the thread pool
+    code = ("from optotriplet.cli import main; "
+            f"assert main(['sweep', '--preset', 'table1', '--grid', 'log:100:1:1e7', "
+            f"'--out', {str(tmp_path)!r}]) == 0")
+    assert _loaded_modules(code, "concurrent") == "[]"
 
 
 def test_oracle_run_loads_no_scipy(tmp_path):
@@ -415,7 +425,7 @@ def test_oracle_run_loads_no_scipy(tmp_path):
     code = ("from optotriplet.cli import main; "
             f"assert main(['oracle', '--preset', 'table1', '--trajectories', '2', "
             f"'--out', {str(tmp_path)!r}]) == 0")
-    assert _loaded_scipy_modules(code) == "[]"
+    assert _loaded_modules(code) == "[]"
     assert (tmp_path / "sym-lossless-report.txt").exists()
 
 

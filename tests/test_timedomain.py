@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -446,10 +447,15 @@ def test_streamed_estimate_matches_records(d_lossy, n_traj):
     assert ts.n_steps == 7001
     want = ot.estimate_psd(ts, segments=8)
     report, got, _ = ot.run_comparison(d_lossy, cfg, segments=8)
-    assert np.array_equal(got.psd, want.psd)
-    assert np.array_equal(got.omega, want.omega)
+    # the streamed estimate holds the band bins only
+    band = default_band(d_lossy, cfg)
+    sel = (want.omega >= band[0]) & (want.omega <= band[1])
+    assert np.array_equal(got.psd, want.psd[sel])
+    assert np.array_equal(got.omega, want.omega[sel])
     assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
-    assert report == ot.run_comparison(d_lossy, cfg, segments=8, records=ts)[0]
+    again, from_records, _ = ot.run_comparison(d_lossy, cfg, segments=8, records=ts)
+    assert report == again
+    assert np.array_equal(from_records.psd, got.psd)
 
 
 @pytest.fixture(scope="module")
@@ -458,6 +464,48 @@ def run_7001(d_lossy):
     dt = ot.default_sim_config(d_lossy).dt
     pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * dt, t_start=1000 * dt)
     return ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=3, t_dur=7001 * dt, signal=pulse))
+
+
+def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
+    # one, two and three groups of the three trajectories' streams
+    ts = run_7001
+    for cpus in (1, 2, 3):
+        asked = []
+        monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: asked.append(cpus) or cpus)
+        again = ot.simulate(ts.d, ts.cfg)
+        assert asked == [cpus]
+        assert np.array_equal(again.b_plus, ts.b_plus)
+        assert np.array_equal(again.b_minus, ts.b_minus)
+
+
+def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch):
+    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 3)
+    cfg = short_cfg(d_lossy, n_traj=3)
+    start = threading.active_count()
+    ot.simulate(d_lossy, cfg)
+    assert threading.active_count() == start
+    ot.run_comparison(d_lossy, cfg, segments=8)
+    assert threading.active_count() == start
+    # a generator closed after its first panel shuts its pool down
+    panels = ot.timedomain._panels(d_lossy, cfg)
+    next(panels)
+    assert threading.active_count() > start
+    panels.close()
+    assert threading.active_count() == start
+
+
+def test_band_without_bins_is_refused_before_chunks_are_read(run_7001):
+    ts = run_7001
+    _, _, _, omega = _welch_segments(ts.n_steps, ts.dt, 8)
+    step = omega[11] - omega[10]
+    between = (omega[10] + 0.25 * step, omega[10] + 0.75 * step)
+
+    def chunks():
+        raise AssertionError("chunks advanced")
+        yield
+
+    with pytest.raises(ValueError, match="does not overlap"):
+        _welch(ts.d, ts.cfg, ts.n_steps, 8, chunks(), band=between)
 
 
 def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
@@ -522,6 +570,25 @@ def test_simulate_refuses_records_above_the_cap(d_lossy):
     tracemalloc.start()
     try:
         with pytest.raises(SimulationError, match=r"4\.77 GiB.*run_comparison"):
+            ot.simulate(d_lossy, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_simulate_cap_counts_the_scan_panel(d_lossy, monkeypatch):
+    # 1e6 trajectories x 200 steps: 2.98 GiB of records fit the cap, but the
+    # scan panel that fills them would take 152.59 GiB
+    def no_panels(*args):
+        raise AssertionError("panels started")
+
+    monkeypatch.setattr(ot.timedomain, "_panels", no_panels)
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=10**6, t_dur=200 * dt)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationError, match=r"2\.98 GiB and their scan panel 152\.59 GiB"):
             ot.simulate(d_lossy, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
