@@ -15,14 +15,18 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+import threading
 import time
+import warnings
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .params import (
     load_config,
     table1_preset,
 )
-from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, Scenario
+from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS
 from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
@@ -44,6 +48,7 @@ from .timedomain import (
     SimulationError,
     _check_stream,
     _n_steps,
+    _usable_cpus,
     _welch_segments,
     default_band,
     default_sim_config,
@@ -62,6 +67,12 @@ CSV_COLUMNS = ("omega_rad_s", "omega_tau_over_2pi", "y_re", "y_im",
 BINS_COLUMNS = ("omega", "est", "analytic", "dev_sigma")
 # rows evaluated and formatted per CSV chunk; bounds a sweep's memory on huge grids
 _CSV_CHUNK_ROWS = 8192
+# a sweep's blocks are formatted in a process pool from this many rows on;
+# below it, starting the workers cost more than they saved
+_POOL_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
+# workers of that pool at most; with one more block in flight than workers,
+# the parent holds at most 5 finished blocks of about 1.4 MB each
+_MAX_WORKERS = 4
 
 
 class ConfigError(ValueError):
@@ -93,33 +104,89 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def _csv_text(d: DerivedParams, grid: np.ndarray, y_policy, tau: float):
-    """CSV of the sweep of a checked ``grid`` as chunks of at most
-    ``_CSV_CHUNK_ROWS`` rows.
+def _csv_block(d: DerivedParams, grid: np.ndarray, y_policy, tau: float) -> str:
+    """CSV rows of the sweep over ``grid``, a checked slice of at most
+    ``_CSV_CHUNK_ROWS`` frequencies.
 
-    Each chunk's rows are evaluated by :func:`spectrum_sweep` on their slice of
-    the grid, and every value is written with ``repr`` (shortest round trip).
-    Only one chunk's table and strings are alive at a time, so memory stays
-    bounded on huge grids.
+    The rows are evaluated by :func:`spectrum_sweep`, and every value is
+    written with ``repr`` (shortest round trip).
     """
-    yield ",".join(CSV_COLUMNS) + "\n"
-    for start in range(0, grid.size, _CSV_CHUNK_ROWS):
-        sl = slice(start, start + _CSV_CHUNK_ROWS)
-        table = spectrum_sweep(d, grid[sl], y_policy)
-        # one row template; S_T is the same on every row, so it is formatted once
-        row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
-        columns = (
-            table.omega,
-            table.omega * tau / (2.0 * math.pi),
-            table.y.real,
-            table.y.imag,
-            table.s_qu,
-            table.s_f,
-            table.s_sql,
-            table.ratio,
-        )
-        rows = zip(*(col.tolist() for col in columns))
-        yield "\n".join([row % r for r in rows]) + "\n"
+    table = spectrum_sweep(d, grid, y_policy)
+    # one row template; S_T is the same on every row, so it is formatted once
+    row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
+    columns = (
+        table.omega,
+        table.omega * tau / (2.0 * math.pi),
+        table.y.real,
+        table.y.imag,
+        table.s_qu,
+        table.s_f,
+        table.s_sql,
+        table.ratio,
+    )
+    rows = zip(*(col.tolist() for col in columns))
+    return "\n".join([row % r for r in rows]) + "\n"
+
+
+def _n_blocks(grid: np.ndarray) -> int:
+    return -(-grid.size // _CSV_CHUNK_ROWS)
+
+
+def _pooled_blocks(pool, tasks, window: int):
+    """``_csv_block(*task)`` of each of ``tasks``, in order, computed by
+    ``pool`` with at most ``window`` blocks submitted or held at a time."""
+    tasks = iter(tasks)
+    with warnings.catch_warnings():
+        # The fork pool starts its workers at the first submit.  Python 3.12+
+        # warns there whenever the process has other OS threads.  The pool is
+        # only used when no other Python thread runs, so the others are
+        # OpenBLAS's idle threads, which exist from `import numpy` on; the
+        # workers run only elementwise numpy and never call BLAS, so no lock
+        # a BLAS thread held at the fork is ever taken.
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork\(\) may lead to deadlocks",
+            DeprecationWarning)
+        pending = collections.deque(pool.submit(_csv_block, *task)
+                                    for task in itertools.islice(tasks, window))
+    for task in tasks:
+        yield pending.popleft().result()
+        pending.append(pool.submit(_csv_block, *task))
+    while pending:
+        yield pending.popleft().result()
+
+
+@contextlib.contextmanager
+def _csv_blocks(sweeps):
+    """An iterator of the CSV blocks of ``sweeps``, in order.
+
+    ``sweeps`` lists ``(derived, grid, y_policy, tau)`` per computed
+    scenario; each grid is cut into blocks of ``_CSV_CHUNK_ROWS`` rows.  The
+    blocks are formatted in a pool of forked processes, one per usable CPU up
+    to ``_MAX_WORKERS``, when there are at least two such CPUs and
+    ``_POOL_MIN_ROWS`` rows, no other Python thread runs and the platform can
+    fork; otherwise they are formatted inline.  Either way the text is the
+    same.  At most one block more than there are workers is in flight, and no
+    worker outlives the context.
+    """
+    tasks = ((d, grid[start:start + _CSV_CHUNK_ROWS], y_policy, tau)
+             for d, grid, y_policy, tau in sweeps
+             for start in range(0, grid.size, _CSV_CHUNK_ROWS))
+    grids = [grid for _, grid, _, _ in sweeps]
+    n_workers = min(_usable_cpus(), _MAX_WORKERS, sum(map(_n_blocks, grids)))
+    if (n_workers >= 2 and sum(grid.size for grid in grids) >= _POOL_MIN_ROWS
+            and threading.active_count() == 1):
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                yield _pooled_blocks(pool, tasks, n_workers + 1)
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    yield (_csv_block(*task) for task in tasks)
 
 
 def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> str:
@@ -166,6 +233,37 @@ def _manifest(p: PhysParams, d: DerivedParams, extra: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _plan_sweep(p: PhysParams, names, override_grid):
+    """Each scenario's ``(name, scenario, derived, grid, first)``, in order.
+
+    Scenarios equal up to their name write equal CSVs (a grid override is the
+    same for all of them), so only the first is computed; ``first`` names the
+    earlier scenario whose CSV a later one copies, and is ``None`` for a
+    computed one.  Each computed grid is checked whole here, as each block
+    only checks its own slice.  Planning stops at the first scenario that
+    fails, and returns its exception with the plans before it, so that it is
+    raised once their CSVs are written.
+    """
+    plans, computed = [], {}
+    try:
+        for name in names:
+            scen = SWEEP_SCENARIOS[name]
+            p_s = scen.apply(p)
+            d_s = derive(p_s)
+            key = dataclasses.replace(scen, name="")
+            if key in computed:
+                first, grid = computed[key]
+            else:
+                first = None
+                grid = override_grid if override_grid is not None else _checked_grid(
+                    scen.grid(p_s.tau))
+                computed[key] = (name, grid)
+            plans.append((name, scen, d_s, grid, first))
+    except (ValueError, ArithmeticError) as exc:  # what main reports as an error
+        return plans, exc
+    return plans, None
+
+
 def cmd_sweep(args) -> int:
     p = _resolve_params(args)
     names = args.scenario or list(SWEEP_SCENARIOS)
@@ -176,6 +274,7 @@ def cmd_sweep(args) -> int:
             f"known: {', '.join(SWEEP_SCENARIOS)}"
         )
     grid_override = _parse_grid(args.grid) if args.grid else None
+    override_grid = None
     if grid_override:
         # lo and hi are given, so one grid serves every scenario
         try:
@@ -185,39 +284,35 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     d_base = derive(p)
+    plans, failure = _plan_sweep(p, names, override_grid)
+    header = ",".join(CSV_COLUMNS) + "\n"
     scen_entries = []
-    # scenarios equal up to their name write equal CSVs (the grid override is
-    # the same for all of them): the first is computed, later ones copy its file
-    written: dict[Scenario, tuple[str, int]] = {}
-    for name in names:
-        scen = SWEEP_SCENARIOS[name]
-        p_s = scen.apply(p)
-        d_s = derive(p_s)
-        out_path = os.path.join(args.out, f"{name}.csv")
-        key = dataclasses.replace(scen, name="")
-        if key in written:
-            first_path, n_rows = written[key]
-            with open(first_path, encoding="utf-8", newline="") as fh:
-                _atomic_write(out_path, iter(lambda: fh.read(1 << 20), ""))
-        else:
-            # the whole grid is checked here, as each chunk only checks its own slice
-            grid = override_grid if grid_override else _checked_grid(scen.grid(p_s.tau))
-            _atomic_write(out_path, _csv_text(d_s, grid, scen.y_policy, p_s.tau))
-            n_rows = grid.size
-            written[key] = (out_path, n_rows)
-        print(f"wrote {out_path} ({n_rows} rows, {scen.describe()})")
-        regime = check_regime(d_s)
-        for c in regime.checks:
-            if c.status == "fail":
-                print(f"warning: scenario {name} fails the {c.name} regime check "
-                      f"(ratio {c.ratio:.4g}, threshold {c.threshold:g}) -- {c.note}",
-                      file=sys.stderr)
-        entry = dataclasses.asdict(scen)
-        entry["csv"] = f"{name}.csv"
-        entry["regime"] = dataclasses.asdict(regime)
-        if grid_override:
-            entry["grid_override"] = grid_override
-        scen_entries.append(entry)
+    with _csv_blocks([(d_s, grid, scen.y_policy, d_s.phys.tau)
+                      for _, scen, d_s, grid, first in plans if first is None]) as blocks:
+        for name, scen, d_s, grid, first in plans:
+            out_path = os.path.join(args.out, f"{name}.csv")
+            if first is None:
+                own = itertools.islice(blocks, _n_blocks(grid))
+                _atomic_write(out_path, itertools.chain([header], own))
+            else:
+                with open(os.path.join(args.out, f"{first}.csv"), encoding="utf-8",
+                          newline="") as fh:
+                    _atomic_write(out_path, iter(lambda: fh.read(1 << 20), ""))
+            print(f"wrote {out_path} ({grid.size} rows, {scen.describe()})")
+            regime = check_regime(d_s)
+            for c in regime.checks:
+                if c.status == "fail":
+                    print(f"warning: scenario {name} fails the {c.name} regime check "
+                          f"(ratio {c.ratio:.4g}, threshold {c.threshold:g}) -- {c.note}",
+                          file=sys.stderr)
+            entry = dataclasses.asdict(scen)
+            entry["csv"] = f"{name}.csv"
+            entry["regime"] = dataclasses.asdict(regime)
+            if grid_override:
+                entry["grid_override"] = grid_override
+            scen_entries.append(entry)
+    if failure is not None:
+        raise failure
 
     manifest = _manifest(p, d_base, {"command": "sweep", "scenarios": scen_entries})
     _atomic_write(os.path.join(args.out, "manifest.json"), manifest)

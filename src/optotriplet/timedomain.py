@@ -498,11 +498,14 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     # the scan panel that fills them, as counted by _check_stream
     panel = 8 * cfg.n_traj * 20 * _PANEL
     if size + panel > _MAX_RECORD_BYTES:
+        # streaming drops the records but keeps the panel, so it is only a
+        # remedy when the panel alone fits
+        hint = ("; run_comparison streams the spectral check without materialising them"
+                if panel <= _MAX_RECORD_BYTES else "")
         raise SimulationError(
             f"records of {cfg.n_traj} trajectories x {n_steps} steps would take "
             f"{size / 2**30:.2f} GiB and their scan panel {panel / 2**30:.2f} GiB "
-            f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
-            "run_comparison streams the spectral check without materialising them"
+            f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB){hint}"
         )
     panels = _panels(d, cfg)
     b_plus = np.empty((cfg.n_traj, n_steps))

@@ -1,9 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -218,6 +221,166 @@ def test_sweep_memory_is_bounded_per_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+# three computed scenarios of three blocks each; fig3-nonsym-lossless copies
+# fig2-nonsym
+POOLED_SWEEP = ["sweep", "--preset", "table1", "--grid", f"log:{2 * _CSV_CHUNK_ROWS + 7}:1e3:1e7",
+                "--scenario", "fig3-nonsym-lossy", "--scenario", "fig2-nonsym",
+                "--scenario", "fig3-nonsym-lossless", "--scenario", "fig2-sym"]
+
+
+def _spy_on_blocks(monkeypatch, log, fail_on=None):
+    """Record the pid that evaluates each block in ``log``; raise ValueError
+    on every block but the first of the scenario with parameters ``fail_on``.
+
+    Workers are forked after the patch, so it reaches them too.
+    """
+    real = ot.cli.spectrum_sweep
+
+    def spy(d, grid, y_policy="optimal"):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if d.phys == fail_on and grid[0] > 1e3:
+            raise ValueError("injected block failure")
+        return real(d, grid, y_policy)
+
+    monkeypatch.setattr(ot.cli, "spectrum_sweep", spy)
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
+    # inline, then 2 and 3 workers with 4 and 6 blocks in flight, so scenario
+    # boundaries fall inside the window
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
+    csvs, stdout = {}, {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(ot.cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        log.write_text("")
+        assert run(POOLED_SWEEP + ["--out", out]) == 0
+        assert multiprocessing.active_children() == []
+        pids = log.read_text().split()
+        assert len(pids) == 9
+        if cpus == 1:
+            assert set(pids) == {str(os.getpid())}
+        else:
+            assert str(os.getpid()) not in pids and len(set(pids)) <= cpus
+        csvs[cpus] = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+        stdout[cpus] = capsys.readouterr().out.replace(str(out), "OUT")
+    assert sorted(csvs[1]) == sorted(f"{name}.csv" for name in POOLED_SWEEP[6::2])
+    assert csvs[1] == csvs[2] == csvs[3]
+    assert stdout[1] == stdout[2] == stdout[3]
+    assert stdout[1].count("wrote OUT") == 4
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
+        tmp_path, monkeypatch, capsys):
+    # fig2-nonsym's second block fails while fig2-sym's blocks are in flight
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    failing = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
+    _spy_on_blocks(monkeypatch, tmp_path / "pids", fail_on=failing)
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 2
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == "numerical failure: injected block failure\n"
+    assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
+    inline = tmp_path / "inline"
+    assert run(POOLED_SWEEP[:7] + ["--out", inline]) == 0
+    assert ((out / "fig3-nonsym-lossy.csv").read_bytes()
+            == (inline / "fig3-nonsym-lossy.csv").read_bytes())
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys):
+    # scenarios are planned before any block is formatted, but one that
+    # cannot be derived is reported only once the CSVs before it are written
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    refused = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
+    real = ot.cli.derive
+
+    def derive(p):
+        if p == refused:
+            raise ot.ParameterError("injected refusal")
+        return real(p)
+
+    monkeypatch.setattr(ot.cli, "derive", derive)
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 1
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert captured.err == "error: injected refusal\n"
+    assert captured.out.count("wrote ") == 1
+    assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+
+    def interrupt(d):
+        raise KeyboardInterrupt
+
+    # called after the first CSV is written, with later blocks in flight
+    monkeypatch.setattr(ot.cli, "check_regime", interrupt)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run(POOLED_SWEEP + ["--out", out])
+    assert multiprocessing.active_children() == []
+    assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
+    # the parent stalls before it takes each block, so every block in flight
+    # is finished and held when it does: that must stay a few blocks however
+    # many CPUs the host has
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 64)
+    real = ot.cli._atomic_write
+
+    def stalled(path, chunks):
+        def slow():
+            for chunk in [chunks] if isinstance(chunks, str) else chunks:
+                time.sleep(0.1)
+                yield chunk
+
+        real(path, slow())
+
+    monkeypatch.setattr(ot.cli, "_atomic_write", stalled)
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--grid", "log:300:1:1e7"]) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--preset", "table1", "--out", out, "--scenario",
+                    "fig3-nonsym-lossy", "--grid", "log:100003:1:1e7"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert multiprocessing.active_children() == []
+    assert peak < 12e6
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_formats_inline_while_another_thread_runs(tmp_path, monkeypatch):
+    # a thread that holds a lock when the pool forks could deadlock a worker,
+    # so a host process with other Python threads formats inline
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert run(POOLED_SWEEP + ["--out", tmp_path / "out"]) == 0
+    finally:
+        release.set()
+        other.join()
+    assert log.read_text().split() == [str(os.getpid())] * 9
 
 
 def test_needs_config_or_preset(capsys):

@@ -13,6 +13,7 @@ from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
     _THETA13,
     SimulationError,
+    _check_stream,
     _expm,
     _factor_psd,
     _lyapunov,
@@ -594,6 +595,28 @@ def test_simulate_cap_counts_the_scan_panel(d_lossy, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("n_traj, n_steps, streams", [(64, 5_000_000, True), (10**6, 200, False)])
+def test_simulate_hints_at_streaming_only_where_the_records_break_the_cap(
+        d_lossy, monkeypatch, n_traj, n_steps, streams):
+    # 64 x 5e6 steps: 4.77 GiB of records over a 0.01 GiB panel, which a
+    # streamed run holds easily; 1e6 x 200 steps: 2.98 GiB of records fit, but
+    # the 152.59 GiB panel does not, and a streamed run would need it too
+    def no_panels(*args):
+        raise AssertionError("panels started")
+
+    monkeypatch.setattr(ot.timedomain, "_panels", no_panels)
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=n_traj, t_dur=n_steps * dt)
+    with pytest.raises(SimulationError) as refused:
+        ot.simulate(d_lossy, cfg)
+    assert ("run_comparison streams" in str(refused.value)) == streams
+    if streams:
+        _check_stream(cfg, 16)
+    else:
+        with pytest.raises(SimulationError, match="streamed run"):
+            _check_stream(cfg, 16)
 
 
 @pytest.mark.parametrize("overrides", [{"dt": 1e-10}, {"n_traj": 100_000}])
