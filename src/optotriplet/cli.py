@@ -45,16 +45,13 @@ from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
     ComparisonReport,
+    RunRangeError,
     SimulationError,
-    _check_stream,
-    _n_steps,
+    _plan,
+    _run_comparison,
     _usable_cpus,
-    _welch_segments,
-    default_band,
     default_sim_config,
-    run_comparison,
     simulate,
-    stability_dt,
 )
 
 EXIT_OK = 0
@@ -327,28 +324,16 @@ def cmd_oracle(args) -> int:
             f"unknown scenario {args.scenario_name!r}; known: {', '.join(ORACLE_SCENARIOS)}"
         )
     d = derive(scen.apply(p))
-    overrides = {"seed": args.seed}
-    if args.trajectories is not None:
-        overrides["n_traj"] = args.trajectories
-    if args.duration is not None:
-        overrides["t_dur"] = args.duration
-    if args.dt is not None:
-        overrides["dt"] = args.dt
+    flags = {"n_traj": args.trajectories, "t_dur": args.duration, "dt": args.dt}
     try:
-        cfg = default_sim_config(d, **overrides)
-        # range checks of the working set, the estimator and the band, before
-        # anything is simulated; a step over the stability bound is left to the
-        # run, which rejects it as a numerical failure
-        if cfg.dt < stability_dt(d):
-            _check_stream(cfg, args.segments)
-            _welch_segments(_n_steps(cfg), cfg.dt, args.segments)
-            default_band(d, cfg)
-    except (SimulationError, ValueError) as exc:  # a flag value out of range
+        cfg = default_sim_config(d, args.seed, **{k: v for k, v in flags.items() if v is not None})
+        plan = _plan(d, cfg, args.segments)
+    except RunRangeError as exc:
         raise ConfigError(str(exc)) from exc
 
     # only a dump needs the records; otherwise the run is streamed
     records = simulate(d, cfg) if args.dump_timeseries else None
-    report, _, analytic = run_comparison(d, cfg, segments=args.segments, records=records)
+    report, _, analytic = _run_comparison(d, cfg, plan, records)
 
     os.makedirs(args.out, exist_ok=True)
     header = (

@@ -34,19 +34,20 @@ the same bit for bit whatever the number of CPUs.  The scan's two large
 products are issued per trajectory, small enough that BLAS runs them on the
 calling thread and leaves the other CPUs to the draws.
 
+Every run is planned first: :func:`_plan` fixes its sizes and refuses it, in
+one order, before any array that grows with it is built.  A step above
+:func:`stability_dt` or an unstable drift is a numerical failure (exit 2 in
+the CLI), every later refusal a :class:`RunRangeError` (exit 1).
+
 Two consumers read the panels.  :func:`simulate` collects them into records
-of ``2 * n_traj * n_steps`` floats, for inspection (``sigma_timeseries``,
-``dump_text``) and signal-transfer checks; it refuses records that, with
-their scan panel, would exceed 4 GiB.
+of ``2 * n_traj * n_steps`` floats, for inspection and signal-transfer checks;
+it refuses records that, with their scan panel, would exceed 4 GiB (exit 2).
 :func:`run_comparison` feeds them straight into the Welch estimator, which
 fills one segment buffer per channel from pieces of any length: one panel at
 a time there, the whole records in :func:`estimate_psd`.  The streamed run
-therefore needs ``O(n_traj * segment)`` memory whatever its length.  Its
-estimate covers only the comparison band's bins, and each of them is
-bit-identical to the same bin of :func:`estimate_psd` of the records.  It refuses
-a run whose working set (segment buffers and transforms, one scan panel, the
-bin weights) would exceed the same 4 GiB, before any array of that size is
-built.
+thus needs ``O(n_traj * segment)`` memory whatever its length.  Its estimate
+covers only the comparison band's bins, each bit-identical to the same bin of
+:func:`estimate_psd` of the records.
 
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
@@ -56,9 +57,10 @@ compared against ``S_qu + S_T``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +87,11 @@ _MAX_RECORD_BYTES = 4 * 2**30
 
 
 class SimulationError(RuntimeError):
-    """Raised when a run is rejected upfront or diverges."""
+    """Raised when a run cannot be sampled, is out of range, or diverges."""
+
+
+class RunRangeError(SimulationError, ValueError):
+    """A run setting out of range, refused before any work (a usage error)."""
 
 
 @dataclass(frozen=True)
@@ -112,17 +118,17 @@ class SignalPulse:
 class SimConfig:
     """Run settings for :func:`simulate` and :func:`run_comparison`.
 
-    ``dt`` must stay below a tenth of the fastest relaxation rate;
-    :func:`stability_dt` gives the bound.  ``y_policy`` selects the
-    combination weight used when the records are reduced to a spectral
-    density (same conventions as the analytic sweep).  Records are float64:
-    :func:`simulate` holds ``2 * n_traj * n_steps`` of them, while
-    :func:`run_comparison` streams the run and holds two segments of
-    ``n_traj * (n_steps // segments)``, their transforms and one scan panel,
-    and mixes only the comparison band's bins.  Both refuse runs that would
-    need more than 4 GiB.  The noise of ``n_traj`` trajectories is drawn on up
-    to ``n_traj`` threads, one per usable CPU; the records do not depend on
-    how many.
+    ``y_policy`` selects the combination weight used when the records are
+    reduced to a spectral density (same conventions as the analytic sweep).
+    ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range raise
+    :class:`RunRangeError` here; the run's plan checks the rest, in one order
+    from the step bound of :func:`stability_dt` (a numerical failure) to the
+    working set, band and signal window (range errors).  :func:`simulate`
+    holds ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison`
+    two segments of ``n_traj * (n_steps // segments)``, their transforms and
+    one scan panel; both refuse more than 4 GiB.  The noise is drawn on up to
+    ``n_traj`` threads, one per usable CPU; the records do not depend on how
+    many.
     """
 
     dt: float
@@ -135,15 +141,15 @@ class SimConfig:
 
     def __post_init__(self):
         if self.dt <= 0.0 or not math.isfinite(self.dt):
-            raise SimulationError(f"dt must be positive and finite, got {self.dt!r}")
+            raise RunRangeError(f"dt must be positive and finite, got {self.dt!r}")
         if not math.isfinite(self.t_dur):
-            raise SimulationError(f"t_dur must be finite, got {self.t_dur!r}")
+            raise RunRangeError(f"t_dur must be finite, got {self.t_dur!r}")
         if self.t_dur <= 0.0 or self.t_dur < 2.0 * self.dt:
-            raise SimulationError(f"t_dur must cover at least two steps, got {self.t_dur!r}")
+            raise RunRangeError(f"t_dur must cover at least two steps, got {self.t_dur!r}")
         if self.n_traj < 1:
-            raise SimulationError(f"n_traj must be >= 1, got {self.n_traj!r}")
+            raise RunRangeError(f"n_traj must be >= 1, got {self.n_traj!r}")
         if self.seed < 0:
-            raise SimulationError(f"seed must be >= 0, got {self.seed!r}")
+            raise RunRangeError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def stability_dt(d: DerivedParams) -> float:
@@ -158,13 +164,9 @@ def default_sim_config(d: DerivedParams, seed: int = 0, **overrides) -> SimConfi
     64 trajectories over 2e4 mechanical periods; the step is 80% of the
     stability bound.
     """
-    cfg = SimConfig(
-        dt=_DT_SAFETY * stability_dt(d),
-        t_dur=2e4 * (2.0 * math.pi / d.phys.omega_m),
-        n_traj=64,
-        seed=seed,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    return SimConfig(**{"dt": _DT_SAFETY * stability_dt(d),
+                        "t_dur": 2e4 * (2.0 * math.pi / d.phys.omega_m),
+                        "n_traj": 64, "seed": seed, **overrides})
 
 
 def _system_matrices(d: DerivedParams, noise_on: bool):
@@ -366,10 +368,6 @@ def sigma_weights(d: DerivedParams, omega, y_policy):
     return (y - 0.5) * chi / c.a_plus, (y + 0.5) * chi / c.a_minus
 
 
-def _n_steps(cfg: SimConfig) -> int:
-    return int(round(cfg.t_dur / cfg.dt))
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform has
     one, else every CPU."""
@@ -379,17 +377,40 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _panels(d: DerivedParams, cfg: SimConfig):
-    """Check a run and return a generator of its outputs.
+# --- run plan -----------------------------------------------------------------
 
-    Steps above the stability bound, drift matrices that are not strictly
-    stable (those have no stationary state to sample) and signal windows
-    outside the run are rejected here; all numerical work waits for the
-    first panel, and so does every object whose size grows with ``n_traj``.
-    The generator yields ``(b_plus, b_minus)`` for each panel of ``_PANEL``
-    steps in order, each of shape ``(n_traj, m)`` with ``m`` short only for
-    the last panel.  Each trajectory draws from its own PCG64
-    stream, in the same order whatever consumes the panels.
+@dataclass(frozen=True)
+class _Plan:
+    """A run's sizes and index ranges; Welch fields ``None`` for records alone."""
+
+    n_steps: int
+    signal: tuple[int, int]  # the pulse acts over steps [i0, i1); (0, 0) without one
+    record_bytes: int
+    panel_bytes: int         # one scan panel of every trajectory
+    segments: int | None = None
+    seg_len: int | None = None
+    band: tuple[float, float] | None = None
+    bins: slice | None = None          # the band's bins of a segment's rfft
+    stream_bytes: int | None = None    # working set of the streamed estimate
+
+
+def _gib(size: int) -> str:
+    return f"{size / 2**30 if size < 2**1000 else math.inf:.2f}"
+
+
+def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None) -> _Plan:
+    """Check a run and fix its sizes before any array that grows with it.
+
+    The refusals come in this order, (1) and (2) as :class:`SimulationError`
+    (exit 2 in the CLI), the rest as :class:`RunRangeError` (exit 1): (1) a
+    step at or above :func:`stability_dt`; (2) a drift matrix that is not
+    strictly stable; (3) a step count ``t_dur / dt`` that is not finite;
+    (4) fewer than 8 segments ("need at least 8 segments"); (5) a streamed
+    working set above ``_MAX_RECORD_BYTES``, known once the segment length
+    is; (6) segments under 64 samples; (7) no :func:`default_band`, or none
+    of its bins; (8) a signal window outside the run.  Without ``segments``
+    only the records are planned, for :func:`simulate`: (4) to (7) are
+    skipped, and the records are counted for it to refuse above the cap.
     """
     bound = stability_dt(d)
     if cfg.dt >= bound:
@@ -397,121 +418,175 @@ def _panels(d: DerivedParams, cfg: SimConfig):
             f"dt = {cfg.dt:g} s violates the stability/accuracy bound {bound:g} s "
             "(0.1 over the fastest relaxation rate)"
         )
-    drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
-    eigs = np.linalg.eigvals(drift)
+    eigs = np.linalg.eigvals(_system_matrices(d, cfg.noise)[0])
     if np.any(eigs.real >= 0.0):
         raise SimulationError(
             f"drift matrix is not stable (eigenvalue real parts {np.sort(eigs.real)}); "
             "the sensor self-oscillates for these parameters"
         )
-    n_steps = _n_steps(cfg)
-    # deterministic drive (signal pulse, constant within a step) over steps [i0, i1)
-    amp, i0, i1 = 0.0, 0, 0
-    if cfg.signal is not None:
-        amp = cfg.signal.quad_amp(d)
-        i0 = int(round(cfg.signal.t_start / cfg.dt))
-        i1 = int(round((cfg.signal.t_start + cfg.signal.duration) / cfg.dt))
-        if i0 < 0 or i1 > n_steps or i1 <= i0:
-            raise SimulationError(
-                f"signal window [{cfg.signal.t_start}, "
-                f"{cfg.signal.t_start + cfg.signal.duration}] s does not fit the run"
+    steps = cfg.t_dur / cfg.dt
+    if not math.isfinite(steps):
+        raise RunRangeError(
+            f"t_dur / dt = {cfg.t_dur!r} s / {cfg.dt!r} s is not a finite number of steps")
+    n_steps = round(steps)
+    # float64 values per scan-panel step and trajectory, rounded up
+    panel_bytes = 8 * cfg.n_traj * 20 * _PANEL
+    seg_len = band = bins = stream_bytes = None
+    if segments is not None:
+        seg_len = _segment_len(n_steps, segments)
+        # float64 values per segment sample and trajectory (buffers, transforms)
+        # and per sample (bin weights): run_comparison's tracemalloc peak, rounded up
+        stream_bytes = 8 * (6 * cfg.n_traj + 24) * seg_len + panel_bytes
+        if stream_bytes > _MAX_RECORD_BYTES:
+            raise RunRangeError(
+                f"a streamed run of {cfg.n_traj} trajectories in segments of {seg_len} steps "
+                f"would hold {_gib(stream_bytes)} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
+                "use fewer trajectories, a larger dt or more segments"
             )
+        _check_segment_len(n_steps, seg_len)
+        band = default_band(d, cfg)
+        bins = _band_bins(seg_len, cfg.dt, band)
+    signal = (0, 0)
+    if cfg.signal is not None:
+        t0, t1 = cfg.signal.t_start, cfg.signal.t_start + cfg.signal.duration
+        ends = (t0 / cfg.dt, t1 / cfg.dt)
+        if all(map(math.isfinite, ends)):
+            signal = (round(ends[0]), round(ends[1]))
+        if not 0 <= signal[0] < signal[1] <= n_steps:
+            raise RunRangeError(f"signal window [{t0}, {t1}] s does not fit the run")
+    return _Plan(n_steps, signal, 16 * cfg.n_traj * n_steps, panel_bytes,
+                 segments, seg_len, band, bins, stream_bytes)
 
-    def run():
-        phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
-        noise_factor = _factor_psd(cov)
-        zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
-        e_drive = np.array([0.0, 0.0, 1.0])
-        x_kick = j_dt @ e_drive           # state response to unit drive over one step
-        z_kick = (c_out @ jj @ e_drive) / cfg.dt
 
-        if cfg.noise:
-            stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
-            stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
-        else:
-            stat_factor = np.zeros((3, 3))
+def _segment_len(n_len: int, segments: int) -> int:
+    if segments < 8:
+        raise RunRangeError(f"need at least 8 segments, got {segments}")
+    return n_len // segments
 
-        rngs = [np.random.Generator(np.random.PCG64(s))
-                for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)]
-        n_tr = cfg.n_traj
-        x = np.empty((n_tr, 3))  # one state row per trajectory
-        for k, rng in enumerate(rngs):
-            x[k] = stat_factor @ rng.standard_normal(3)
 
-        scan = _BlockScan(phi)
-        # transposed operators for trajectory-major rows, contiguous for BLAS
-        to_w = np.ascontiguousarray(noise_factor[:3].T)
-        to_z = np.ascontiguousarray(noise_factor[3:].T)
-        zx_t = np.ascontiguousarray(zx.T)
-        # trajectory-major draws, reused per panel; the padded tail of the last
-        # panel carries zero noise, so every product has the same shape, and a
-        # noiseless run mixes its all-zero noise factor into zeros and draws nothing
-        eps = np.zeros((n_tr, _PANEL, 5))
+def _check_segment_len(n_len: int, seg_len: int) -> None:
+    if seg_len < 64:
+        raise RunRangeError(f"series too short: {n_len} samples give segments of {seg_len} (< 64)")
 
-        def draw(lo, hi, m):
-            for k in range(lo, hi):
-                rngs[k].standard_normal(out=eps[k, :m])
 
-        # contiguous groups of trajectories, one per usable CPU; every stream
-        # is still read in order, so the records do not depend on the split
-        n_groups = min(_usable_cpus(), n_tr) if cfg.noise else 1
-        cuts = [n_tr * g // n_groups for g in range(n_groups + 1)]
-        from concurrent.futures import ThreadPoolExecutor
+def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
+    """The interior bins of a segment's rfft inside ``band``; refuses none.
+    Each frequency is computed as in ``2 pi np.fft.rfftfreq(seg_len, dt)``, so
+    bisection finds the ends ``np.searchsorted`` finds in :func:`_welch`'s."""
+    val = 1.0 / (seg_len * dt)
+    interior = range(1, (seg_len + 1) // 2)  # no DC, no Nyquist
 
-        with ThreadPoolExecutor(max_workers=max(n_groups - 1, 1)) as pool:
-            for n0 in range(0, n_steps, _PANEL):
-                m = min(_PANEL, n_steps - n0)
-                if cfg.noise:
-                    # the first group is drawn here while the pool draws the rest
-                    futures = [pool.submit(draw, cuts[g], cuts[g + 1], m)
-                               for g in range(1, n_groups)]
-                    draw(0, cuts[1], m)
-                    for fut in futures:
-                        fut.result()
-                    eps[:, m:] = 0.0
-                w = eps @ to_w                      # state increments
-                z = eps @ to_z                      # output noise
-                if amp and i0 < n0 + _PANEL and n0 < i1:
-                    f = np.zeros(_PANEL)
-                    f[max(i0 - n0, 0):i1 - n0] = amp
-                    w += f[:, None] * x_kick
-                    z += f[:, None] * z_kick
-                x_prev, x = scan(w, x)
-                if not np.all(np.isfinite(x)):
-                    raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
-                z += x_prev @ zx_t
-                yield z[:, :m, 0], z[:, :m, 1]
+    def omega(k):
+        return 2.0 * math.pi * (k * val)
 
-    return run()
+    lo = bisect.bisect_left(interior, band[0], key=omega)
+    hi = bisect.bisect_right(interior, band[1], key=omega)
+    if lo == hi:
+        raise RunRangeError(f"band {band!r} does not overlap the estimated bins "
+                            f"[{omega(interior[0]):g}, {omega(interior[-1]):g}]")
+    return slice(1 + lo, 1 + hi)
+
+
+def _panels(d: DerivedParams, cfg: SimConfig, plan: _Plan):
+    """Outputs ``(b_plus, b_minus)`` of a planned run, each of shape
+    ``(n_traj, m)``, per panel of ``m = _PANEL`` steps (fewer in the last one).
+
+    All work waits for the first panel.  Each trajectory draws from its own
+    PCG64 stream, in the same order whatever consumes the panels.
+    """
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
+    n_steps = plan.n_steps
+    # deterministic drive (signal pulse, constant within a step) over steps [i0, i1)
+    i0, i1 = plan.signal
+    amp = cfg.signal.quad_amp(d) if cfg.signal is not None else 0.0
+    phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
+    noise_factor = _factor_psd(cov)
+    zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
+    e_drive = np.array([0.0, 0.0, 1.0])
+    x_kick = j_dt @ e_drive           # state response to unit drive over one step
+    z_kick = (c_out @ jj @ e_drive) / cfg.dt
+
+    if cfg.noise:
+        stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
+        stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
+    else:
+        stat_factor = np.zeros((3, 3))
+
+    rngs = [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)]
+    n_tr = cfg.n_traj
+    x = np.empty((n_tr, 3))  # one state row per trajectory
+    for k, rng in enumerate(rngs):
+        x[k] = stat_factor @ rng.standard_normal(3)
+
+    scan = _BlockScan(phi)
+    # transposed operators for trajectory-major rows, contiguous for BLAS
+    to_w = np.ascontiguousarray(noise_factor[:3].T)
+    to_z = np.ascontiguousarray(noise_factor[3:].T)
+    zx_t = np.ascontiguousarray(zx.T)
+    # trajectory-major draws, reused per panel; the padded tail of the last
+    # panel carries zero noise, so every product has the same shape, and a
+    # noiseless run mixes its all-zero noise factor into zeros and draws nothing
+    eps = np.zeros((n_tr, _PANEL, 5))
+
+    def draw(lo, hi, m):
+        for k in range(lo, hi):
+            rngs[k].standard_normal(out=eps[k, :m])
+
+    # contiguous groups of trajectories, one per usable CPU; every stream
+    # is still read in order, so the records do not depend on the split
+    n_groups = min(_usable_cpus(), n_tr) if cfg.noise else 1
+    cuts = [n_tr * g // n_groups for g in range(n_groups + 1)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(n_groups - 1, 1)) as pool:
+        for n0 in range(0, n_steps, _PANEL):
+            m = min(_PANEL, n_steps - n0)
+            if cfg.noise:
+                # the first group is drawn here while the pool draws the rest
+                futures = [pool.submit(draw, cuts[g], cuts[g + 1], m)
+                           for g in range(1, n_groups)]
+                draw(0, cuts[1], m)
+                for fut in futures:
+                    fut.result()
+                eps[:, m:] = 0.0
+            w = eps @ to_w                      # state increments
+            z = eps @ to_z                      # output noise
+            if amp and i0 < n0 + _PANEL and n0 < i1:
+                f = np.zeros(_PANEL)
+                f[max(i0 - n0, 0):i1 - n0] = amp
+                w += f[:, None] * x_kick
+                z += f[:, None] * z_kick
+            x_prev, x = scan(w, x)
+            if not np.all(np.isfinite(x)):
+                raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
+            z += x_prev @ zx_t
+            yield z[:, :m, 0], z[:, :m, 1]
 
 
 def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     """Integrate the quadrature dynamics and record both outputs.
 
-    Rejects steps above the stability bound, drift matrices that are not
-    strictly stable, and runs whose records and scan panel would exceed
+    Refuses what the run's plan refuses, then records and a scan panel above
     ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams long runs instead.
     Identical config and seed give bit-identical records.
     """
-    n_steps = _n_steps(cfg)
-    size = 2 * cfg.n_traj * n_steps * 8
-    # the scan panel that fills them, as counted by _check_stream
-    panel = 8 * cfg.n_traj * 20 * _PANEL
+    plan = _plan(d, cfg)
+    size, panel = plan.record_bytes, plan.panel_bytes
     if size + panel > _MAX_RECORD_BYTES:
         # streaming drops the records but keeps the panel, so it is only a
         # remedy when the panel alone fits
         hint = ("; run_comparison streams the spectral check without materialising them"
                 if panel <= _MAX_RECORD_BYTES else "")
         raise SimulationError(
-            f"records of {cfg.n_traj} trajectories x {n_steps} steps would take "
-            f"{size / 2**30:.2f} GiB and their scan panel {panel / 2**30:.2f} GiB "
+            f"records of {cfg.n_traj} trajectories x {plan.n_steps} steps would take "
+            f"{_gib(size)} GiB and their scan panel {_gib(panel)} GiB "
             f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB){hint}"
         )
-    panels = _panels(d, cfg)
-    b_plus = np.empty((cfg.n_traj, n_steps))
-    b_minus = np.empty((cfg.n_traj, n_steps))
+    b_plus = np.empty((cfg.n_traj, plan.n_steps))
+    b_minus = np.empty((cfg.n_traj, plan.n_steps))
     n0 = 0
-    for zp, zm in panels:
+    for zp, zm in _panels(d, cfg, plan):
         m = zp.shape[1]
         b_plus[:, n0:n0 + m] = zp
         b_minus[:, n0:n0 + m] = zm
@@ -574,26 +649,6 @@ class _BlockScan:
 
 # --- spectral estimation ------------------------------------------------------
 
-def _welch_segments(n_len: int, dt: float, segments: int):
-    """Split of ``n_len`` samples into ``segments`` Hann-windowed segments.
-
-    Returns the segment length, the periodic Hann window, the slice of the
-    positive interior FFT bins (DC and Nyquist dropped) and those bins in
-    rad/s.
-    """
-    if segments < 8:
-        raise ValueError(f"need at least 8 segments, got {segments}")
-    seg_len = n_len // segments
-    if seg_len < 64:
-        raise ValueError(
-            f"series too short: {n_len} samples give segments of {seg_len} (< 64)"
-        )
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
-    keep = slice(1, -1) if seg_len % 2 == 0 else slice(1, None)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[keep]
-    return seg_len, win, keep, omega
-
-
 @dataclass(frozen=True)
 class PsdEstimate:
     """Averaged spectral density of the combined record's noise.
@@ -610,63 +665,34 @@ class PsdEstimate:
     t_seg: float
 
 
-def _check_stream(cfg: SimConfig, segments: int) -> None:
-    """Reject a streamed run whose working set would exceed ``_MAX_RECORD_BYTES``.
-
-    Only sizes are computed, so the check itself holds no array.  Fewer than
-    8 segments are left to the guard of :func:`_welch_segments`.
-    """
-    seg_len = _n_steps(cfg) // max(segments, 8)
-    # float64 values held per segment sample and trajectory (the two segment
-    # buffers and the periodogram's transforms), per scan-panel step and
-    # trajectory, and per segment sample (the bin weights while they are
-    # computed): tracemalloc peaks of run_comparison, rounded up
-    size = 8 * (cfg.n_traj * (6 * seg_len + 20 * _PANEL) + 24 * seg_len)
-    if size > _MAX_RECORD_BYTES:
-        raise SimulationError(
-            f"a streamed run of {cfg.n_traj} trajectories in segments of {seg_len} steps "
-            f"would hold {size / 2**30:.2f} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
-            "use fewer trajectories, a larger dt or more segments"
-        )
-
-
 def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks,
-           band: tuple[float, float] | None = None) -> PsdEstimate:
+           bins: slice | None = None) -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
 
     ``chunks`` yields the ``n_len`` samples of both channels of a run of
     ``cfg`` in time order as ``(b_plus, b_minus)`` pieces of shape
-    ``(cfg.n_traj, m)``, ``m`` arbitrary.
-    They fill one segment buffer per channel; each full segment is
-    Hann-windowed and transformed, the transforms are mixed per bin with the
-    weights of :func:`sigma_weights` (so cross-correlations between the
-    channels are kept), and the periodograms are summed over trajectories,
-    then over segments in order.  The samples after the last whole segment
-    are not needed, and ``chunks`` is not advanced past them.  The estimate
-    covers every interior bin, or only the bins inside ``band``, which are
-    then the only ones weighted and mixed; each bin's value is the same
-    either way.  The guards of :func:`_welch_segments`, and the check that
-    ``band`` holds a bin, raise before ``chunks`` is read.
+    ``(cfg.n_traj, m)``, ``m`` arbitrary.  They fill one segment buffer per
+    channel; each full segment is Hann-windowed and transformed, the
+    transforms are mixed per bin with the weights of :func:`sigma_weights`
+    (so cross-correlations between the channels are kept), and the
+    periodograms are summed over trajectories, then over segments in order.  ``chunks`` is not advanced past the last
+    whole segment.  The estimate covers every interior bin, or only ``bins``
+    of a segment's rfft, the only ones then weighted and mixed; each bin's
+    value is the same either way.  The caller has checked the segments.
     """
     dt, n_traj = cfg.dt, cfg.n_traj
-    seg_len, win, keep, omega = _welch_segments(n_len, dt, segments)
-    if band is not None:
-        lo = int(np.searchsorted(omega, band[0], side="left"))
-        hi = int(np.searchsorted(omega, band[1], side="right"))
-        if lo == hi:
-            raise ValueError(
-                f"band {band!r} does not overlap the estimated bins "
-                f"[{omega[0]:g}, {omega[-1]:g}]"
-            )
-        keep = slice(keep.start + lo, keep.start + hi)
-        omega = omega[lo:hi]
+    seg_len = n_len // segments
+    if bins is None:
+        bins = slice(1, (seg_len + 1) // 2)  # positive bins without DC and Nyquist
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+    omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[bins]
     wp, wm = sigma_weights(d, omega, cfg.y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
 
     def periodogram(seg_plus, seg_minus):
         # its own frame, so the transforms are freed before the next chunk is made
-        xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1)[:, keep])
-        xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1)[:, keep])
+        xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1)[:, bins])
+        xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1)[:, bins])
         mix = wp[None, :] * xp + wm[None, :] * xm
         return norm * np.sum(np.abs(mix) ** 2, axis=0)
 
@@ -690,23 +716,17 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks,
         if n0 == used:
             break
     n_ind = segments * n_traj
-    return PsdEstimate(
-        omega=omega,
-        psd=acc / n_ind,
-        rel_err=1.0 / math.sqrt(n_ind),
-        n_ind=n_ind,
-        t_dur=n_len * dt,
-        t_seg=seg_len * dt,
-    )
+    return PsdEstimate(omega=omega, psd=acc / n_ind, rel_err=1.0 / math.sqrt(n_ind),
+                       n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
 
 
 def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
     """Spectral density of the combined record from a run's output series.
 
-    Hann segments of both channels are mixed per bin with the weights of
-    :func:`sigma_weights` and averaged over segments and trajectories; the
-    records go to :func:`_welch` as one chunk.
+    The records go to :func:`_welch` as one chunk.  Fewer than 8 segments,
+    and segments under 64 samples, raise :class:`RunRangeError`.
     """
+    _check_segment_len(ts.n_steps, _segment_len(ts.n_steps, segments))
     return _welch(ts.d, ts.cfg, ts.n_steps, segments, [(ts.b_plus, ts.b_minus)])
 
 
@@ -772,10 +792,9 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
     omega_sel = est.omega[sel]
     psd_sel = est.psd[sel]
 
-    ana_omega = analytic.omega
     ana_sf = analytic.s_f
-    if ana_omega.shape != omega_sel.shape or not np.allclose(
-        ana_omega, omega_sel, rtol=1e-9, atol=0.0
+    if analytic.omega.shape != omega_sel.shape or not np.allclose(
+        analytic.omega, omega_sel, rtol=1e-9, atol=0.0
     ):
         raise ValueError(
             "analytic records must be evaluated exactly at the estimate's band bins "
@@ -785,7 +804,7 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
     sigma = est.rel_err * ana_sf
     dev = (psd_sel - ana_sf) / sigma
     frac = float(np.mean(np.abs(dev) <= 3.0))
-    report = ComparisonReport(
+    return ComparisonReport(
         band=(float(lo), float(hi)),
         n_bins=int(omega_sel.size),
         frac_within_3sigma=frac,
@@ -797,7 +816,6 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
         est_psd=psd_sel,
         dev_sigma=dev,
     )
-    return report
 
 
 def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, float],
@@ -810,10 +828,10 @@ def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, 
 def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
     """Comparison band supported by a run: resolution-limited lower edge up to
     ten cycles of the measurement window (clipped inside Nyquist)."""
-    lo = MIN_CYCLES_IN_RECORD * 2.0 * math.pi / (_n_steps(cfg) * cfg.dt)
+    lo = MIN_CYCLES_IN_RECORD * 2.0 * math.pi / (round(cfg.t_dur / cfg.dt) * cfg.dt)
     hi = min(2.0 * math.pi * 10.0 / d.phys.tau, 0.8 * math.pi / cfg.dt)
     if hi <= lo:
-        raise ValueError(f"run too short for any comparison band (lo {lo:g} >= hi {hi:g})")
+        raise RunRangeError(f"run too short for any comparison band (lo {lo:g} >= hi {hi:g})")
     return lo, hi
 
 
@@ -821,21 +839,17 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
                    records: TimeSeriesBundle | None = None):
     """Simulate, estimate and compare in one call.
 
-    The run is streamed into the estimator segment by segment, so memory does
-    not grow with its length; a run whose working set would exceed
-    ``_MAX_RECORD_BYTES``, and one too short for :func:`default_band`, is
-    rejected before anything is simulated.  ``records``, the result of
-    ``simulate(d, cfg)`` when a caller needs it anyway, is estimated from
-    instead of running again; the estimate is bit-identical either way.  Returns
-    ``(report, estimate, analytic)``: the estimate and the analytic
-    :class:`~optotriplet.spectra.SpectrumTable` hold the band bins only.
+    The run is planned first, so the plan's refusals come before any work;
+    it is then streamed into the estimator, so memory does not grow with its
+    length.  ``records``, a ``simulate(d, cfg)`` result, is estimated from
+    instead, bit-identically.  Returns ``(report, estimate, analytic)``, the
+    last two over the bins of :func:`default_band` only.
     """
-    if records is None:
-        chunks = _panels(d, cfg)
-        _check_stream(cfg, segments)
-    else:
-        chunks = [(records.b_plus, records.b_minus)]
-    band = default_band(d, cfg)
-    est = _welch(d, cfg, _n_steps(cfg), segments, chunks, band)
-    analytic = analytic_records_for(d, est, band, y_policy=cfg.y_policy)
-    return compare(analytic, est, band), est, analytic
+    return _run_comparison(d, cfg, _plan(d, cfg, segments), records)
+
+
+def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, records=None):
+    chunks = _panels(d, cfg, plan) if records is None else [(records.b_plus, records.b_minus)]
+    est = _welch(d, cfg, plan.n_steps, plan.segments, chunks, plan.bins)
+    analytic = analytic_records_for(d, est, plan.band, y_policy=cfg.y_policy)
+    return compare(analytic, est, plan.band), est, analytic

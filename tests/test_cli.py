@@ -529,13 +529,15 @@ def test_oracle_dt_violation(tmp_path, capsys):
     # streamed working sets of 108 GiB and 61 GiB, far above the 4 GiB cap
     ("--dt", "1e-10", "GiB"),
     ("--trajectories", "100000", "GiB"),
+    # 1e300 / 1e-300 steps overflow to infinity
+    ("--dt=1e-300", "--duration=1e300", "not a finite number of steps"),
 ])
 def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, flag, value,
                                                  message):
     def refuse(*args, **kwargs):
         raise AssertionError("ran a comparison that its flags rule out")
 
-    monkeypatch.setattr(ot.cli, "run_comparison", refuse)
+    monkeypatch.setattr(ot.cli, "_run_comparison", refuse)
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -550,6 +552,20 @@ def test_oracle_dump_checks_segments_before_simulating(tmp_path, capsys, monkeyp
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--segments", "4",
                 "--dump-timeseries"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+# each case breaks two checks of the run plan; the first in the order of
+# timedomain._plan wins: the step bound, then the segment count, and the
+# records of a dump only after the whole plan
+@pytest.mark.parametrize("flags, code, message", [
+    (["--dt", "1.0", "--duration", "16", "--segments", "4"], 2, "stability"),
+    (["--segments", "4", "--trajectories", "100000"], 1, "need at least 8 segments"),
+    (["--duration", "2.0", "--dump-timeseries"], 2, "run_comparison"),
+])
+def test_oracle_refusal_order(tmp_path, capsys, flags, code, message):
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags]) == code
+    assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

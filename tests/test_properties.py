@@ -1,16 +1,28 @@
-"""Property-based checks of the analytic engine, the scenario variants and the config parser."""
+"""Property-based checks of the analytic engine, the scenario variants, the
+config parser, the oracle's run plan and its state-space density."""
 
 import dataclasses
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.params import load_config, parse_config_text
+from optotriplet.timedomain import (
+    _MAX_RECORD_BYTES,
+    RunRangeError,
+    SimulationError,
+    _band_bins,
+    _plan,
+    _system_matrices,
+    sigma_weights,
+)
 
 _BASE = ot.table1_preset()
 DERIVED = [ot.derive(s.apply(_BASE)) for s in ot.SWEEP_SCENARIOS.values()]
@@ -101,3 +113,86 @@ def test_config_round_trip(p, omitted):
         # omitted keys come from the preset
         assert load_config(path, use_preset_defaults=True) == dataclasses.replace(
             ot.table1_preset(), **{k: full[k] for k in kept})
+
+
+def _log_floats(lo, hi):
+    """Floats ``10**e`` for exponents drawn uniformly in ``[lo, hi]``."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+# dt from subnormal to 1 ks, or near the oracle's own steps; t_dur over the
+# whole float range, so that t_dur / dt overflows, or within 1e12 steps;
+# n_traj up to 1e18; segments from negative to 1e9 (each also drawn from the
+# oracle's own range, so that plans are returned too)
+@settings(max_examples=500, deadline=None)
+@given(d=derived, dt=st.one_of(_log_floats(-323.0, 3.0), _log_floats(-9.0, -6.0)),
+       data=st.data(),
+       n_traj=st.one_of(_log_floats(0.0, 18.0).map(int), st.integers(1, 64)),
+       segments=st.one_of(st.integers(-10, 64), _log_floats(0.0, 9.0).map(int)))
+def test_plan_returns_a_bounded_plan_or_refuses(d, dt, data, n_traj, segments):
+    t_dur = data.draw(st.one_of(_log_floats(-323.0, 308.25),
+                                _log_floats(-1.0, 12.0).map(lambda steps: dt * steps)))
+    tracemalloc.start()
+    try:
+        try:
+            cfg = ot.SimConfig(dt=dt, t_dur=t_dur, n_traj=n_traj)
+            plan = _plan(d, cfg, segments)
+        except (SimulationError, ValueError):
+            plan = None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    if plan is not None:
+        assert plan.stream_bytes <= _MAX_RECORD_BYTES
+        assert 1 <= plan.bins.start < plan.bins.stop <= (plan.seg_len + 1) // 2
+
+
+@PROPERTY
+@given(seg_len=st.integers(64, 5000), dt=_log_floats(-9.0, -3.0), data=st.data())
+def test_band_bins_are_the_bins_searchsorted_finds(seg_len, dt, data):
+    # band edges on bin frequencies exactly, or anywhere up to past the last bin
+    omega = 2.0 * np.pi * np.fft.rfftfreq(seg_len, d=dt)[1:(seg_len + 1) // 2]
+    edge = st.one_of(st.sampled_from(omega.tolist()),
+                     st.floats(min_value=0.0, max_value=1.2 * omega[-1]))
+    lo, hi = sorted([data.draw(edge), data.draw(edge)])
+    start = int(np.searchsorted(omega, lo, side="left"))
+    stop = int(np.searchsorted(omega, hi, side="right"))
+    if start == stop:
+        with pytest.raises(RunRangeError, match="does not overlap"):
+            _band_bins(seg_len, dt, (lo, hi))
+    else:
+        assert _band_bins(seg_len, dt, (lo, hi)) == slice(1 + start, 1 + stop)
+
+
+def state_space_density(d, omega, y):
+    """``w H Q H^H w^H`` with ``H = C (-i omega I - A)^-1 F - E`` from the
+    matrices the sampler integrates, and ``w`` the weights of ``sigma_weights``."""
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, True)
+    resolvent = np.linalg.solve(-1j * omega[:, None, None] * np.eye(3) - drift, f_in)
+    h = c_out @ resolvent - e_sel
+    wp, wm = sigma_weights(d, omega, y)
+    wh = wp[:, None] * h[:, 0] + wm[:, None] * h[:, 1]
+    return np.einsum("ni,ij,nj->n", wh, intens, wh.conj())
+
+
+@pytest.mark.parametrize("scen", list(ot.SWEEP_SCENARIOS.values()) + list(ot.ORACLE_SCENARIOS.values()),
+                         ids=lambda scen: scen.name)
+def test_state_space_density_matches_the_sweep(scen):
+    # the sampled matrices and the closed-form coefficients agree without any
+    # sampling noise; the worst error measured is 9.7e-15 (fig2-nonsym-10P)
+    p = scen.apply(_BASE)
+    d = ot.derive(p)
+    table = ot.spectrum_sweep(d, scen.grid(p.tau), scen.y_policy)
+    density = state_space_density(d, table.omega, table.y)
+    assert np.max(np.abs(density - table.s_f) / table.s_f) <= 1e-12
+
+
+@PROPERTY
+@given(p=phys_params(), omega=omegas)
+def test_state_space_density_matches_the_sweep_everywhere(p, omega):
+    # worst error over 2000 draws: 1.0e-13, at omega = 0 with eps near 0.05
+    d = ot.derive(p)
+    table = ot.spectrum_sweep(d, [omega])
+    density = state_space_density(d, table.omega, table.y)
+    assert abs(density[0] - table.s_f[0]) <= 1e-12 * table.s_f[0]

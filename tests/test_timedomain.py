@@ -13,14 +13,15 @@ from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
     _THETA13,
     SimulationError,
-    _check_stream,
+    _check_segment_len,
     _expm,
     _factor_psd,
     _lyapunov,
+    _plan,
+    _segment_len,
     _step_operators,
     _system_matrices,
     _welch,
-    _welch_segments,
     default_band,
     sigma_weights,
 )
@@ -56,7 +57,11 @@ def welch_psd(x, dt, segments):
     x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
-    seg_len, win, keep, omega = _welch_segments(x.shape[-1], dt, segments)
+    seg_len = _segment_len(x.shape[-1], segments)
+    _check_segment_len(x.shape[-1], seg_len)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+    keep = slice(1, (seg_len + 1) // 2)  # positive bins without DC and Nyquist
+    omega = 2.0 * np.pi * np.fft.rfftfreq(seg_len, d=dt)[keep]
     norm = dt / np.sum(win**2)
     acc = 0.0
     for s in range(segments):
@@ -488,25 +493,28 @@ def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch):
     ot.run_comparison(d_lossy, cfg, segments=8)
     assert threading.active_count() == start
     # a generator closed after its first panel shuts its pool down
-    panels = ot.timedomain._panels(d_lossy, cfg)
+    panels = ot.timedomain._panels(d_lossy, cfg, _plan(d_lossy, cfg))
     next(panels)
     assert threading.active_count() > start
     panels.close()
     assert threading.active_count() == start
 
 
-def test_band_without_bins_is_refused_before_chunks_are_read(run_7001):
+def test_band_without_bins_is_refused_before_chunks_are_read(run_7001, monkeypatch):
     ts = run_7001
-    _, _, _, omega = _welch_segments(ts.n_steps, ts.dt, 8)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(ts.n_steps // 8, d=ts.dt)[1:]
     step = omega[11] - omega[10]
     between = (omega[10] + 0.25 * step, omega[10] + 0.75 * step)
 
-    def chunks():
-        raise AssertionError("chunks advanced")
-        yield
+    def no_simulation(*args):
+        raise AssertionError("simulation started")
 
+    monkeypatch.setattr(ot.timedomain, "default_band", lambda d, cfg: between)
+    monkeypatch.setattr(ot.timedomain, "_step_operators", no_simulation)
     with pytest.raises(ValueError, match="does not overlap"):
-        _welch(ts.d, ts.cfg, ts.n_steps, 8, chunks(), band=between)
+        _plan(ts.d, ts.cfg, 8)
+    with pytest.raises(ValueError, match="does not overlap"):
+        ot.run_comparison(ts.d, ts.cfg, segments=8)
 
 
 def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
@@ -613,10 +621,10 @@ def test_simulate_hints_at_streaming_only_where_the_records_break_the_cap(
         ot.simulate(d_lossy, cfg)
     assert ("run_comparison streams" in str(refused.value)) == streams
     if streams:
-        _check_stream(cfg, 16)
+        _plan(d_lossy, cfg, 16)
     else:
         with pytest.raises(SimulationError, match="streamed run"):
-            _check_stream(cfg, 16)
+            _plan(d_lossy, cfg, 16)
 
 
 @pytest.mark.parametrize("overrides", [{"dt": 1e-10}, {"n_traj": 100_000}])
