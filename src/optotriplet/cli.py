@@ -47,11 +47,13 @@ from .timedomain import (
     ComparisonReport,
     RunRangeError,
     SimulationError,
+    TimeSeriesBundle,
+    _panels,
     _plan,
+    _recorded,
     _run_comparison,
     _usable_cpus,
     default_sim_config,
-    simulate,
 )
 
 EXIT_OK = 0
@@ -327,13 +329,22 @@ def cmd_oracle(args) -> int:
     flags = {"n_traj": args.trajectories, "t_dur": args.duration, "dt": args.dt}
     try:
         cfg = default_sim_config(d, args.seed, **{k: v for k, v in flags.items() if v is not None})
-        plan = _plan(d, cfg, args.segments)
+        plan = _plan(d, cfg, args.segments, dump=args.dump_timeseries)
     except RunRangeError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # only a dump needs the records; otherwise the run is streamed
-    records = simulate(d, cfg) if args.dump_timeseries else None
-    report, _, analytic = _run_comparison(d, cfg, plan, records)
+    panels = _panels(d, cfg, plan)
+    dump = None
+    if args.dump_timeseries:
+        # trajectory 0 is copied out of the streamed run as a one-trajectory bundle
+        rows = (1, plan.n_steps)
+        dump = TimeSeriesBundle(d, dataclasses.replace(cfg, n_traj=1), np.empty(rows),
+                                np.empty(rows))
+        panels = _recorded(panels, dump.b_plus, dump.b_minus)
+    report, _, analytic = _run_comparison(d, cfg, plan, panels)
+    if dump is not None:
+        for _ in panels:  # the estimate ends at its last whole segment, the dump does not
+            pass
 
     os.makedirs(args.out, exist_ok=True)
     header = (
@@ -343,8 +354,8 @@ def cmd_oracle(args) -> int:
     )
     report_text = header + report.format() + "\n"
     _atomic_write(os.path.join(args.out, f"{scen.name}-report.txt"), report_text)
-    if records is not None:
-        records.dump_text(os.path.join(args.out, f"{scen.name}-timeseries.txt"))
+    if dump is not None:
+        dump.dump_text(os.path.join(args.out, f"{scen.name}-timeseries.txt"))
     if not report.passed:
         _atomic_write(os.path.join(args.out, f"{scen.name}-bins.csv"), _bins_csv(report, analytic))
     manifest = _manifest(p, d, {

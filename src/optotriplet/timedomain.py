@@ -41,13 +41,16 @@ the CLI), every later refusal a :class:`RunRangeError` (exit 1).
 
 Two consumers read the panels.  :func:`simulate` collects them into records
 of ``2 * n_traj * n_steps`` floats, for inspection and signal-transfer checks;
-it refuses records that, with their scan panel, would exceed 4 GiB (exit 2).
+it refuses records that, with their scan panel, would exceed 4 GiB.
 :func:`run_comparison` feeds them straight into the Welch estimator, which
 fills one segment buffer per channel from pieces of any length: one panel at
 a time there, the whole records in :func:`estimate_psd`.  The streamed run
 thus needs ``O(n_traj * segment)`` memory whatever its length.  Its estimate
 covers only the comparison band's bins, each bit-identical to the same bin of
-:func:`estimate_psd` of the records.
+:func:`estimate_psd` of the records.  Records are copied out of the panels by
+:func:`_recorded`, which passes them on: :func:`simulate` keeps every
+trajectory, and the CLI's time-series dump keeps trajectory 0 of a streamed
+run, 16 bytes per step that the plan counts in its working set.
 
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
@@ -80,8 +83,8 @@ _PANEL = 32 * _BLOCK
 # _factor_psd may clip as rounding noise
 _PSD_CLIP_TOL = 1e-12
 # largest records simulate() materialises: 4 GiB is 25x the default oracle
-# run's 168 MB, and with the temporaries of sigma_timeseries or dump_text on
-# top it already exceeds the memory of a typical workstation; the spectral
+# run's 168 MB, and with the temporaries of sigma_timeseries on top it
+# already exceeds the memory of a typical workstation; the spectral
 # check streams and never needs the records, and its working set has the same cap
 _MAX_RECORD_BYTES = 4 * 2**30
 
@@ -350,9 +353,16 @@ class TimeSeriesBundle:
         return np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
 
     def dump_text(self, path) -> None:
-        """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a."""
-        data = np.column_stack([self.times, self.b_plus[0], self.b_minus[0]])
-        np.savetxt(path, data, header="time b_plus_a b_minus_a", comments="")
+        """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a.
+
+        Written one panel of rows at a time, so no copy of the series is made.
+        """
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("time b_plus_a b_minus_a\n")
+            for n0 in range(0, self.n_steps, _PANEL):
+                n1 = min(n0 + _PANEL, self.n_steps)
+                block = [np.arange(n0, n1) * self.dt, self.b_plus[0, n0:n1], self.b_minus[0, n0:n1]]
+                np.savetxt(fh, np.column_stack(block))
 
 
 def sigma_weights(d: DerivedParams, omega, y_policy):
@@ -368,13 +378,38 @@ def sigma_weights(d: DerivedParams, omega, y_policy):
     return (y - 0.5) * chi / c.a_plus, (y + 0.5) * chi / c.a_minus
 
 
+# where _cpu_quota finds this process's cgroup v2 and its cpu.max
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform has
-    one, else every CPU."""
+    one, else every CPU, and no more than its cgroup CPU quota allows."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _cpu_quota() -> int | None:
+    """``ceil(quota / period)`` of the ``cpu.max`` of this process's cgroup v2,
+    the ``0::`` path of ``/proc/self/cgroup``; ``None`` for a ``max`` quota and
+    where either file is missing or malformed (cgroup v1 has no ``cpu.max``)."""
+    try:
+        with open(_PROC_CGROUP, encoding="utf-8") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(os.path.join(_CGROUP_ROOT, path.lstrip("/"), "cpu.max"),
+                  encoding="utf-8") as fh:
+            quota, period = fh.read().split()
+        if quota == "max":
+            return None
+        quota, period = int(quota), int(period)
+    except (OSError, StopIteration, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
 
 
 # --- run plan -----------------------------------------------------------------
@@ -391,14 +426,23 @@ class _Plan:
     seg_len: int | None = None
     band: tuple[float, float] | None = None
     bins: slice | None = None          # the band's bins of a segment's rfft
-    stream_bytes: int | None = None    # working set of the streamed estimate
+    stream_bytes: int | None = None    # working set of the streamed estimate and its dump
 
 
 def _gib(size: int) -> str:
     return f"{size / 2**30 if size < 2**1000 else math.inf:.2f}"
 
 
-def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None) -> _Plan:
+def _count(n: int) -> str:
+    """A step or sample count: in full up to 1e15, to three digits past it."""
+    try:
+        return str(n) if n < 10**15 else f"{n:.3g}"
+    except OverflowError:  # past the largest float
+        return "inf"
+
+
+def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
+          dump: bool = False) -> _Plan:
     """Check a run and fix its sizes before any array that grows with it.
 
     The refusals come in this order, (1) and (2) as :class:`SimulationError`
@@ -407,7 +451,8 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None) -> _Pla
     strictly stable; (3) a step count ``t_dur / dt`` that is not finite;
     (4) fewer than 8 segments ("need at least 8 segments"); (5) a streamed
     working set above ``_MAX_RECORD_BYTES``, known once the segment length
-    is; (6) segments under 64 samples; (7) no :func:`default_band`, or none
+    is, which with ``dump`` includes the 16 bytes per step of trajectory 0's
+    dump; (6) segments under 64 samples; (7) no :func:`default_band`, or none
     of its bins; (8) a signal window outside the run.  Without ``segments``
     only the records are planned, for :func:`simulate`: (4) to (7) are
     skipped, and the records are counted for it to refuse above the cap.
@@ -435,12 +480,16 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None) -> _Pla
     if segments is not None:
         seg_len = _segment_len(n_steps, segments)
         # float64 values per segment sample and trajectory (buffers, transforms)
-        # and per sample (bin weights): run_comparison's tracemalloc peak, rounded up
-        stream_bytes = 8 * (6 * cfg.n_traj + 24) * seg_len + panel_bytes
+        # and per sample (bin weights): run_comparison's tracemalloc peak, rounded
+        # up; a dump adds both channels of trajectory 0 at every step
+        dump_bytes = 16 * n_steps if dump else 0
+        stream_bytes = 8 * (6 * cfg.n_traj + 24) * seg_len + panel_bytes + dump_bytes
         if stream_bytes > _MAX_RECORD_BYTES:
+            dumped = f", {_gib(dump_bytes)} GiB of it the dump" if dump else ""
             raise RunRangeError(
-                f"a streamed run of {cfg.n_traj} trajectories in segments of {seg_len} steps "
-                f"would hold {_gib(stream_bytes)} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
+                f"a streamed run of {_count(cfg.n_traj)} trajectories in segments of "
+                f"{_count(seg_len)} steps would hold {_gib(stream_bytes)} GiB{dumped} "
+                f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
                 "use fewer trajectories, a larger dt or more segments"
             )
         _check_segment_len(n_steps, seg_len)
@@ -466,7 +515,8 @@ def _segment_len(n_len: int, segments: int) -> int:
 
 def _check_segment_len(n_len: int, seg_len: int) -> None:
     if seg_len < 64:
-        raise RunRangeError(f"series too short: {n_len} samples give segments of {seg_len} (< 64)")
+        raise RunRangeError(
+            f"series too short: {_count(n_len)} samples give segments of {seg_len} (< 64)")
 
 
 def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
@@ -579,19 +629,27 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
         hint = ("; run_comparison streams the spectral check without materialising them"
                 if panel <= _MAX_RECORD_BYTES else "")
         raise SimulationError(
-            f"records of {cfg.n_traj} trajectories x {plan.n_steps} steps would take "
-            f"{_gib(size)} GiB and their scan panel {_gib(panel)} GiB "
+            f"records of {_count(cfg.n_traj)} trajectories x {_count(plan.n_steps)} steps "
+            f"would take {_gib(size)} GiB and their scan panel {_gib(panel)} GiB "
             f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB){hint}"
         )
     b_plus = np.empty((cfg.n_traj, plan.n_steps))
     b_minus = np.empty((cfg.n_traj, plan.n_steps))
-    n0 = 0
-    for zp, zm in _panels(d, cfg, plan):
-        m = zp.shape[1]
-        b_plus[:, n0:n0 + m] = zp
-        b_minus[:, n0:n0 + m] = zm
-        n0 += m
+    for _ in _recorded(_panels(d, cfg, plan), b_plus, b_minus):
+        pass
     return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
+
+
+def _recorded(panels, b_plus: np.ndarray, b_minus: np.ndarray):
+    """Yield ``panels`` on unchanged, after copying the first ``k`` trajectories
+    of each into ``b_plus`` and ``b_minus``, of shape ``(k, n_steps)``."""
+    k, n0 = b_plus.shape[0], 0
+    for zp, zm in panels:
+        m = zp.shape[1]
+        b_plus[:, n0:n0 + m] = zp[:k]
+        b_minus[:, n0:n0 + m] = zm[:k]
+        n0 += m
+        yield zp, zm
 
 
 class _BlockScan:
@@ -835,21 +893,21 @@ def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16,
-                   records: TimeSeriesBundle | None = None):
+def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16):
     """Simulate, estimate and compare in one call.
 
     The run is planned first, so the plan's refusals come before any work;
     it is then streamed into the estimator, so memory does not grow with its
-    length.  ``records``, a ``simulate(d, cfg)`` result, is estimated from
-    instead, bit-identically.  Returns ``(report, estimate, analytic)``, the
-    last two over the bins of :func:`default_band` only.
+    length.  Returns ``(report, estimate, analytic)``, the last two over the
+    bins of :func:`default_band` only.
     """
-    return _run_comparison(d, cfg, _plan(d, cfg, segments), records)
+    plan = _plan(d, cfg, segments)
+    return _run_comparison(d, cfg, plan, _panels(d, cfg, plan))
 
 
-def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, records=None):
-    chunks = _panels(d, cfg, plan) if records is None else [(records.b_plus, records.b_minus)]
-    est = _welch(d, cfg, plan.n_steps, plan.segments, chunks, plan.bins)
+def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, panels):
+    """:func:`run_comparison` of a planned run, reading its ``panels`` only up
+    to the last whole segment."""
+    est = _welch(d, cfg, plan.n_steps, plan.segments, panels, plan.bins)
     analytic = analytic_records_for(d, est, plan.band, y_policy=cfg.y_policy)
     return compare(analytic, est, plan.band), est, analytic

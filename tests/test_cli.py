@@ -15,6 +15,7 @@ import pytest
 
 import optotriplet as ot
 from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, main
+from optotriplet.timedomain import _plan
 
 
 def run(args):
@@ -503,13 +504,77 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
-    # 64 trajectories x 5.7e6 steps would take 5.4 GiB of records; only the
-    # dump materialises them
-    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--duration", 2.0,
-                "--dump-timeseries"]) == 2
+    # 2.8e8 steps in 1000 segments: 0.88 GiB of streamed working set, plus
+    # 4.24 GiB for both channels of trajectory 0 when they are dumped
+    flags = ["--duration", 100, "--segments", 1000]
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
+                "--dump-timeseries"]) == 1
     err = capsys.readouterr().err
-    assert "GiB" in err and "run_comparison" in err
+    assert err.startswith("error: ") and "5.12 GiB, 4.24 GiB of it the dump" in err
     assert not list(tmp_path.iterdir())
+    # without the dump the same plan fits
+    d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
+    assert _plan(d, ot.default_sim_config(d, t_dur=100.0), 1000).stream_bytes < 2**30
+
+
+@pytest.mark.parametrize("n_steps", [7001, 8193])
+def test_oracle_dump_taps_trajectory_0_of_the_streamed_run(tmp_path, capsys, monkeypatch,
+                                                            n_steps):
+    # 7001 = 8 * 875 + 1 steps: a partial last panel, and one sample after the
+    # last segment; 8193 = 8 * 1024 + 1: the last panel, of one step, comes
+    # after the last segment and is drawn for the dump alone.  The pulse
+    # crosses the panel boundary at step 1024.
+    d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
+    dt = ot.default_sim_config(d).dt
+    configs, plans, bounds = [], [], []
+    config, plan, bound = ot.cli.default_sim_config, ot.cli._plan, ot.timedomain.stability_dt
+
+    def with_pulse(d, seed, **kw):
+        cfg = config(d, seed, **kw)
+        pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * cfg.dt, t_start=1000 * cfg.dt)
+        configs.append((d, dataclasses.replace(cfg, signal=pulse)))
+        return configs[-1][1]
+
+    monkeypatch.setattr(ot.cli, "default_sim_config", with_pulse)
+    monkeypatch.setattr(ot.cli, "_plan", lambda *a, **k: plans.append(a) or plan(*a, **k))
+    monkeypatch.setattr(ot.timedomain, "stability_dt", lambda d: bounds.append(d) or bound(d))
+    args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--trajectories", 3,
+            "--duration", repr(n_steps * dt), "--segments", 8, "--seed", 99]
+    code = run([*args, "--out", tmp_path / "dump", "--dump-timeseries"])
+    # one plan, and the step bound of the default config and of that plan
+    assert (len(plans), len(bounds)) == (1, 2)
+    assert run([*args, "--out", tmp_path / "plain"]) == code
+    assert ((tmp_path / "dump" / "nonsym-lossy-report.txt").read_bytes()
+            == (tmp_path / "plain" / "nonsym-lossy-report.txt").read_bytes())
+
+    ts = ot.simulate(*configs[0])
+    assert ts.n_steps == n_steps
+    ts.dump_text(tmp_path / "records.txt")
+    assert ((tmp_path / "dump" / "nonsym-lossy-timeseries.txt").read_bytes()
+            == (tmp_path / "records.txt").read_bytes())
+
+
+def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys):
+    # 20000 steps in 32 segments: the records of 15 more trajectories would
+    # take 4.8 MB, but only trajectory 0 is dumped; the growth is the streamed
+    # working set, 2.9 MB by the plan's count
+    d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
+    t_dur = 20_000 * ot.default_sim_config(d).dt
+    args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--duration",
+            repr(t_dur), "--segments", 32, "--seed", 3, "--dump-timeseries"]
+    run([*args, "--trajectories", 1, "--out", tmp_path / "warm"])  # warm caches
+    peaks, stream = {}, {}
+    for n_traj in (1, 16):
+        tracemalloc.start()
+        try:
+            assert run([*args, "--trajectories", n_traj, "--out", tmp_path / str(n_traj)]) in (0, 3)
+            _, peaks[n_traj] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cfg = ot.default_sim_config(d, 3, n_traj=n_traj, t_dur=t_dur)
+        stream[n_traj] = _plan(d, cfg, 32, dump=True).stream_bytes
+    assert (tmp_path / "16" / "nonsym-lossy-timeseries.txt").exists()
+    assert peaks[16] - peaks[1] <= stream[16] - stream[1]
 
 
 def test_oracle_dt_violation(tmp_path, capsys):
@@ -531,6 +596,11 @@ def test_oracle_dt_violation(tmp_path, capsys):
     ("--trajectories", "100000", "GiB"),
     # 1e300 / 1e-300 steps overflow to infinity
     ("--dt=1e-300", "--duration=1e300", "not a finite number of steps"),
+    ("--segments=4", "--dump-timeseries", "at least 8 segments"),
+    # sizes of hundreds of digits are printed to three
+    ("--duration", "1e300", "segments of 1.78e+305 steps would hold inf GiB"),
+    pytest.param("--duration=1e300", f"--segments={10**305}",
+                 "series too short: 2.85e+306 samples", id="--duration=1e300-huge segments"),
 ])
 def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, flag, value,
                                                  message):
@@ -541,27 +611,17 @@ def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, 
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert not any(tmp_path.iterdir())
-
-
-def test_oracle_dump_checks_segments_before_simulating(tmp_path, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("simulated a run that its flags rule out")
-
-    monkeypatch.setattr(ot.cli, "simulate", refuse)
-    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--segments", "4",
-                "--dump-timeseries"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert len(err) < 300
     assert not any(tmp_path.iterdir())
 
 
 # each case breaks two checks of the run plan; the first in the order of
-# timedomain._plan wins: the step bound, then the segment count, and the
-# records of a dump only after the whole plan
+# timedomain._plan wins: the step bound, then the segment count, then the
+# working set, a dump's steps included, before segments of 28 samples
 @pytest.mark.parametrize("flags, code, message", [
     (["--dt", "1.0", "--duration", "16", "--segments", "4"], 2, "stability"),
     (["--segments", "4", "--trajectories", "100000"], 1, "need at least 8 segments"),
-    (["--duration", "2.0", "--dump-timeseries"], 2, "run_comparison"),
+    (["--duration", "100", "--segments", "10000000", "--dump-timeseries"], 1, "of it the dump"),
 ])
 def test_oracle_refusal_order(tmp_path, capsys, flags, code, message):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags]) == code

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -415,6 +416,12 @@ def test_sigma_timeseries_and_dump(tmp_path, d_lossy):
     lines = path.read_text().splitlines()
     assert lines[0].split() == ["time", "b_plus_a", "b_minus_a"]
     assert len(lines) == ts.n_steps + 1
+    # written in blocks of 1024 rows, the last one partial, as one savetxt of
+    # the whole series would write it
+    assert ts.n_steps > 1024 and ts.n_steps % 1024
+    whole = np.column_stack([ts.times, ts.b_plus[0], ts.b_minus[0]])
+    np.savetxt(tmp_path / "whole.txt", whole, header="time b_plus_a b_minus_a", comments="")
+    assert path.read_bytes() == (tmp_path / "whole.txt").read_bytes()
 
 
 # --- estimator + comparison ------------------------------------------------------
@@ -459,9 +466,6 @@ def test_streamed_estimate_matches_records(d_lossy, n_traj):
     assert np.array_equal(got.psd, want.psd[sel])
     assert np.array_equal(got.omega, want.omega[sel])
     assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
-    again, from_records, _ = ot.run_comparison(d_lossy, cfg, segments=8, records=ts)
-    assert report == again
-    assert np.array_equal(from_records.psd, got.psd)
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +486,31 @@ def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
         assert asked == [cpus]
         assert np.array_equal(again.b_plus, ts.b_plus)
         assert np.array_equal(again.b_minus, ts.b_minus)
+
+
+@pytest.mark.parametrize("cgroup, cpu_max, want", [
+    ("0::/job/leaf\n", "150000 100000\n", 2),   # 1.5 CPUs of quota, rounded up
+    ("0::/job/leaf\n", "20000 100000\n", 1),
+    ("0::/job/leaf\n", "2000000 100000\n", 8),  # above the affinity set
+    ("0::/job/leaf\n", "max 100000\n", 8),
+    ("0::/job/leaf\n", None, 8),                # no cpu controller there
+    ("1:cpu:/job\n", "100000 100000\n", 8),     # cgroup v1: no 0:: line
+    (None, "100000 100000\n", 8),               # no /proc/self/cgroup
+    ("0::/job/leaf\n", "100000\n", 8),          # malformed
+    ("0::/job/leaf\n", "lots 100000\n", 8),
+    ("0::/job/leaf\n", "100000 0\n", 8),
+])
+def test_usable_cpus_obey_the_cgroup_cpu_quota(tmp_path, monkeypatch, cgroup, cpu_max, want):
+    leaf = tmp_path / "fs" / "job" / "leaf"
+    leaf.mkdir(parents=True)
+    if cgroup is not None:
+        (tmp_path / "cgroup").write_text(cgroup)
+    if cpu_max is not None:
+        (leaf / "cpu.max").write_text(cpu_max)
+    monkeypatch.setattr(ot.timedomain, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(ot.timedomain, "_CGROUP_ROOT", str(tmp_path / "fs"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert ot.timedomain._usable_cpus() == want
 
 
 def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch):
