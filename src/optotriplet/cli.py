@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import threading
 import time
 import warnings
@@ -31,6 +30,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from ._atomic import atomic_write as _atomic_write
 from .params import (
     DerivedParams,
     ParameterError,
@@ -48,10 +48,10 @@ from .timedomain import (
     RunRangeError,
     SimulationError,
     TimeSeriesBundle,
-    _panels,
     _plan,
     _recorded,
     _run_comparison,
+    _shard_panels,
     _usable_cpus,
     default_sim_config,
 )
@@ -76,31 +76,6 @@ _MAX_WORKERS = 4
 
 class ConfigError(ValueError):
     """Usage-level problem: bad flags, missing or malformed config."""
-
-
-def _atomic_write(path: str, chunks) -> None:
-    """Write ``chunks`` (a string or an iterable of strings) to ``path`` through a
-    uniquely named file in the same directory.
-
-    The file only appears under its final name once complete, and concurrent
-    writers never share a temporary file.  The temporary file is removed when
-    the write fails.
-    """
-    if isinstance(chunks, str):
-        chunks = (chunks,)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s default mode
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def _csv_block(d: DerivedParams, grid: np.ndarray, y_policy, tau: float) -> str:
@@ -333,17 +308,19 @@ def cmd_oracle(args) -> int:
     except RunRangeError as exc:
         raise ConfigError(str(exc)) from exc
 
-    panels = _panels(d, cfg, plan)
+    shards = _shard_panels(d, cfg, plan)
     dump = None
     if args.dump_timeseries:
-        # trajectory 0 is copied out of the streamed run as a one-trajectory bundle
-        rows = (1, plan.n_steps)
-        dump = TimeSeriesBundle(d, dataclasses.replace(cfg, n_traj=1), np.empty(rows),
-                                np.empty(rows))
-        panels = _recorded(panels, dump.b_plus, dump.b_minus)
-    report, _, analytic = _run_comparison(d, cfg, plan, panels)
+        # trajectory 0 is copied out of the first shard's panels as a
+        # one-trajectory bundle
+        size = (1, plan.n_steps)
+        dump = TimeSeriesBundle(d, dataclasses.replace(cfg, n_traj=1), np.empty(size),
+                                np.empty(size))
+        rows, panels = shards[0]
+        shards[0] = rows, _recorded(panels, dump.b_plus, dump.b_minus)
+    report, _, analytic = _run_comparison(d, cfg, plan, shards)
     if dump is not None:
-        for _ in panels:  # the estimate ends at its last whole segment, the dump does not
+        for _ in shards[0][1]:  # the estimate ends at its last whole segment, the dump does not
             pass
 
     os.makedirs(args.out, exist_ok=True)

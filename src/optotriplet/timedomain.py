@@ -27,12 +27,18 @@ steps are split into blocks of 32, each block is solved from a zero start by
 one product with a block-Toeplitz matrix of powers of ``phi``, and only the
 block-start states are carried in sequence.  Outputs are formed for a whole
 panel at once, and the noise is drawn one panel at a time, from one PCG64
-stream per trajectory spawned from the run's seed when the first panel is
-drawn.  The streams are drawn on every usable CPU, one thread per contiguous
-group of trajectories; each stream is still read in order, so the records are
-the same bit for bit whatever the number of CPUs.  The scan's two large
-products are issued per trajectory, small enough that BLAS runs them on the
-calling thread and leaves the other CPUs to the draws.
+stream per trajectory spawned from the run's seed.
+
+A run is split into contiguous shards of trajectories, one per usable CPU
+(at most one per trajectory), and each shard runs end to end on a thread of
+its own: it draws its streams, scans and mixes its panels and, in the
+spectral estimate, windows, transforms and weights its segments into one
+periodogram row per trajectory and bin.  The calling thread only sums each
+segment's rows, in trajectory order, as soon as every shard has made them.
+Each stream is read in order and every sum runs in the same order, so the
+records and the estimate are the same bit for bit whatever the number of
+CPUs.  The scan's two large products are issued per trajectory, small
+enough that BLAS runs them on the shard's own thread.
 
 Every run is planned first: :func:`_plan` fixes its sizes and refuses it, in
 one order, before any array that grows with it is built.  A step above
@@ -61,13 +67,17 @@ compared against ``S_qu + S_T``.
 from __future__ import annotations
 
 import bisect
+import collections
+import io
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .constants import HBAR
 from .params import DerivedParams
 from .spectra import SpectrumTable, coeffs, resolve_y, spectrum_sweep
@@ -129,9 +139,9 @@ class SimConfig:
     working set, band and signal window (range errors).  :func:`simulate`
     holds ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison`
     two segments of ``n_traj * (n_steps // segments)``, their transforms and
-    one scan panel; both refuse more than 4 GiB.  The noise is drawn on up to
-    ``n_traj`` threads, one per usable CPU; the records do not depend on how
-    many.
+    one scan panel; both refuse more than 4 GiB.  Both run on up to ``n_traj``
+    threads, one per usable CPU, each drawing, scanning and transforming its
+    own trajectories; records and estimates do not depend on how many.
     """
 
     dt: float
@@ -355,14 +365,20 @@ class TimeSeriesBundle:
     def dump_text(self, path) -> None:
         """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a.
 
-        Written one panel of rows at a time, so no copy of the series is made.
+        Formatted one panel of rows at a time, so no copy of the series is
+        made, and written through a temporary file, so ``path`` only appears
+        once the dump is complete.
         """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("time b_plus_a b_minus_a\n")
+        def blocks():
+            yield "time b_plus_a b_minus_a\n"
             for n0 in range(0, self.n_steps, _PANEL):
                 n1 = min(n0 + _PANEL, self.n_steps)
                 block = [np.arange(n0, n1) * self.dt, self.b_plus[0, n0:n1], self.b_minus[0, n0:n1]]
-                np.savetxt(fh, np.column_stack(block))
+                text = io.StringIO()
+                np.savetxt(text, np.column_stack(block))
+                yield text.getvalue()
+
+        atomic_write(path, blocks())
 
 
 def sigma_weights(d: DerivedParams, omega, y_policy):
@@ -410,6 +426,98 @@ def _cpu_quota() -> int | None:
     except (OSError, StopIteration, ValueError):
         return None
     return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _shards(n_traj: int) -> list[slice]:
+    """Contiguous ranges of the trajectories, one per usable CPU and at most
+    one per trajectory."""
+    n = min(_usable_cpus(), n_traj)
+    cuts = [n_traj * g // n for g in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+class _Stopped(Exception):
+    """A shard told to stop: another one failed, or the caller went away."""
+
+
+def _until(stop: threading.Event, chunks):
+    """``chunks`` until ``stop`` is set, checked before each is made."""
+    chunks = iter(chunks)
+    while not stop.is_set():
+        chunk = next(chunks, None)
+        if chunk is None:
+            return
+        yield chunk
+    raise _Stopped
+
+
+def _read(rows: slice, chunks):
+    """A shard's work that reads its chunks to the end and hands nothing on."""
+    for _ in chunks:
+        pass
+    return ()
+
+
+def _sharded(shards, work):
+    """Run ``work(rows, chunks)`` for each ``(rows, chunks)`` of ``shards`` on
+    a thread of its own, and yield, for ``k = 0, 1, ...``, the list of every
+    shard's ``k``-th item, in shard order, once all have made it.
+
+    ``work`` runs on the shard's thread and returns an iterable of items,
+    none of them ``None``.  A shard starts on item ``k + 1`` only once the
+    caller is done with item ``k - 1`` (has asked for the next), so it holds
+    at most two.  The first error of any shard stops
+    the others before their next chunk and is raised here; closing this
+    generator stops them the same way.  Every thread has ended when it
+    returns, raises or is closed.  ``chunks`` are not closed, so a caller may
+    read on past what ``work`` read.
+    """
+    from queue import SimpleQueue  # only a run with shards needs it
+
+    events = SimpleQueue()
+    stop = threading.Event()
+    ahead = [threading.Semaphore(1) for _ in shards]
+
+    # events are (shard, item, None), (shard, None, error) or, once a shard
+    # has ended, (shard, None, None)
+    def run(g, rows, chunks):
+        try:
+            for item in work(rows, _until(stop, chunks)):
+                events.put((g, item, None))
+                ahead[g].acquire()
+        except _Stopped:
+            pass
+        except BaseException as exc:  # handed to the caller, which raises it
+            stop.set()
+            events.put((g, None, exc))
+            return
+        events.put((g, None, None))
+
+    threads = [threading.Thread(target=run, args=(g, *shard), daemon=True)
+               for g, shard in enumerate(shards)]
+    for thread in threads:
+        thread.start()
+    pending = [collections.deque() for _ in shards]
+    running = len(threads)
+    try:
+        while running:
+            g, item, exc = events.get()
+            if exc is not None:
+                raise exc
+            if item is None:
+                running -= 1
+                continue
+            pending[g].append(item)
+            if all(pending):
+                yield [items.popleft() for items in pending]
+                for sem in ahead:
+                    sem.release()
+    finally:
+        stop.set()
+        for sem in ahead:
+            sem.release()  # a shard waiting to run ahead wakes and stops
+        for thread in threads:
+            thread.join()
 
 
 # --- run plan -----------------------------------------------------------------
@@ -537,81 +645,83 @@ def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
     return slice(1 + lo, 1 + hi)
 
 
-def _panels(d: DerivedParams, cfg: SimConfig, plan: _Plan):
-    """Outputs ``(b_plus, b_minus)`` of a planned run, each of shape
-    ``(n_traj, m)``, per panel of ``m = _PANEL`` steps (fewer in the last one).
+class _Sampler:
+    """What every shard of a planned run reads: the step operators, the
+    stationary start, the drive and one seed per trajectory.  Built once, on
+    the calling thread, and never changed."""
 
-    All work waits for the first panel.  Each trajectory draws from its own
-    PCG64 stream, in the same order whatever consumes the panels.
+    def __init__(self, d: DerivedParams, cfg: SimConfig, plan: _Plan):
+        drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
+        self.noise, self.n_steps = cfg.noise, plan.n_steps
+        # deterministic drive (signal pulse, constant within a step) over steps [i0, i1)
+        self.signal = plan.signal
+        self.amp = cfg.signal.quad_amp(d) if cfg.signal is not None else 0.0
+        phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
+        noise_factor = _factor_psd(cov)
+        e_drive = np.array([0.0, 0.0, 1.0])
+        self.x_kick = j_dt @ e_drive          # state response to unit drive over one step
+        self.z_kick = (c_out @ jj @ e_drive) / cfg.dt
+
+        if cfg.noise:
+            stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
+            self.stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
+        else:
+            self.stat_factor = np.zeros((3, 3))
+
+        self.scan = _BlockScan(phi)
+        # transposed operators for trajectory-major rows, contiguous for BLAS
+        self.to_w = np.ascontiguousarray(noise_factor[:3].T)
+        self.to_z = np.ascontiguousarray(noise_factor[3:].T)
+        zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
+        self.zx_t = np.ascontiguousarray(zx.T)
+        self.seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+
+
+def _shard_panels(d: DerivedParams, cfg: SimConfig, plan: _Plan) -> list:
+    """``(rows, panels)`` per shard of a planned run, in trajectory order:
+    :func:`_panels` of each of :func:`_shards`, over one :class:`_Sampler`."""
+    sampler = _Sampler(d, cfg, plan)
+    return [(rows, _panels(sampler, rows)) for rows in _shards(cfg.n_traj)]
+
+
+def _panels(sampler: _Sampler, rows: slice):
+    """Outputs ``(b_plus, b_minus)`` of the trajectories ``rows`` of a run,
+    one row per trajectory, per panel of ``m = _PANEL`` steps (fewer in the
+    last one).
+
+    All work, the streams' creation included, waits for the first panel, so
+    it runs on the thread that reads the panels.  Each trajectory draws from
+    its own PCG64 stream, in the same order whatever consumes the panels.
     """
-    drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
-    n_steps = plan.n_steps
-    # deterministic drive (signal pulse, constant within a step) over steps [i0, i1)
-    i0, i1 = plan.signal
-    amp = cfg.signal.quad_amp(d) if cfg.signal is not None else 0.0
-    phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, cfg.dt)
-    noise_factor = _factor_psd(cov)
-    zx = (c_out @ j_dt) / cfg.dt  # output from the step-start state
-    e_drive = np.array([0.0, 0.0, 1.0])
-    x_kick = j_dt @ e_drive           # state response to unit drive over one step
-    z_kick = (c_out @ jj @ e_drive) / cfg.dt
-
-    if cfg.noise:
-        stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
-        stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
-    else:
-        stat_factor = np.zeros((3, 3))
-
-    rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)]
-    n_tr = cfg.n_traj
+    n_steps, (i0, i1), amp = sampler.n_steps, sampler.signal, sampler.amp
+    rngs = [np.random.Generator(np.random.PCG64(s)) for s in sampler.seeds[rows]]
+    n_tr = len(rngs)
     x = np.empty((n_tr, 3))  # one state row per trajectory
     for k, rng in enumerate(rngs):
-        x[k] = stat_factor @ rng.standard_normal(3)
+        x[k] = sampler.stat_factor @ rng.standard_normal(3)
 
-    scan = _BlockScan(phi)
-    # transposed operators for trajectory-major rows, contiguous for BLAS
-    to_w = np.ascontiguousarray(noise_factor[:3].T)
-    to_z = np.ascontiguousarray(noise_factor[3:].T)
-    zx_t = np.ascontiguousarray(zx.T)
     # trajectory-major draws, reused per panel; the padded tail of the last
     # panel carries zero noise, so every product has the same shape, and a
     # noiseless run mixes its all-zero noise factor into zeros and draws nothing
     eps = np.zeros((n_tr, _PANEL, 5))
-
-    def draw(lo, hi, m):
-        for k in range(lo, hi):
-            rngs[k].standard_normal(out=eps[k, :m])
-
-    # contiguous groups of trajectories, one per usable CPU; every stream
-    # is still read in order, so the records do not depend on the split
-    n_groups = min(_usable_cpus(), n_tr) if cfg.noise else 1
-    cuts = [n_tr * g // n_groups for g in range(n_groups + 1)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max(n_groups - 1, 1)) as pool:
-        for n0 in range(0, n_steps, _PANEL):
-            m = min(_PANEL, n_steps - n0)
-            if cfg.noise:
-                # the first group is drawn here while the pool draws the rest
-                futures = [pool.submit(draw, cuts[g], cuts[g + 1], m)
-                           for g in range(1, n_groups)]
-                draw(0, cuts[1], m)
-                for fut in futures:
-                    fut.result()
-                eps[:, m:] = 0.0
-            w = eps @ to_w                      # state increments
-            z = eps @ to_z                      # output noise
-            if amp and i0 < n0 + _PANEL and n0 < i1:
-                f = np.zeros(_PANEL)
-                f[max(i0 - n0, 0):i1 - n0] = amp
-                w += f[:, None] * x_kick
-                z += f[:, None] * z_kick
-            x_prev, x = scan(w, x)
-            if not np.all(np.isfinite(x)):
-                raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
-            z += x_prev @ zx_t
-            yield z[:, :m, 0], z[:, :m, 1]
+    for n0 in range(0, n_steps, _PANEL):
+        m = min(_PANEL, n_steps - n0)
+        if sampler.noise:
+            for k, rng in enumerate(rngs):
+                rng.standard_normal(out=eps[k, :m])
+            eps[:, m:] = 0.0
+        w = eps @ sampler.to_w                  # state increments
+        z = eps @ sampler.to_z                  # output noise
+        if amp and i0 < n0 + _PANEL and n0 < i1:
+            f = np.zeros(_PANEL)
+            f[max(i0 - n0, 0):i1 - n0] = amp
+            w += f[:, None] * sampler.x_kick
+            z += f[:, None] * sampler.z_kick
+        x_prev, x = sampler.scan(w, x)
+        if not np.all(np.isfinite(x)):
+            raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
+        z += x_prev @ sampler.zx_t
+        yield z[:, :m, 0], z[:, :m, 1]
 
 
 def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
@@ -619,7 +729,8 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
 
     Refuses what the run's plan refuses, then records and a scan panel above
     ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams long runs instead.
-    Identical config and seed give bit-identical records.
+    Identical config and seed give bit-identical records.  Each shard fills
+    its own rows of the records.
     """
     plan = _plan(d, cfg)
     size, panel = plan.record_bytes, plan.panel_bytes
@@ -635,7 +746,9 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
         )
     b_plus = np.empty((cfg.n_traj, plan.n_steps))
     b_minus = np.empty((cfg.n_traj, plan.n_steps))
-    for _ in _recorded(_panels(d, cfg, plan), b_plus, b_minus):
+    shards = [(rows, _recorded(panels, b_plus[rows], b_minus[rows]))
+              for rows, panels in _shard_panels(d, cfg, plan)]
+    for _ in _sharded(shards, _read):
         pass
     return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
 
@@ -691,18 +804,21 @@ class _BlockScan:
         n_tr, n = x0.shape[0], self.n
         # one product per trajectory, not one for the whole panel: products of
         # this size stay on the calling thread, so BLAS starts no worker thread
-        # to compete with the noise draws
+        # to compete with the other shards
         w = w.reshape(n_tr, -1, _BLOCK * n)
         local = w @ self.toeplitz              # block solutions from zero start
         ends = (local[..., -n:].reshape(-1, n) @ self.phi_t
                 + w[..., -n:].reshape(-1, n)).reshape(n_tr, -1, n)
         starts = np.empty_like(ends)
-        x = x0
+        # BLAS rounds a one-row product (gemv) unlike the rows of a larger one
+        # (gemm), so a lone trajectory is carried next to a copy of itself:
+        # each row's states then do not depend on how many share the product
+        x = x0 if n_tr > 1 else np.repeat(x0, 2, axis=0)
         for b in range(ends.shape[1]):
-            starts[:, b] = x
+            starts[:, b] = x[:n_tr]
             x = x @ self.phi_block_t + ends[:, b]
         local += starts @ self.from_start
-        return local.reshape(n_tr, _PANEL, n), x
+        return local.reshape(n_tr, _PANEL, n), x[:n_tr]
 
 
 # --- spectral estimation ------------------------------------------------------
@@ -723,22 +839,28 @@ class PsdEstimate:
     t_seg: float
 
 
-def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks,
+def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
            bins: slice | None = None) -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
 
-    ``chunks`` yields the ``n_len`` samples of both channels of a run of
-    ``cfg`` in time order as ``(b_plus, b_minus)`` pieces of shape
-    ``(cfg.n_traj, m)``, ``m`` arbitrary.  They fill one segment buffer per
-    channel; each full segment is Hann-windowed and transformed, the
-    transforms are mixed per bin with the weights of :func:`sigma_weights`
-    (so cross-correlations between the channels are kept), and the
-    periodograms are summed over trajectories, then over segments in order.  ``chunks`` is not advanced past the last
-    whole segment.  The estimate covers every interior bin, or only ``bins``
-    of a segment's rfft, the only ones then weighted and mixed; each bin's
-    value is the same either way.  The caller has checked the segments.
+    ``shards`` holds, in trajectory order, one ``(rows, chunks)`` per shard of
+    the ``cfg.n_traj`` trajectories of a run of ``n_len`` samples: ``chunks``
+    yields both channels of the trajectories ``rows`` in time order, as
+    ``(b_plus, b_minus)`` pieces of one row per trajectory and ``m`` columns,
+    ``m`` arbitrary.
+    Each shard, on a thread of its own (:func:`_sharded`), fills one segment
+    buffer per channel; each full segment is Hann-windowed and transformed,
+    and the transforms are mixed per bin with the weights of
+    :func:`sigma_weights` (so cross-correlations between the channels are
+    kept) into one periodogram row per trajectory.  The rows of a segment are
+    summed over trajectories once every shard has made them, and the sums
+    over segments in order.  No ``chunks`` is advanced past the last whole
+    segment.  The estimate covers every interior bin, or only ``bins`` of a
+    segment's rfft, the only ones then weighted and mixed; each bin's value
+    is the same either way, and whatever the shards.  The caller has checked
+    the segments.
     """
-    dt, n_traj = cfg.dt, cfg.n_traj
+    dt = cfg.dt
     seg_len = n_len // segments
     if bins is None:
         bins = slice(1, (seg_len + 1) // 2)  # positive bins without DC and Nyquist
@@ -746,34 +868,37 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks,
     omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[bins]
     wp, wm = sigma_weights(d, omega, cfg.y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
+    used = segments * seg_len
 
     def periodogram(seg_plus, seg_minus):
         # its own frame, so the transforms are freed before the next chunk is made
         xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1)[:, bins])
         xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1)[:, bins])
-        mix = wp[None, :] * xp + wm[None, :] * xm
-        return norm * np.sum(np.abs(mix) ** 2, axis=0)
+        return np.abs(wp[None, :] * xp + wm[None, :] * xm) ** 2
+
+    def segment_rows(rows, chunks):
+        seg_plus = np.empty((rows.stop - rows.start, seg_len))
+        seg_minus = np.empty_like(seg_plus)
+        n0 = 0
+        for zp, zm in chunks:
+            m = min(zp.shape[1], used - n0)
+            a = 0
+            while a < m:
+                fill = (n0 + a) % seg_len
+                take = min(seg_len - fill, m - a)
+                seg_plus[:, fill:fill + take] = zp[:, a:a + take]
+                seg_minus[:, fill:fill + take] = zm[:, a:a + take]
+                a += take
+                if fill + take == seg_len:
+                    yield periodogram(seg_plus, seg_minus)
+            n0 += m
+            if n0 == used:
+                break
 
     acc = np.zeros(omega.size)
-    used = segments * seg_len
-    seg_plus = np.empty((n_traj, seg_len))
-    seg_minus = np.empty((n_traj, seg_len))
-    n0 = 0
-    for zp, zm in chunks:
-        m = min(zp.shape[1], used - n0)
-        a = 0
-        while a < m:
-            fill = (n0 + a) % seg_len
-            take = min(seg_len - fill, m - a)
-            seg_plus[:, fill:fill + take] = zp[:, a:a + take]
-            seg_minus[:, fill:fill + take] = zm[:, a:a + take]
-            a += take
-            if fill + take == seg_len:
-                acc += periodogram(seg_plus, seg_minus)
-        n0 += m
-        if n0 == used:
-            break
-    n_ind = segments * n_traj
+    for rows in _sharded(shards, segment_rows):
+        acc += norm * np.sum(np.concatenate(rows), axis=0)
+    n_ind = segments * cfg.n_traj
     return PsdEstimate(omega=omega, psd=acc / n_ind, rel_err=1.0 / math.sqrt(n_ind),
                        n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
 
@@ -781,11 +906,13 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, chunks,
 def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
     """Spectral density of the combined record from a run's output series.
 
-    The records go to :func:`_welch` as one chunk.  Fewer than 8 segments,
-    and segments under 64 samples, raise :class:`RunRangeError`.
+    Each shard's rows of the records go to :func:`_welch` as one chunk.
+    Fewer than 8 segments, and segments under 64 samples, raise
+    :class:`RunRangeError`.
     """
     _check_segment_len(ts.n_steps, _segment_len(ts.n_steps, segments))
-    return _welch(ts.d, ts.cfg, ts.n_steps, segments, [(ts.b_plus, ts.b_minus)])
+    shards = [(rows, [(ts.b_plus[rows], ts.b_minus[rows])]) for rows in _shards(ts.cfg.n_traj)]
+    return _welch(ts.d, ts.cfg, ts.n_steps, segments, shards)
 
 
 # --- comparison against the analytic engine -----------------------------------
@@ -902,12 +1029,12 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16):
     bins of :func:`default_band` only.
     """
     plan = _plan(d, cfg, segments)
-    return _run_comparison(d, cfg, plan, _panels(d, cfg, plan))
+    return _run_comparison(d, cfg, plan, _shard_panels(d, cfg, plan))
 
 
-def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, panels):
-    """:func:`run_comparison` of a planned run, reading its ``panels`` only up
-    to the last whole segment."""
-    est = _welch(d, cfg, plan.n_steps, plan.segments, panels, plan.bins)
+def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, shards):
+    """:func:`run_comparison` of a planned run, reading the panels of its
+    ``shards`` (see :func:`_shard_panels`) only up to the last whole segment."""
+    est = _welch(d, cfg, plan.n_steps, plan.segments, shards, plan.bins)
     analytic = analytic_records_for(d, est, plan.band, y_policy=cfg.y_policy)
     return compare(analytic, est, plan.band), est, analytic

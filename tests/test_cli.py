@@ -554,6 +554,32 @@ def test_oracle_dump_taps_trajectory_0_of_the_streamed_run(tmp_path, capsys, mon
             == (tmp_path / "records.txt").read_bytes())
 
 
+def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    # 1, 2, 3 and 5 shards of 3 and 7 trajectories over 7001 steps, with a
+    # pulse across step 1024: the same report and time series bytes
+    d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
+    dt = ot.default_sim_config(d).dt
+    config = ot.cli.default_sim_config
+
+    def with_pulse(d, seed, **kw):
+        cfg = config(d, seed, **kw)
+        pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * cfg.dt, t_start=1000 * cfg.dt)
+        return dataclasses.replace(cfg, signal=pulse)
+
+    monkeypatch.setattr(ot.cli, "default_sim_config", with_pulse)
+    for n_traj in (3, 7):
+        outputs = set()
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{n_traj}-{cpus}"
+            code = run(["oracle", "--preset", "table1", "--scenario", "nonsym-lossy",
+                        "--trajectories", n_traj, "--duration", repr(7001 * dt),
+                        "--segments", 8, "--seed", 99, "--dump-timeseries", "--out", out])
+            outputs.add((code, *((out / f"nonsym-lossy-{name}.txt").read_bytes()
+                                 for name in ("report", "timeseries"))))
+        assert len(outputs) == 1
+
+
 def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys):
     # 20000 steps in 32 segments: the records of 15 more trajectories would
     # take 4.8 MB, but only trajectory 0 is dumped; the growth is the streamed
@@ -651,8 +677,8 @@ def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
 
 
 def test_cli_import_and_sweep_load_no_thread_pool(tmp_path):
-    # only an oracle run draws noise on threads, so no other command imports
-    # the thread pool
+    # the sweep's process pool is imported only where it runs, and the
+    # oracle's shards are plain threads
     code = ("from optotriplet.cli import main; "
             f"assert main(['sweep', '--preset', 'table1', '--grid', 'log:100:1:1e7', "
             f"'--out', {str(tmp_path)!r}]) == 0")

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import os
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -424,6 +426,33 @@ def test_sigma_timeseries_and_dump(tmp_path, d_lossy):
     assert path.read_bytes() == (tmp_path / "whole.txt").read_bytes()
 
 
+def test_interrupted_dump_leaves_the_old_file(tmp_path, d_lossy, monkeypatch):
+    # the second block fails to format: the file under the final name is the
+    # one that was there before, and no temporary file is left
+    ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=1))
+    path = tmp_path / "series.txt"
+    path.write_text("old\n")
+    savetxt, blocks = np.savetxt, []
+
+    def failing(fh, block):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise OSError("disk full")
+        savetxt(fh, block)
+
+    monkeypatch.setattr(np, "savetxt", failing)
+    with pytest.raises(OSError, match="disk full"):
+        ts.dump_text(path)
+    assert blocks == [1024, 1024]
+    assert [p.name for p in tmp_path.iterdir()] == ["series.txt"]
+    assert path.read_text() == "old\n"
+    path.unlink()
+    blocks.clear()
+    with pytest.raises(OSError, match="disk full"):
+        ts.dump_text(path)
+    assert not list(tmp_path.iterdir())
+
+
 # --- estimator + comparison ------------------------------------------------------
 
 def test_estimate_psd_guards(d_lossy, monkeypatch):
@@ -477,15 +506,38 @@ def run_7001(d_lossy):
 
 
 def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
-    # one, two and three groups of the three trajectories' streams
-    ts = run_7001
-    for cpus in (1, 2, 3):
-        asked = []
-        monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: asked.append(cpus) or cpus)
-        again = ot.simulate(ts.d, ts.cfg)
-        assert asked == [cpus]
-        assert np.array_equal(again.b_plus, ts.b_plus)
-        assert np.array_equal(again.b_minus, ts.b_minus)
+    # 1, 2, 3 and 5 shards of 3 and 7 trajectories, with and without noise:
+    # uneven shards, shards of one trajectory and more CPUs than trajectories.
+    # The records, the streamed estimate and estimate_psd of the records are
+    # the same bit for bit, and a trajectory's record does not depend on how
+    # many trajectories run with it.  The threads switch every 10 us, so a
+    # lost or misplaced row would show.
+    d, runs = run_7001.d, {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for noise in (True, False):
+            for n_traj in (3, 7):
+                cfg = dataclasses.replace(run_7001.cfg, n_traj=n_traj, noise=noise)
+                for cpus in (1, 2, 3, 5):
+                    asked = []
+                    monkeypatch.setattr(ot.timedomain, "_usable_cpus",
+                                        lambda: asked.append(cpus) or cpus)
+                    ts = ot.simulate(d, cfg)
+                    streamed = ot.run_comparison(d, cfg, segments=8)[1]
+                    records = ot.estimate_psd(ts, segments=8)
+                    assert asked == [cpus] * 3
+                    got = (ts.b_plus, ts.b_minus, streamed.psd, records.psd)
+                    want = runs.setdefault((noise, n_traj), got)
+                    assert all(map(np.array_equal, got, want))
+    finally:
+        sys.setswitchinterval(interval)
+    for noise in (True, False):
+        for k in (0, 1):  # b_plus, b_minus
+            assert np.array_equal(runs[noise, 7][k][:3], runs[noise, 3][k])
+    # the fixture ran on every usable CPU
+    assert np.array_equal(runs[True, 3][0], run_7001.b_plus)
+    assert np.array_equal(runs[True, 3][1], run_7001.b_minus)
 
 
 @pytest.mark.parametrize("cgroup, cpu_max, want", [
@@ -521,12 +573,47 @@ def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch):
     assert threading.active_count() == start
     ot.run_comparison(d_lossy, cfg, segments=8)
     assert threading.active_count() == start
-    # a generator closed after its first panel shuts its pool down
-    panels = ot.timedomain._panels(d_lossy, cfg, _plan(d_lossy, cfg))
-    next(panels)
+    # a reader that stops after the first panel of every shard ends them all
+    shards = ot.timedomain._shard_panels(d_lossy, cfg, _plan(d_lossy, cfg))
+    panels = ot.timedomain._sharded(shards, lambda rows, chunks: chunks)
+    assert [p[0].shape for p in next(panels)] == [(1, 1024)] * 3
     assert threading.active_count() > start
     panels.close()
     assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("run", [ot.simulate, lambda d, cfg: ot.run_comparison(d, cfg, 8)],
+                         ids=["simulate", "run_comparison"])
+def test_a_failing_shard_stops_the_others(d_lossy, monkeypatch, run):
+    # the last of three shards diverges once the others have made a panel:
+    # its error reaches the caller, the others make at most the panel they
+    # are making, and every shard's thread has ended
+    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 3)
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=3, t_dur=40 * 1024 * dt)
+    panels = ot.timedomain._panels
+    first = {0: threading.Event(), 1: threading.Event()}
+    failed = threading.Event()
+    made, late = collections.Counter(), collections.Counter()
+
+    def diverging(sampler, rows):
+        for panel in panels(sampler, rows):
+            if rows.start == 2:
+                assert all(event.wait(30) for event in first.values())
+                failed.set()
+                raise SimulationError("state diverged by step 1024 (of 40960)")
+            made[rows.start] += 1
+            late[rows.start] += failed.is_set()
+            first[rows.start].set()
+            yield panel
+
+    monkeypatch.setattr(ot.timedomain, "_panels", diverging)
+    start = threading.active_count()
+    with pytest.raises(SimulationError, match="state diverged by step 1024"):
+        run(d_lossy, cfg)
+    assert threading.active_count() == start
+    assert made[0] >= 1 and made[1] >= 1
+    assert late[0] <= 1 and late[1] <= 1
 
 
 def test_band_without_bins_is_refused_before_chunks_are_read(run_7001, monkeypatch):
@@ -553,15 +640,21 @@ def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
     cuts = np.cumsum(sizes)
     assert cuts[-1] < ts.n_steps
 
-    def welch(chunks):
-        return _welch(ts.d, ts.cfg, ts.n_steps, 8, chunks)
+    def welch(*shards):
+        return _welch(ts.d, ts.cfg, ts.n_steps, 8, shards)
 
-    pieces = zip(np.split(ts.b_plus, cuts, axis=1), np.split(ts.b_minus, cuts, axis=1))
-    got = welch(pieces)
-    want = welch([(ts.b_plus, ts.b_minus)])
-    assert np.array_equal(got.psd, want.psd)
-    assert np.array_equal(got.omega, want.omega)
-    assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
+    def pieces(rows, cuts):
+        return list(zip(np.split(ts.b_plus[rows], cuts, axis=1),
+                        np.split(ts.b_minus[rows], cuts, axis=1)))
+
+    want = welch((slice(0, 3), [(ts.b_plus, ts.b_minus)]))
+    # one shard in uneven pieces, and two shards cut at different steps
+    for got in (welch((slice(0, 3), pieces(slice(0, 3), cuts))),
+                welch((slice(0, 1), pieces(slice(0, 1), cuts)),
+                      (slice(1, 3), pieces(slice(1, 3), cuts[::2])))):
+        assert np.array_equal(got.psd, want.psd)
+        assert np.array_equal(got.omega, want.omega)
+        assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
 
 
 def test_estimate_psd_matches_plain_segment_slices(run_7001):
@@ -599,6 +692,25 @@ def test_streamed_comparison_memory_stays_below_records(d_lossy):
         tracemalloc.stop()
     assert report.n_bins > 0
     assert peak < 0.5 * records_bytes
+
+
+def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monkeypatch):
+    # every shard holds its segment buffers, transforms and panel at once, and
+    # up to two segments of periodogram rows: together still within the
+    # plan's working set, at one, two and four shards
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=8, t_dur=20_000 * dt)
+    stream_bytes = _plan(d_lossy, cfg, 16).stream_bytes
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
+        ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=cpus), segments=16)  # warm caches
+        tracemalloc.start()
+        try:
+            ot.run_comparison(d_lossy, cfg, segments=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= stream_bytes
 
 
 def test_simulate_refuses_records_above_the_cap(d_lossy):
