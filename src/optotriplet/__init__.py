@@ -46,10 +46,10 @@ from .timedomain import (
     compare,
     default_sim_config,
     estimate_psd,
+    exact_discrete_psd,
     run_comparison,
     sigma_weights,
     simulate,
-    stability_dt,
 )
 from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, Scenario, variant
 
@@ -64,6 +64,6 @@ __all__ = [
     "ForceBudget", "s_fa", "min_force", "band_integral",
     "SimConfig", "SignalPulse", "SimulationError", "TimeSeriesBundle",
     "PsdEstimate", "ComparisonReport", "simulate", "estimate_psd", "compare",
-    "default_sim_config", "run_comparison", "sigma_weights", "stability_dt",
+    "default_sim_config", "run_comparison", "sigma_weights", "exact_discrete_psd",
     "Scenario", "variant", "SWEEP_SCENARIOS", "ORACLE_SCENARIOS",
 ]

@@ -44,6 +44,7 @@ from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS
 from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
+    _STEP_GAP,
     ComparisonReport,
     RunRangeError,
     SimulationError,
@@ -341,6 +342,12 @@ def cmd_oracle(args) -> int:
         "sim": {
             "dt": cfg.dt, "t_dur": cfg.t_dur, "n_traj": cfg.n_traj,
             "seed": cfg.seed, "segments": args.segments, "band": list(report.band),
+        },
+        # what the run plan fixed, and the step bound's measured gap that admitted dt
+        "plan": {
+            "n_steps": plan.n_steps, "seg_len": plan.seg_len,
+            "bins": plan.bins.stop - plan.bins.start,
+            "step_gap": plan.step_gap, "step_gap_bound": _STEP_GAP,
         },
     })
     _atomic_write(os.path.join(args.out, f"{scen.name}-manifest.json"), manifest)

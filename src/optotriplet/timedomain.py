@@ -40,10 +40,18 @@ records and the estimate are the same bit for bit whatever the number of
 CPUs.  The scan's two large products are issued per trajectory, small
 enough that BLAS runs them on the shard's own thread.
 
+Because the sampler is exact, the step is bounded by what the comparison
+needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
+density of the combined record as sampled at a step, in closed form, and a
+step is admitted when it matches the analytic ``S_f`` to 1e-6 relative up to
+the band's top edge.  :func:`default_sim_config` takes the largest admitted
+step that keeps that edge within 0.8 Nyquist and splits the run into 16
+segments of a 5-smooth length.
+
 Every run is planned first: :func:`_plan` fixes its sizes and refuses it, in
-one order, before any array that grows with it is built.  A step above
-:func:`stability_dt` or an unstable drift is a numerical failure (exit 2 in
-the CLI), every later refusal a :class:`RunRangeError` (exit 1).
+one order, before any array that grows with it is built.  A run out of range
+is refused first, as a :class:`RunRangeError` (exit 1 in the CLI); an
+unstable drift or a step over the bound is a numerical failure (exit 2).
 
 Two consumers read the panels.  :func:`simulate` collects them into records
 of ``2 * n_traj * n_steps`` floats, for inspection and signal-transfer checks;
@@ -82,18 +90,27 @@ from .constants import HBAR
 from .params import DerivedParams
 from .spectra import SpectrumTable, coeffs, resolve_y, spectrum_sweep
 
-# fraction of the linear-stability step bound used by default configs
-_DT_SAFETY = 0.8
 #: slowest resolvable band edge: at least this many cycles must fit in a record
 MIN_CYCLES_IN_RECORD = 100.0
+# the step bound: the exact discrete-time density of the sampled run may differ
+# from the analytic S_f by at most this much, relative, at each of _GAP_POINTS
+# frequencies evenly spaced up to the comparison band's top edge; far below
+# the 3.1% error bar of a default run, so discretisation never shows in a
+# comparison
+_STEP_GAP = 1e-6
+_GAP_POINTS = 256
+# default step search: doublings of the step count tried before giving up
+_MAX_DOUBLINGS = 40
+# shortest Welch segment, in samples
+_MIN_SEG_LEN = 64
 # steps per block of the affine scan, and per panel of 32 blocks
 _BLOCK = 32
 _PANEL = 32 * _BLOCK
 # negative eigenvalue mass, relative to the largest eigenvalue, that
 # _factor_psd may clip as rounding noise
 _PSD_CLIP_TOL = 1e-12
-# largest records simulate() materialises: 4 GiB is 25x the default oracle
-# run's 168 MB, and with the temporaries of sigma_timeseries on top it
+# largest records simulate() materialises: 4 GiB is 240x the default oracle
+# run's 18 MB, and with the temporaries of sigma_timeseries on top it
 # already exceeds the memory of a typical workstation; the spectral
 # check streams and never needs the records, and its working set has the same cap
 _MAX_RECORD_BYTES = 4 * 2**30
@@ -135,8 +152,9 @@ class SimConfig:
     reduced to a spectral density (same conventions as the analytic sweep).
     ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range raise
     :class:`RunRangeError` here; the run's plan checks the rest, in one order
-    from the step bound of :func:`stability_dt` (a numerical failure) to the
-    working set, band and signal window (range errors).  :func:`simulate`
+    from the step count, working set, band and signal window (range errors)
+    to the drift's stability and the step bound (numerical failures); any
+    ``dt`` the bound admits samples the same spectrum.  :func:`simulate`
     holds ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison`
     two segments of ``n_traj * (n_steps // segments)``, their transforms and
     one scan panel; both refuse more than 4 GiB.  Both run on up to ``n_traj``
@@ -165,21 +183,67 @@ class SimConfig:
             raise RunRangeError(f"seed must be >= 0, got {self.seed!r}")
 
 
-def stability_dt(d: DerivedParams) -> float:
-    """Largest admissible step: ``0.1 / max(gamma+, gamma-, |G(0)| + gamma_m)``."""
-    g0 = abs(complex(coeffs(d, 0.0).g_opt))
-    return 0.1 / max(d.gamma_plus, d.gamma_minus, g0 + d.gamma_m)
-
-
 def default_sim_config(d: DerivedParams, seed: int = 0, **overrides) -> SimConfig:
-    """Statistics tuned for a few-percent spectral check in minutes.
+    """Statistics tuned for a 3% spectral check in about a second.
 
-    64 trajectories over 2e4 mechanical periods; the step is 80% of the
-    stability bound.
+    64 trajectories over ``t_dur`` = 2e4 mechanical periods, in the steps of
+    :func:`_default_steps`: 17280 steps of 3.3 us on the preset.  An
+    overridden ``t_dur`` keeps that step; an overridden ``dt`` is taken as
+    given.
     """
-    return SimConfig(**{"dt": _DT_SAFETY * stability_dt(d),
-                        "t_dur": 2e4 * (2.0 * math.pi / d.phys.omega_m),
-                        "n_traj": 64, "seed": seed, **overrides})
+    t_dur = 2e4 * (2.0 * math.pi / d.phys.omega_m)
+    if "dt" not in overrides:
+        overrides["dt"] = t_dur / _default_steps(d, t_dur, overrides.get("y_policy", "optimal"))
+    return SimConfig(**{"t_dur": t_dur, "n_traj": 64, "seed": seed, **overrides})
+
+
+def _default_steps(d: DerivedParams, t_dur: float, y_policy) -> int:
+    """The fewest steps ``n = 16 m`` over ``t_dur``, ``m`` 5-smooth (a product
+    of 2, 3 and 5, so that each of 16 Welch segments transforms fast) and at
+    least ``_MIN_SEG_LEN``, that keep the band's top edge ``2 pi 10 / tau``
+    within 0.8 Nyquist and that the step bound of :func:`_plan` admits.
+
+    Where the bound refuses the first such ``m``, ``m`` is doubled until it
+    admits one, at most ``_MAX_DOUBLINGS`` times, and the fewest admitted
+    5-smooth ``m`` since the last refused one is found by bisection, as the
+    gap grows with the step.  A drift that is not stable, which the plan
+    refuses first, is not searched.
+    """
+    def admitted(m):
+        return _step_gap(d, t_dur / (16 * m), y_policy) <= _STEP_GAP
+
+    # 0.8 pi / dt >= 2 pi 10 / tau  <=>  16 m >= 25 t_dur / tau
+    m = _smooth_at_least(max(_MIN_SEG_LEN, 25.0 * t_dur / d.phys.tau / 16))
+    if _drift_rates(d)[-1] >= 0.0 or admitted(m):
+        return 16 * m
+    for _ in range(_MAX_DOUBLINGS):
+        refused, m = m, 2 * m
+        if admitted(m):
+            smooth = [refused]
+            while smooth[-1] < m:
+                smooth.append(_smooth_at_least(smooth[-1] + 1))
+            return 16 * smooth[bisect.bisect_left(smooth, True, lo=1, key=admitted)]
+    return 16 * m
+
+
+def _drift_rates(d: DerivedParams) -> np.ndarray:
+    """Real parts of the drift matrix's eigenvalues, ascending; all negative
+    for a sensor that does not self-oscillate."""
+    return np.sort(np.linalg.eigvals(_system_matrices(d, True)[0]).real)
+
+
+def _smooth_at_least(x: float) -> int:
+    """The least 5-smooth integer (of the form ``2^a 3^b 5^c``) at least ``x``."""
+    n = max(1, math.ceil(x))
+    best = 1 << (n - 1).bit_length()  # a power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << max(0, (-(-n // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _system_matrices(d: DerivedParams, noise_on: bool):
@@ -394,6 +458,57 @@ def sigma_weights(d: DerivedParams, omega, y_policy):
     return (y - 0.5) * chi / c.a_plus, (y + 0.5) * chi / c.a_minus
 
 
+def exact_discrete_psd(d: DerivedParams, dt: float, omega, y_policy="optimal") -> np.ndarray:
+    """Spectral density of the combined record as the sampler draws it at step
+    ``dt``: exact in discrete time, with no sampling noise.
+
+    The sampled run is ``x[n+1] = phi x[n] + w[n]``, ``z[n] = zx x[n] + v[n]``,
+    with the per-step covariance ``[[Q, S], [S^T, R]]`` of ``(w[n], v[n])``
+    from :func:`_step_operators`.  Its outputs have the density matrix
+    ``G Q G^H + G S + S^T G^H + R`` with ``G = zx (e^{i omega dt} I - phi)^-1``
+    (Kailath, Sayed & Hassibi 2000), here in the sign convention of
+    :func:`_welch`'s transforms, so the combined record's density is
+    ``dt w conj(G Q G^H + G S + S^T G^H + R) w^H`` with ``w`` from
+    :func:`sigma_weights`.  It tends to the analytic ``S_f`` as ``dt`` falls;
+    the step bound of :func:`_plan` compares the two.  All noise is on.
+    """
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, True)
+    phi, j_dt, _, cov = _step_operators(drift, f_in, intens, c_out, e_sel, dt)
+    zx = (c_out @ j_dt) / dt
+    q, s, r = cov[:3, :3], cov[:3, 3:], cov[3:, 3:]
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    shift = np.exp(1j * omega * dt)[:, None, None] * np.eye(3) - phi
+    g = np.swapaxes(np.linalg.solve(np.swapaxes(shift, 1, 2), zx.T), 1, 2)  # zx shift^-1
+    g_h = np.conj(np.swapaxes(g, 1, 2))
+    w = np.stack(sigma_weights(d, omega, y_policy), axis=1)
+    return dt * np.einsum("ni,nij,nj->n", w, np.conj(g @ q @ g_h + g @ s + s.T @ g_h + r),
+                          np.conj(w)).real
+
+
+def _band_top(d: DerivedParams, dt: float) -> float:
+    """Top edge of the comparison band: ten cycles of the measurement window,
+    clipped to 0.8 Nyquist."""
+    return min(2.0 * math.pi * 10.0 / d.phys.tau, 0.8 * math.pi / dt)
+
+
+def _step_gap(d: DerivedParams, dt: float, y_policy) -> float:
+    """Largest relative difference between :func:`exact_discrete_psd` at step
+    ``dt`` and the analytic ``S_f``, at ``_GAP_POINTS`` frequencies evenly
+    spaced up to the band's top edge; ``inf`` when either is not finite, or
+    the step's operators cannot be formed."""
+    omega = _band_top(d, dt) * np.arange(1, _GAP_POINTS + 1) / _GAP_POINTS
+    # a step far too coarse, or too fine, overflows in the operators; the
+    # result is then not finite, and the step is refused
+    with np.errstate(all="ignore"):
+        try:
+            exact = exact_discrete_psd(d, dt, omega, y_policy)
+        except np.linalg.LinAlgError:  # e^{i omega dt} an eigenvalue of phi in floats
+            return math.inf
+        analytic = spectrum_sweep(d, omega, y_policy).s_f
+        gap = np.abs(exact - analytic) / analytic
+    return float(np.max(gap)) if np.all(np.isfinite(gap)) else math.inf
+
+
 # where _cpu_quota finds this process's cgroup v2 and its cpu.max
 _PROC_CGROUP = "/proc/self/cgroup"
 _CGROUP_ROOT = "/sys/fs/cgroup"
@@ -530,6 +645,7 @@ class _Plan:
     signal: tuple[int, int]  # the pulse acts over steps [i0, i1); (0, 0) without one
     record_bytes: int
     panel_bytes: int         # one scan panel of every trajectory
+    step_gap: float          # what admitted the step: see _step_gap
     segments: int | None = None
     seg_len: int | None = None
     band: tuple[float, float] | None = None
@@ -553,28 +669,29 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
           dump: bool = False) -> _Plan:
     """Check a run and fix its sizes before any array that grows with it.
 
-    The refusals come in this order, (1) and (2) as :class:`SimulationError`
+    The refusals come in this order, (1) and (8) as :class:`SimulationError`
     (exit 2 in the CLI), the rest as :class:`RunRangeError` (exit 1): (1) a
-    step at or above :func:`stability_dt`; (2) a drift matrix that is not
-    strictly stable; (3) a step count ``t_dur / dt`` that is not finite;
-    (4) fewer than 8 segments ("need at least 8 segments"); (5) a streamed
-    working set above ``_MAX_RECORD_BYTES``, known once the segment length
-    is, which with ``dump`` includes the 16 bytes per step of trajectory 0's
-    dump; (6) segments under 64 samples; (7) no :func:`default_band`, or none
-    of its bins; (8) a signal window outside the run.  Without ``segments``
-    only the records are planned, for :func:`simulate`: (4) to (7) are
-    skipped, and the records are counted for it to refuse above the cap.
+    drift matrix that is not strictly stable; (2) a step count ``t_dur / dt``
+    that is not finite; (3) fewer than 8 segments ("need at least 8
+    segments"); (4) a streamed working set above ``_MAX_RECORD_BYTES``, known
+    once the segment length is, which with ``dump`` includes the 16 bytes per
+    step of trajectory 0's dump; (5) segments under 64 samples; (6) no
+    :func:`default_band`, or none of its bins; (7) a signal window outside the
+    run; (8) the step bound, last, once the run is known to be in range: a
+    step at which :func:`exact_discrete_psd`, the density the sampler draws,
+    differs from the analytic ``S_f`` by more than ``_STEP_GAP`` relative, or
+    not finitely, at any of ``_GAP_POINTS`` frequencies evenly spaced up to
+    the band's top edge (:func:`_step_gap`).  Those frequencies depend on
+    ``d`` and ``dt`` alone, so the bound costs the same whatever the run's
+    size.  Without
+    ``segments`` only the records are planned, for :func:`simulate`: (3) to
+    (6) are skipped, and the records are counted for it to refuse above the
+    cap.
     """
-    bound = stability_dt(d)
-    if cfg.dt >= bound:
+    rates = _drift_rates(d)
+    if rates[-1] >= 0.0:
         raise SimulationError(
-            f"dt = {cfg.dt:g} s violates the stability/accuracy bound {bound:g} s "
-            "(0.1 over the fastest relaxation rate)"
-        )
-    eigs = np.linalg.eigvals(_system_matrices(d, cfg.noise)[0])
-    if np.any(eigs.real >= 0.0):
-        raise SimulationError(
-            f"drift matrix is not stable (eigenvalue real parts {np.sort(eigs.real)}); "
+            f"drift matrix is not stable (eigenvalue real parts {rates}); "
             "the sensor self-oscillates for these parameters"
         )
     steps = cfg.t_dur / cfg.dt
@@ -611,7 +728,14 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
             signal = (round(ends[0]), round(ends[1]))
         if not 0 <= signal[0] < signal[1] <= n_steps:
             raise RunRangeError(f"signal window [{t0}, {t1}] s does not fit the run")
-    return _Plan(n_steps, signal, 16 * cfg.n_traj * n_steps, panel_bytes,
+    gap = _step_gap(d, cfg.dt, cfg.y_policy)
+    if not gap <= _STEP_GAP:
+        raise SimulationError(
+            f"dt = {cfg.dt:g} s breaks the step bound: up to {_band_top(d, cfg.dt):g} rad/s "
+            f"the density the sampler draws differs from the analytic S_f by {gap:.3g} "
+            f"relative (bound {_STEP_GAP:g}); use a smaller dt"
+        )
+    return _Plan(n_steps, signal, 16 * cfg.n_traj * n_steps, panel_bytes, gap,
                  segments, seg_len, band, bins, stream_bytes)
 
 
@@ -622,9 +746,9 @@ def _segment_len(n_len: int, segments: int) -> int:
 
 
 def _check_segment_len(n_len: int, seg_len: int) -> None:
-    if seg_len < 64:
-        raise RunRangeError(
-            f"series too short: {_count(n_len)} samples give segments of {seg_len} (< 64)")
+    if seg_len < _MIN_SEG_LEN:
+        raise RunRangeError(f"series too short: {_count(n_len)} samples give segments of "
+                            f"{seg_len} (< {_MIN_SEG_LEN})")
 
 
 def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
@@ -1012,9 +1136,9 @@ def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, 
 
 def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
     """Comparison band supported by a run: resolution-limited lower edge up to
-    ten cycles of the measurement window (clipped inside Nyquist)."""
+    ten cycles of the measurement window (clipped to 0.8 Nyquist)."""
     lo = MIN_CYCLES_IN_RECORD * 2.0 * math.pi / (round(cfg.t_dur / cfg.dt) * cfg.dt)
-    hi = min(2.0 * math.pi * 10.0 / d.phys.tau, 0.8 * math.pi / cfg.dt)
+    hi = _band_top(d, cfg.dt)
     if hi <= lo:
         raise RunRangeError(f"run too short for any comparison band (lo {lo:g} >= hi {hi:g})")
     return lo, hi

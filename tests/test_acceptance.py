@@ -210,8 +210,7 @@ def test_criterion_8_signal_transfer():
     p = ot.variant(ot.table1_preset(), pump_mult=1000.0)
     d = ot.derive(p)
     pulse = ot.SignalPulse(force_amp=1e-15, duration=4e-6, t_start=5e-4)
-    cfg = ot.SimConfig(dt=0.8 * ot.stability_dt(d), t_dur=0.02, n_traj=1,
-                       noise=False, signal=pulse)
+    cfg = ot.default_sim_config(d, t_dur=0.02, n_traj=1, noise=False, signal=pulse)
     ts = ot.simulate(d, cfg)
 
     n = ts.n_steps

@@ -18,6 +18,12 @@ from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, main
 from optotriplet.timedomain import _plan
 
 
+# a fine step for sym-lossless, the oracle's default scenario: 0.8 of 0.1 over
+# its fastest relaxation rate, about a tenth of the default step; the huge
+# runs refused below are sized in it
+FINE_DT = "3.5133948177426444e-07"
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -458,6 +464,12 @@ def test_oracle_small_run(tmp_path, capsys):
     assert not (out / "sym-lossless-bins.csv").exists()
     manifest = json.loads((out / "sym-lossless-manifest.json").read_text())
     assert manifest["sim"]["n_traj"] == 8
+    # the plan the run was checked against, and the gap that admitted its step
+    d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
+    plan = _plan(d, ot.default_sim_config(d, 4, n_traj=8, t_dur=0.008), 8)
+    assert manifest["plan"] == {"n_steps": 2419, "seg_len": 302, "bins": 104,
+                                "step_gap": plan.step_gap, "step_gap_bound": 1e-6}
+    assert 0.0 < plan.step_gap <= 1e-6
 
     # identical seed: identical report bytes
     out2 = tmp_path / "oracle2"
@@ -506,7 +518,7 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
 def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
     # 2.8e8 steps in 1000 segments: 0.88 GiB of streamed working set, plus
     # 4.24 GiB for both channels of trajectory 0 when they are dumped
-    flags = ["--duration", 100, "--segments", 1000]
+    flags = ["--duration", 100, "--segments", 1000, "--dt", FINE_DT]
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
                 "--dump-timeseries"]) == 1
     err = capsys.readouterr().err
@@ -514,7 +526,8 @@ def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
     # without the dump the same plan fits
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
-    assert _plan(d, ot.default_sim_config(d, t_dur=100.0), 1000).stream_bytes < 2**30
+    cfg = ot.default_sim_config(d, t_dur=100.0, dt=float(FINE_DT))
+    assert _plan(d, cfg, 1000).stream_bytes < 2**30
 
 
 @pytest.mark.parametrize("n_steps", [7001, 8193])
@@ -527,7 +540,7 @@ def test_oracle_dump_taps_trajectory_0_of_the_streamed_run(tmp_path, capsys, mon
     d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
     dt = ot.default_sim_config(d).dt
     configs, plans, bounds = [], [], []
-    config, plan, bound = ot.cli.default_sim_config, ot.cli._plan, ot.timedomain.stability_dt
+    config, plan, bound = ot.cli.default_sim_config, ot.cli._plan, ot.timedomain._step_gap
 
     def with_pulse(d, seed, **kw):
         cfg = config(d, seed, **kw)
@@ -537,7 +550,7 @@ def test_oracle_dump_taps_trajectory_0_of_the_streamed_run(tmp_path, capsys, mon
 
     monkeypatch.setattr(ot.cli, "default_sim_config", with_pulse)
     monkeypatch.setattr(ot.cli, "_plan", lambda *a, **k: plans.append(a) or plan(*a, **k))
-    monkeypatch.setattr(ot.timedomain, "stability_dt", lambda d: bounds.append(d) or bound(d))
+    monkeypatch.setattr(ot.timedomain, "_step_gap", lambda *a: bounds.append(a) or bound(*a))
     args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--trajectories", 3,
             "--duration", repr(n_steps * dt), "--segments", 8, "--seed", 99]
     code = run([*args, "--out", tmp_path / "dump", "--dump-timeseries"])
@@ -604,9 +617,10 @@ def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys
 
 
 def test_oracle_dt_violation(tmp_path, capsys):
-    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--dt", "1.0",
-                "--duration", "16.0"]) == 2
-    assert "stability" in capsys.readouterr().err
+    # 20 us, six times the default step: the sampled density is off by 7.2e-6
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--dt", "2e-5"]) == 2
+    assert "breaks the step bound" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -616,7 +630,9 @@ def test_oracle_dt_violation(tmp_path, capsys):
     ("--seed", "-1", "seed"),
     ("--segments", "4", "at least 8 segments"),
     ("--duration", "1e-4", "series too short"),  # segments under 64 samples
-    ("--duration", "8e-4", "too short for any comparison band"),
+    # segments of 142 samples, but a band from 7.9e5 rad/s
+    pytest.param("--duration=8e-4", f"--dt={FINE_DT}", "too short for any comparison band",
+                 id="--duration-8e-4-too short for any comparison band"),
     # streamed working sets of 108 GiB and 61 GiB, far above the 4 GiB cap
     ("--dt", "1e-10", "GiB"),
     ("--trajectories", "100000", "GiB"),
@@ -624,9 +640,11 @@ def test_oracle_dt_violation(tmp_path, capsys):
     ("--dt=1e-300", "--duration=1e300", "not a finite number of steps"),
     ("--segments=4", "--dump-timeseries", "at least 8 segments"),
     # sizes of hundreds of digits are printed to three
-    ("--duration", "1e300", "segments of 1.78e+305 steps would hold inf GiB"),
+    pytest.param("--duration=1e300", f"--dt={FINE_DT}",
+                 "segments of 1.78e+305 steps would hold inf GiB",
+                 id="--duration-1e300-segments of 1.78e+305 steps would hold inf GiB"),
     pytest.param("--duration=1e300", f"--segments={10**305}",
-                 "series too short: 2.85e+306 samples", id="--duration=1e300-huge segments"),
+                 "series too short: 3.02e+305 samples", id="--duration=1e300-huge segments"),
 ])
 def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, flag, value,
                                                  message):
@@ -642,12 +660,14 @@ def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, 
 
 
 # each case breaks two checks of the run plan; the first in the order of
-# timedomain._plan wins: the step bound, then the segment count, then the
-# working set, a dump's steps included, before segments of 28 samples
+# timedomain._plan wins: every range check before the step bound, the segment
+# count before the working set, and the working set, a dump's steps included,
+# before segments of 28 samples
 @pytest.mark.parametrize("flags, code, message", [
-    (["--dt", "1.0", "--duration", "16", "--segments", "4"], 2, "stability"),
+    (["--dt", "2e-5", "--segments", "4"], 1, "need at least 8 segments"),
     (["--segments", "4", "--trajectories", "100000"], 1, "need at least 8 segments"),
-    (["--duration", "100", "--segments", "10000000", "--dump-timeseries"], 1, "of it the dump"),
+    (["--duration", "100", "--segments", "10000000", "--dump-timeseries", "--dt", FINE_DT], 1,
+     "of it the dump"),
 ])
 def test_oracle_refusal_order(tmp_path, capsys, flags, code, message):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags]) == code

@@ -1,5 +1,6 @@
 """Property-based checks of the analytic engine, the scenario variants, the
-config parser, the oracle's run plan and its state-space density."""
+config parser, the oracle's run plan, its default step and its state-space
+density."""
 
 import dataclasses
 import os
@@ -16,10 +17,13 @@ from optotriplet.optimizer import y_opt_analytic
 from optotriplet.params import load_config, parse_config_text
 from optotriplet.timedomain import (
     _MAX_RECORD_BYTES,
+    _STEP_GAP,
     RunRangeError,
     SimulationError,
     _band_bins,
+    _band_top,
     _plan,
+    _step_gap,
     _system_matrices,
     sigma_weights,
 )
@@ -146,6 +150,41 @@ def test_plan_returns_a_bounded_plan_or_refuses(d, dt, data, n_traj, segments):
     if plan is not None:
         assert plan.stream_bytes <= _MAX_RECORD_BYTES
         assert 1 <= plan.bins.start < plan.bins.stop <= (plan.seg_len + 1) // 2
+        assert plan.step_gap <= _STEP_GAP  # the step bound ran inside the traced plan
+
+
+def _is_5_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+@PROPERTY
+@given(p=phys_params())
+def test_default_step_is_the_largest_the_step_bound_admits(p):
+    # 16 segments of a 5-smooth length, never under 64 samples; the plan
+    # refuses only a drift that is not stable or a duration (2e4 mechanical
+    # periods) too short for the band, never the step; and the next 5-smooth
+    # segment length down would clip the band's top edge or break the bound
+    d = ot.derive(p)
+    cfg = ot.default_sim_config(d)
+    n_steps = round(cfg.t_dur / cfg.dt)
+    assert n_steps % 16 == 0 and _is_5_smooth(n_steps // 16) and n_steps // 16 >= 64
+    try:
+        plan = _plan(d, cfg, 16)
+    except SimulationError as exc:
+        assert any(why in str(exc) for why in (
+            "drift matrix is not stable", "too short for any comparison band", "does not overlap"))
+        return
+    assert plan.n_steps == n_steps and plan.step_gap <= _STEP_GAP
+    coarser = n_steps // 16 - 1
+    while coarser >= 64 and not _is_5_smooth(coarser):
+        coarser -= 1
+    if coarser >= 64:
+        dt = cfg.t_dur / (16 * coarser)
+        assert (_band_top(d, dt) < 2.0 * np.pi * 10.0 / p.tau
+                or _step_gap(d, dt, "optimal") > _STEP_GAP)
 
 
 @PROPERTY

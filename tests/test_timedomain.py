@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov, solve_discrete_lyapunov
 
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
@@ -22,6 +22,7 @@ from optotriplet.timedomain import (
     _lyapunov,
     _plan,
     _segment_len,
+    _Sampler,
     _step_operators,
     _system_matrices,
     _welch,
@@ -38,6 +39,13 @@ def d_lossy():
 @pytest.fixture(scope="module")
 def d_sym():
     return ot.derive(ot.variant(ot.table1_preset(), symmetric=True, lossless=True))
+
+
+def fine_dt(d):
+    """A fine step, 0.8 of 0.1 over the fastest relaxation rate: 3.5e-7 s on
+    the preset, about a tenth of the default step."""
+    g0 = abs(complex(ot.coeffs(d, 0.0).g_opt))
+    return 0.8 * (0.1 / max(d.gamma_plus, d.gamma_minus, g0 + d.gamma_m))
 
 
 def short_cfg(d, **kw):
@@ -196,7 +204,7 @@ def test_step_operators_match_quadrature(scenario, dt_mult):
     # every operator against adaptive quadrature of its explicit integrand,
     # built from exp(M s) and K(s) = int_0^s exp(M v) dv alone
     d = ot.derive(ot.ORACLE_SCENARIOS[scenario].apply(ot.table1_preset()))
-    dt = dt_mult * ot.default_sim_config(d).dt
+    dt = dt_mult * fine_dt(d)
     drift, f_in, intens, c_out, e_sel = _system_matrices(d, True)
     phi, j_dt, jj, cov = _step_operators(drift, f_in, intens, c_out, e_sel, dt)
     aug = np.zeros((6, 6))
@@ -252,7 +260,7 @@ def test_expm_of_the_step_operator_blocks_matches_scipy(monkeypatch, scenario, d
     # the chain and Van Loan matrices exactly as _step_operators builds them;
     # the worst error measured is 2.4e-16 of the largest entry
     d = ot.derive(ot.ORACLE_SCENARIOS[scenario].apply(ot.table1_preset()))
-    dt = dt_mult * ot.default_sim_config(d).dt
+    dt = dt_mult * fine_dt(d)
     seen = []
 
     def recording(a):
@@ -319,10 +327,15 @@ def test_factor_psd_clips_only_rounding_noise():
         _factor_psd(indefinite)
 
 
-def test_dt_bound_rejected_upfront(d_lossy):
-    bound = ot.stability_dt(d_lossy)
-    with pytest.raises(SimulationError, match="stability"):
-        ot.simulate(d_lossy, dataclasses.replace(short_cfg(d_lossy), dt=2.0 * bound))
+def test_dt_bound_rejected_upfront(d_lossy, monkeypatch):
+    # 20 us, six times the default step: the sampled density is off by 7.1e-6
+    def no_panels(*args):
+        raise AssertionError("panels started")
+
+    monkeypatch.setattr(ot.timedomain, "_panels", no_panels)
+    refused = r"breaks the step bound.* 7\.11e-06 relative \(bound 1e-06\)"
+    with pytest.raises(SimulationError, match=refused):
+        ot.simulate(d_lossy, short_cfg(d_lossy, dt=2e-5))
 
 
 def test_antidamped_configuration_rejected():
@@ -408,7 +421,7 @@ def test_stationary_start(d_sym):
 
 
 def test_sigma_timeseries_and_dump(tmp_path, d_lossy):
-    cfg = short_cfg(d_lossy, n_traj=2)
+    cfg = short_cfg(d_lossy, n_traj=2, dt=fine_dt(d_lossy))
     ts = ot.simulate(d_lossy, cfg)
     sig = ts.sigma_timeseries()
     assert sig.shape == ts.b_plus.shape
@@ -429,7 +442,7 @@ def test_sigma_timeseries_and_dump(tmp_path, d_lossy):
 def test_interrupted_dump_leaves_the_old_file(tmp_path, d_lossy, monkeypatch):
     # the second block fails to format: the file under the final name is the
     # one that was there before, and no temporary file is left
-    ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=1))
+    ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=1, dt=fine_dt(d_lossy)))
     path = tmp_path / "series.txt"
     path.write_text("old\n")
     savetxt, blocks = np.savetxt, []
@@ -453,10 +466,138 @@ def test_interrupted_dump_leaves_the_old_file(tmp_path, d_lossy, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+# --- deterministic legs: analytic <-> exact discrete time <-> Welch -------------
+
+def oracle_derived(scenario):
+    return ot.derive(ot.ORACLE_SCENARIOS[scenario].apply(ot.table1_preset()))
+
+
+def discrete_model(d, dt):
+    """``phi``, ``zx`` and the state, cross and output blocks ``Q``, ``S``,
+    ``R`` of the per-step noise covariance, as the sampler uses them."""
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, True)
+    phi, j_dt, _, cov = _step_operators(drift, f_in, intens, c_out, e_sel, dt)
+    return phi, (c_out @ j_dt) / dt, cov[:3, :3], cov[:3, 3:], cov[3:, 3:]
+
+
+def expected_welch_psd(d, dt, seg_len, bins, y_policy="optimal"):
+    """The expectation of what ``_welch`` estimates at the bins ``bins`` of a
+    segment of ``seg_len`` samples of a stationary run.
+
+    The outputs' autocovariance is ``r(0) = zx P zx^T + R`` and
+    ``r(k) = zx phi^(k-1) (phi P zx^T + S)`` for ``k >= 1``, with ``P`` the
+    stationary covariance of the sampled recursion (the discrete Lyapunov
+    equation ``P = phi P phi^T + Q``).  A Hann-windowed transform in the
+    physics sign sees it through the lag window ``c(k) = sum_n win[n]
+    win[n + k]``: ``E[X X^H] = dt^2 (A + A^H - c(0) r(0))`` with
+    ``A = sum_k c(k) e^{i omega k dt} r(k)``, mixed with the weights of
+    ``sigma_weights`` and normalised as ``_welch`` normalises.
+    """
+    phi, zx, q, s, r = discrete_model(d, dt)
+    p = solve_discrete_lyapunov(phi, q)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+    lag_win = np.correlate(win, win, mode="full")[seg_len - 1:]
+    lags = np.empty((seg_len, 2, 2))
+    lags[0] = zx @ p @ zx.T + r
+    carry = phi @ p @ zx.T + s
+    for k in range(1, seg_len):
+        lags[k] = zx @ carry
+        carry = phi @ carry
+    omega = 2.0 * np.pi * np.fft.rfftfreq(seg_len, d=dt)[bins]
+    phase = np.exp(1j * dt * np.outer(omega, np.arange(seg_len)))
+    a = np.einsum("nk,kij->nij", phase * lag_win, lags)
+    xx = a + np.conj(np.swapaxes(a, 1, 2)) - lag_win[0] * lags[0]
+    w = np.stack(sigma_weights(d, omega, y_policy), axis=1)
+    mixed = np.einsum("ni,nij,nj->n", w, xx, np.conj(w)).real
+    return omega, dt * mixed / np.sum(win**2)
+
+
+@pytest.mark.parametrize("step", ["1x fine", "4x fine", "8x fine", "default"])
+@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
+def test_exact_discrete_psd_matches_the_analytic_density(scenario, step):
+    # from 1 rad/s to the band's top edge, below and across the comparison
+    # band; the worst errors measured are 2.2e-9, 3.5e-8, 1.4e-7 and 2.0e-7,
+    # growing as dt^2, largest near 1.0e4 rad/s
+    d = oracle_derived(scenario)
+    if step == "default":
+        dt = ot.default_sim_config(d).dt
+    else:
+        dt = int(step[0]) * fine_dt(d)
+    omega = np.geomspace(1.0, ot.timedomain._band_top(d, dt), 2000)
+    exact = ot.exact_discrete_psd(d, dt, omega)
+    analytic = ot.spectrum_sweep(d, omega).s_f
+    assert np.max(np.abs(exact - analytic) / analytic) <= 1e-6
+
+
+@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
+def test_expected_welch_psd_matches_the_analytic_density(scenario):
+    # the band bins of a default run: only the Hann window's leakage remains,
+    # at most 3.2e-5 of the density, a thousandth of the 3.1% error bar
+    d = oracle_derived(scenario)
+    cfg = ot.default_sim_config(d)
+    plan = _plan(d, cfg, 16)
+    omega, expected = expected_welch_psd(d, cfg.dt, plan.seg_len, plan.bins)
+    assert omega.size == 410
+    analytic = ot.spectrum_sweep(d, omega).s_f
+    assert np.max(np.abs(expected - analytic) / analytic) <= 1e-4
+
+
+def test_expected_welch_psd_matches_the_explicit_covariance_of_a_segment(d_lossy):
+    # 64 samples written as z = M xi in the independent draws xi = (x[0],
+    # (w, v)[0], ..., (w, v)[63]), whose covariance is block diagonal: the
+    # periodogram's expectation is then a quadratic form in Cov(z) = M C M^T,
+    # with no lag or window algebra
+    dt, n = ot.default_sim_config(d_lossy).dt, 64
+    phi, zx, q, s, r = discrete_model(d_lossy, dt)
+    step_cov = np.block([[q, s], [s.T, r]])
+    p = solve_discrete_lyapunov(phi, q)
+    m = np.zeros((n, 2, 3 + 5 * n))
+    state = np.zeros((3, 3 + 5 * n))
+    state[:, :3] = np.eye(3)
+    for k in range(n):
+        noise = slice(3 + 5 * k, 3 + 5 * (k + 1))
+        m[k] = zx @ state
+        m[k][:, noise][:, 3:] += np.eye(2)
+        state = phi @ state
+        state[:, noise][:, :3] += np.eye(3)
+    m = m.reshape(2 * n, -1)
+    draws = np.zeros((3 + 5 * n, 3 + 5 * n))
+    draws[:3, :3] = p
+    for k in range(n):
+        draws[3 + 5 * k:3 + 5 * (k + 1), 3 + 5 * k:3 + 5 * (k + 1)] = step_cov
+    cov_z = m @ draws @ m.T  # z[k] at rows 2k (b_plus) and 2k + 1 (b_minus)
+
+    bins = slice(1, n // 2)
+    omega, expected = expected_welch_psd(d_lossy, dt, n, bins)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    wp, wm = sigma_weights(d_lossy, omega, "optimal")
+    brute = np.empty(omega.size)
+    for j in range(omega.size):
+        taper = dt * win * np.exp(1j * omega[j] * dt * np.arange(n))
+        a = np.stack([wp[j] * taper, wm[j] * taper], axis=1).reshape(-1)
+        brute[j] = (a @ cov_z @ np.conj(a)).real / (dt * np.sum(win**2))
+    assert np.max(np.abs(expected - brute) / brute) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
+def test_default_step_takes_the_cholesky_path(scenario, monkeypatch):
+    # both covariances of a shipped run, the step's and the stationary one,
+    # are factored without the eigenvalue clip of _factor_psd
+    def no_clip(*args):
+        raise AssertionError("_factor_psd fell back to its eigendecomposition")
+
+    d = oracle_derived(scenario)
+    cfg = ot.default_sim_config(d)
+    plan = _plan(d, cfg, 16)
+    monkeypatch.setattr(np.linalg, "eigh", no_clip)
+    _Sampler(d, cfg, plan)
+
+
 # --- estimator + comparison ------------------------------------------------------
 
 def test_estimate_psd_guards(d_lossy, monkeypatch):
-    ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=2))
+    cfg = short_cfg(d_lossy, n_traj=2, dt=fine_dt(d_lossy))
+    ts = ot.simulate(d_lossy, cfg)
     with pytest.raises(ValueError, match="segments"):
         ot.estimate_psd(ts, segments=4)
     tiny = dataclasses.replace(ts, b_plus=ts.b_plus[:, :400], b_minus=ts.b_minus[:, :400])
@@ -468,13 +609,12 @@ def test_estimate_psd_guards(d_lossy, monkeypatch):
         raise AssertionError("simulation started")
 
     monkeypatch.setattr(ot.timedomain, "_step_operators", no_simulation)
-    cfg = short_cfg(d_lossy, n_traj=2)
     with pytest.raises(ValueError, match="segments"):
         ot.run_comparison(d_lossy, cfg, segments=4)
     with pytest.raises(ValueError, match="too short"):
         ot.run_comparison(d_lossy, cfg, segments=ts.n_steps // 63)
     with pytest.raises(ValueError, match="too short for any comparison band"):
-        ot.run_comparison(d_lossy, short_cfg(d_lossy, t_dur=8e-4), segments=8)
+        ot.run_comparison(d_lossy, dataclasses.replace(cfg, t_dur=8e-4), segments=8)
 
 
 @pytest.mark.parametrize("n_traj", [1, 3])
@@ -567,7 +707,7 @@ def test_usable_cpus_obey_the_cgroup_cpu_quota(tmp_path, monkeypatch, cgroup, cp
 
 def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch):
     monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 3)
-    cfg = short_cfg(d_lossy, n_traj=3)
+    cfg = short_cfg(d_lossy, n_traj=3, dt=fine_dt(d_lossy))
     start = threading.active_count()
     ot.simulate(d_lossy, cfg)
     assert threading.active_count() == start
@@ -683,7 +823,8 @@ def test_streamed_comparison_memory_stays_below_records(d_lossy):
     dt = ot.default_sim_config(d_lossy).dt
     cfg = short_cfg(d_lossy, n_traj=8, t_dur=86_241 * dt)
     records_bytes = 2 * cfg.n_traj * 86_241 * 8
-    ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=1), segments=16)  # warm caches
+    ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=1, dt=fine_dt(d_lossy)),
+                      segments=16)  # warm caches
     tracemalloc.start()
     try:
         report, _, _ = ot.run_comparison(d_lossy, cfg, segments=16)
@@ -703,7 +844,8 @@ def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monk
     stream_bytes = _plan(d_lossy, cfg, 16).stream_bytes
     for cpus in (1, 2, 4):
         monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
-        ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=cpus), segments=16)  # warm caches
+        ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=cpus, dt=fine_dt(d_lossy)),
+                          segments=16)  # warm caches
         tracemalloc.start()
         try:
             ot.run_comparison(d_lossy, cfg, segments=16)
@@ -770,15 +912,15 @@ def test_simulate_hints_at_streaming_only_where_the_records_break_the_cap(
 
 @pytest.mark.parametrize("overrides", [{"dt": 1e-10}, {"n_traj": 100_000}])
 def test_streamed_run_refuses_working_set_above_the_cap(d_lossy, monkeypatch, overrides):
-    # default duration: 5.7e8 steps of 64 trajectories, or 1.6e5 steps of 1e5
-    # trajectories; the segment buffers alone would take 34 GiB or 15 GiB, and
-    # the bin weights of 1.8e7 bins about 6 GB
+    # default duration: 5.7e8 steps of 64 trajectories, or 1.7e4 steps of 1e5
+    # trajectories; the segment buffers alone would take 34 GiB (and the bin
+    # weights of 1.8e7 bins about 6 GB), or the scan panel 15 GiB
     def no_simulation(*args):
         raise AssertionError("simulation started")
 
+    cfg = ot.default_sim_config(d_lossy, **overrides)
     monkeypatch.setattr(ot.timedomain, "_step_operators", no_simulation)
     monkeypatch.setattr(ot.timedomain, "sigma_weights", no_simulation)
-    cfg = ot.default_sim_config(d_lossy, **overrides)
     tracemalloc.start()
     try:
         with pytest.raises(SimulationError, match=r"GiB \(cap 4 GiB\)"):
