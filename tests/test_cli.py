@@ -439,15 +439,15 @@ def test_presets_listing(capsys):
 # the estimator or the report format changes it
 GOLDEN_ORACLE_SMALL_REPORT = """\
 scenario sym-lossless (symmetric, lossless, pump x1)
-trajectories 8, duration 0.008 s, dt 3.5133948177426444e-07 s, segments 8, seed 4
+trajectories 8, duration 0.008 s, dt 3.306878306878307e-06 s, segments 8, seed 4
 spectral comparison: PASS
-  band                [7.853982e+04, 7.330383e+05] rad/s
+  band                [7.854631e+04, 7.330383e+05] rad/s
   bins compared       104
   per-bin 1-sigma     12.500 %
-  within 3 sigma      100.00 % (need >= 95 %)
-  worst deviation     2.848 sigma
-  median est/analytic 1.018975
-  reduced chi-square  1.0319
+  within 3 sigma      99.04 % (need >= 95 %)
+  worst deviation     3.165 sigma
+  median est/analytic 0.962793
+  reduced chi-square  0.9542
 """
 
 
