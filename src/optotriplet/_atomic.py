@@ -7,27 +7,59 @@ import os
 import tempfile
 
 
-def atomic_write(path, chunks) -> None:
-    """Write ``chunks`` (a string or an iterable of strings) to ``path`` through a
-    uniquely named file in the same directory.
+class AtomicFile:
+    """A text file written through a uniquely named file in the directory of
+    ``path``, which appears under ``path`` only at :meth:`commit`.
 
-    The file only appears under its final name once complete, and concurrent
-    writers never share a temporary file.  The temporary file is removed when
-    the write fails.
+    Concurrent writers never share a temporary file.  Leaving the ``with``
+    block without a commit, or calling :meth:`discard`, removes the temporary
+    file; after a commit both do nothing.
     """
-    path = os.fspath(path)
-    if isinstance(chunks, str):
-        chunks = (chunks,)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+        fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".",
+                                         prefix=os.path.basename(self.path) + ".", suffix=".tmp")
+        try:
+            self._fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+        except BaseException:
+            os.close(fd)
+            os.unlink(self._tmp)
+            raise
+
+    def write(self, text: str) -> None:
+        self._fh.write(text)
+
+    def commit(self) -> None:
+        self._fh.close()
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s default mode
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        os.chmod(self._tmp, 0o666 & ~umask)  # mkstemp creates 0600; keep open()'s default mode
+        os.replace(self._tmp, self.path)
+        self._tmp = None
+
+    def discard(self) -> None:
+        if self._tmp is not None:
+            try:
+                self._fh.close()
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self._tmp)
+                self._tmp = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.discard()
+
+
+def atomic_write(path, chunks) -> None:
+    """Write ``chunks`` (a string or an iterable of strings) to ``path`` through
+    an :class:`AtomicFile`; the temporary file is removed when the write fails."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    with AtomicFile(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.commit()

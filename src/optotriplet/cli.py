@@ -30,6 +30,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from ._atomic import AtomicFile as _AtomicFile
 from ._atomic import atomic_write as _atomic_write
 from .params import (
     DerivedParams,
@@ -65,13 +66,14 @@ EXIT_COMPARISON = 3
 CSV_COLUMNS = ("omega_rad_s", "omega_tau_over_2pi", "y_re", "y_im",
                "S_qu", "S_T", "S_f", "S_SQL", "R")
 BINS_COLUMNS = ("omega", "est", "analytic", "dev_sigma")
-# rows evaluated and formatted per CSV chunk; bounds a sweep's memory on huge grids
+# rows evaluated and formatted per slice of a sweep, over all its scenarios;
+# bounds a sweep's memory on huge grids
 _CSV_CHUNK_ROWS = 8192
-# a sweep's blocks are formatted in a process pool from this many rows on;
+# a sweep's slices are formatted in a process pool from this many rows on;
 # below it, starting the workers cost more than they saved
 _POOL_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
-# workers of that pool at most; with one more block in flight than workers,
-# the parent holds at most 5 finished blocks of about 1.4 MB each
+# workers of that pool at most; with one more slice in flight than workers,
+# the parent holds at most 5 finished slices of about 1.4 MB each
 _MAX_WORKERS = 4
 
 
@@ -79,37 +81,55 @@ class ConfigError(ValueError):
     """Usage-level problem: bad flags, missing or malformed config."""
 
 
-def _csv_block(d: DerivedParams, grid: np.ndarray, y_policy, tau: float) -> str:
-    """CSV rows of the sweep over ``grid``, a checked slice of at most
-    ``_CSV_CHUNK_ROWS`` frequencies.
+def _csv_slice(scenarios, grid: np.ndarray):
+    """CSV rows over ``grid``, a checked slice of a sweep's grid, of each of
+    ``scenarios``, a sequence of ``(derived, y_policy, tau)``.
 
-    The rows are evaluated by :func:`spectrum_sweep`, and every value is
-    written with ``repr`` (shortest round trip).
+    Each scenario's rows are evaluated by :func:`spectrum_sweep`, and every
+    value is written with ``repr`` (shortest round trip).  ``omega``,
+    ``omega_tau_over_2pi`` and ``S_SQL`` depend only on the grid, ``tau`` and
+    ``gamma_m``, which the scenarios of a sweep mostly share: a column whose
+    float64 bytes equal those of a column already formatted in this slice
+    reuses its text, so each block is the text of its scenario formatted
+    alone.
+
+    Returns the blocks of the scenarios before the first one that fails with
+    a ``ValueError`` or ``ArithmeticError``, and that exception (``None`` if
+    none does); any other exception propagates.
     """
-    table = spectrum_sweep(d, grid, y_policy)
-    # one row template; S_T is the same on every row, so it is formatted once
-    row = ",".join(["%r"] * 5 + [repr(float(table.s_t))] + ["%r"] * 3)
-    columns = (
-        table.omega,
-        table.omega * tau / (2.0 * math.pi),
-        table.y.real,
-        table.y.imag,
-        table.s_qu,
-        table.s_f,
-        table.s_sql,
-        table.ratio,
-    )
-    rows = zip(*(col.tolist() for col in columns))
-    return "\n".join([row % r for r in rows]) + "\n"
+    blocks, formatted = [], {}
+
+    def text(column):
+        key = column.tobytes()
+        if key not in formatted:
+            formatted[key] = list(map(repr, column.tolist()))
+        return formatted[key]
+
+    try:
+        for d, y_policy, tau in scenarios:
+            table = spectrum_sweep(d, grid, y_policy)
+            columns = (
+                text(table.omega),
+                text(table.omega * tau / (2.0 * math.pi)),
+                map(repr, table.y.real.tolist()),
+                map(repr, table.y.imag.tolist()),
+                map(repr, table.s_qu.tolist()),
+                itertools.repeat(repr(float(table.s_t))),  # the same on every row
+                map(repr, table.s_f.tolist()),
+                text(table.s_sql),
+                map(repr, table.ratio.tolist()),
+            )
+            blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    except (ValueError, ArithmeticError) as exc:  # raised once the scenarios before it are written
+        return blocks, exc
+    return blocks, None
 
 
-def _n_blocks(grid: np.ndarray) -> int:
-    return -(-grid.size // _CSV_CHUNK_ROWS)
-
-
-def _pooled_blocks(pool, tasks, window: int):
-    """``_csv_block(*task)`` of each of ``tasks``, in order, computed by
-    ``pool`` with at most ``window`` blocks submitted or held at a time."""
+def _pooled_slices(pool, tasks, window: int):
+    """``(indices, _csv_slice(*args))`` of each ``(indices, args)`` of ``tasks``,
+    in order, computed by ``pool`` with at most ``window`` slices submitted or
+    held at a time.  Each task is drawn only once the result ``window`` tasks
+    before it has been taken and handled."""
     tasks = iter(tasks)
     with warnings.catch_warnings():
         # The fork pool starts its workers at the first submit.  Python 3.12+
@@ -121,35 +141,47 @@ def _pooled_blocks(pool, tasks, window: int):
         warnings.filterwarnings(
             "ignore", r"This process .* is multi-threaded, use of fork\(\) may lead to deadlocks",
             DeprecationWarning)
-        pending = collections.deque(pool.submit(_csv_block, *task)
-                                    for task in itertools.islice(tasks, window))
-    for task in tasks:
-        yield pending.popleft().result()
-        pending.append(pool.submit(_csv_block, *task))
+        pending = collections.deque((indices, pool.submit(_csv_slice, *args))
+                                    for indices, args in itertools.islice(tasks, window))
     while pending:
-        yield pending.popleft().result()
+        indices, future = pending.popleft()
+        yield indices, future.result()
+        for indices, args in itertools.islice(tasks, 1):
+            pending.append((indices, pool.submit(_csv_slice, *args)))
 
 
 @contextlib.contextmanager
-def _csv_blocks(sweeps):
-    """An iterator of the CSV blocks of ``sweeps``, in order.
+def _csv_blocks(groups, live):
+    """An iterator of ``(indices, (blocks, failure))``, the
+    :func:`_csv_slice` of each slice of a planned sweep, in order.
 
-    ``sweeps`` lists ``(derived, grid, y_policy, tau)`` per computed
-    scenario; each grid is cut into blocks of ``_CSV_CHUNK_ROWS`` rows.  The
-    blocks are formatted in a pool of forked processes, one per usable CPU up
-    to ``_MAX_WORKERS``, when there are at least two such CPUs and
+    ``groups`` lists ``(grid, members)`` per distinct grid, as
+    :func:`_plan_sweep` gives them.  Each grid is cut into slices of
+    ``_CSV_CHUNK_ROWS // len(members)`` points, so that a slice formats at
+    most ``_CSV_CHUNK_ROWS`` rows over all its scenarios.  A slice is
+    formatted for the members whose plan index ``live`` admits when the slice
+    is drawn, and ``indices`` are theirs.
+
+    The slices are formatted in a pool of forked processes, one per usable
+    CPU up to ``_MAX_WORKERS``, when there are at least two such CPUs and
     ``_POOL_MIN_ROWS`` rows, no other Python thread runs and the platform can
     fork; otherwise they are formatted inline.  Either way the text is the
-    same.  At most one block more than there are workers is in flight, and no
+    same.  At most one slice more than there are workers is in flight, and no
     worker outlives the context.
     """
-    tasks = ((d, grid[start:start + _CSV_CHUNK_ROWS], y_policy, tau)
-             for d, grid, y_policy, tau in sweeps
-             for start in range(0, grid.size, _CSV_CHUNK_ROWS))
-    grids = [grid for _, grid, _, _ in sweeps]
-    n_workers = min(_usable_cpus(), _MAX_WORKERS, sum(map(_n_blocks, grids)))
-    if (n_workers >= 2 and sum(grid.size for grid in grids) >= _POOL_MIN_ROWS
-            and threading.active_count() == 1):
+    def tasks():
+        for grid, members in groups:
+            step = _CSV_CHUNK_ROWS // len(members)
+            for start in range(0, grid.size, step):
+                drawn = [(i, scenario) for i, scenario in members if live(i)]
+                if drawn:
+                    indices, scenarios = zip(*drawn)
+                    yield indices, (scenarios, grid[start:start + step])
+
+    n_slices = sum(-(-grid.size // (_CSV_CHUNK_ROWS // len(members))) for grid, members in groups)
+    n_workers = min(_usable_cpus(), _MAX_WORKERS, n_slices)
+    if (n_workers >= 2 and sum(grid.size * len(members) for grid, members in groups)
+            >= _POOL_MIN_ROWS and threading.active_count() == 1):
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -157,11 +189,11 @@ def _csv_blocks(sweeps):
 
             pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                yield _pooled_blocks(pool, tasks, n_workers + 1)
+                yield _pooled_slices(pool, tasks(), n_workers + 1)
             finally:
                 pool.shutdown(cancel_futures=True)
             return
-    yield (_csv_block(*task) for task in tasks)
+    yield ((indices, _csv_slice(*args)) for indices, args in tasks())
 
 
 def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> str:
@@ -209,37 +241,53 @@ def _manifest(p: PhysParams, d: DerivedParams, extra: dict) -> str:
 
 
 def _plan_sweep(p: PhysParams, names, override_grid):
-    """Each scenario's ``(name, scenario, derived, grid, first)``, in order.
+    """Each scenario's ``(name, scenario, derived, grid, first)``, in order,
+    the computed scenarios grouped by grid, and the planning failure.
 
     Scenarios equal up to their name write equal CSVs (a grid override is the
-    same for all of them), so only the first is computed; ``first`` names the
-    earlier scenario whose CSV a later one copies, and is ``None`` for a
-    computed one.  Each computed grid is checked whole here, as each block
-    only checks its own slice.  Planning stops at the first scenario that
-    fails, and returns its exception with the plans before it, so that it is
-    raised once their CSVs are written.
+    same for all of them), so only the first is computed; ``first`` is the
+    index of the earlier plan whose blocks a later one also writes, and is
+    ``None`` for a computed one.  ``groups`` lists ``(grid, members)`` per
+    distinct grid, with ``(index, (derived, y_policy, tau))`` of each computed
+    scenario on it.  Each distinct grid is built and checked whole here, once,
+    as each slice only checks its own points.  Planning stops at the first
+    scenario that fails, and returns its exception with the plans before it,
+    so that it is raised once their CSVs are written.
     """
-    plans, computed = [], {}
+    plans, computed, groups = [], {}, {}
     try:
         for name in names:
             scen = SWEEP_SCENARIOS[name]
             p_s = scen.apply(p)
             d_s = derive(p_s)
             key = dataclasses.replace(scen, name="")
-            if key in computed:
-                first, grid = computed[key]
+            first = computed.get(key)
+            if first is None:
+                grid_key = None if override_grid is not None else (
+                    scen.grid_kind, scen.grid_n, scen.grid_lo_scaled, scen.grid_hi_scaled, p_s.tau)
+                if grid_key not in groups:
+                    groups[grid_key] = (override_grid if grid_key is None
+                                        else _checked_grid(scen.grid(p_s.tau)), [])
+                grid, members = groups[grid_key]
+                computed[key] = len(plans)
+                members.append((len(plans), (d_s, scen.y_policy, p_s.tau)))
             else:
-                first = None
-                grid = override_grid if override_grid is not None else _checked_grid(
-                    scen.grid(p_s.tau))
-                computed[key] = (name, grid)
+                grid = plans[first][3]
             plans.append((name, scen, d_s, grid, first))
     except (ValueError, ArithmeticError) as exc:  # what main reports as an error
-        return plans, exc
-    return plans, None
+        return plans, list(groups.values()), exc
+    return plans, list(groups.values()), None
 
 
 def cmd_sweep(args) -> int:
+    """Write one CSV per scenario, then the manifest.
+
+    Every CSV of the sweep is written at once, each through its own temporary
+    file: the blocks of each slice go to the file of each computed scenario
+    and to those of its repeats.  When a scenario fails, the scenarios before
+    it are finished and written, those from it on are dropped from the slices
+    still to draw and their files removed, and its exception is raised.
+    """
     p = _resolve_params(args)
     names = args.scenario or list(SWEEP_SCENARIOS)
     unknown = [n for n in names if n not in SWEEP_SCENARIOS]
@@ -259,21 +307,30 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     d_base = derive(p)
-    plans, failure = _plan_sweep(p, names, override_grid)
+    plans, groups, failure = _plan_sweep(p, names, override_grid)
+    # the plans from `end` on are not written: the first scenario that failed
+    # and those after it (all written when none failed)
+    end = len(plans)
     header = ",".join(CSV_COLUMNS) + "\n"
     scen_entries = []
-    with _csv_blocks([(d_s, grid, scen.y_policy, d_s.phys.tau)
-                      for _, scen, d_s, grid, first in plans if first is None]) as blocks:
-        for name, scen, d_s, grid, first in plans:
-            out_path = os.path.join(args.out, f"{name}.csv")
-            if first is None:
-                own = itertools.islice(blocks, _n_blocks(grid))
-                _atomic_write(out_path, itertools.chain([header], own))
-            else:
-                with open(os.path.join(args.out, f"{first}.csv"), encoding="utf-8",
-                          newline="") as fh:
-                    _atomic_write(out_path, iter(lambda: fh.read(1 << 20), ""))
-            print(f"wrote {out_path} ({grid.size} rows, {scen.describe()})")
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(_AtomicFile(os.path.join(args.out, f"{name}.csv")))
+                 for name, *_ in plans]
+        writers = [[] for _ in plans]
+        for i, (*_, first) in enumerate(plans):
+            writers[i if first is None else first].append(files[i])
+            files[i].write(header)
+        with _csv_blocks(groups, lambda i: i < end) as slices:
+            for indices, (blocks, exc) in slices:
+                for i, block in zip(indices, blocks):
+                    for fh in writers[i]:
+                        fh.write(block)
+                if exc is not None and indices[len(blocks)] < end:
+                    end, failure = indices[len(blocks)], exc
+                blocks = block = None  # hold no slice while the next one is awaited
+        for fh, (name, scen, d_s, grid, _) in zip(files, plans[:end]):
+            fh.commit()
+            print(f"wrote {fh.path} ({grid.size} rows, {scen.describe()})")
             regime = check_regime(d_s)
             for c in regime.checks:
                 if c.status == "fail":

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import optotriplet as ot
-from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, main
+from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, _csv_slice, main
 from optotriplet.timedomain import _plan
 
 
@@ -113,7 +113,7 @@ def test_sweep_csv_in_several_chunks(tmp_path):
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig3-nonsym-lossy",
                 "--scenario", "fig2-nonsym", "--scenario", "fig3-nonsym-lossless",
                 "--grid", f"log:{n}:1e3:1e7"]) == 0
-    # the repeat of an equal scenario is a copy of more than one read block
+    # the repeat of an equal scenario is written from the same blocks
     first = (out / "fig2-nonsym.csv").read_bytes()
     assert len(first) > 1 << 20
     assert (out / "fig3-nonsym-lossless.csv").read_bytes() == first
@@ -126,6 +126,36 @@ def test_sweep_csv_in_several_chunks(tmp_path):
                   table.ratio[i])
         lines.append(",".join(repr(float(v)) for v in values))
     assert (out / "fig3-nonsym-lossy.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_slice_formats_each_scenario_as_alone():
+    # the grid-only columns are formatted once per slice; a scenario with
+    # another tau (omega_tau_over_2pi) or Q (S_SQL) formats its own copy
+    base = ot.table1_preset()
+    params = [ot.SWEEP_SCENARIOS[name].apply(base)
+              for name in ("fig2-sym", "fig3-nonsym-lossy", "fig2-nonsym", "fig4-sym-lossy")]
+    params[2] = dataclasses.replace(params[2], tau=3.0 * base.tau)
+    params[3] = dataclasses.replace(params[3], Q=1e6)
+    scenarios = [(ot.derive(p), "optimal", p.tau) for p in params]
+    grid = ot.make_grid(base.tau, kind="log", n=1000, lo=1.0, hi=1e7)
+    blocks, failure = _csv_slice(scenarios, grid)
+    assert failure is None
+    for block, (d, _, tau) in zip(blocks, scenarios, strict=True):
+        table = ot.spectrum_sweep(d, grid)
+        lines = [",".join(repr(float(v)) for v in (
+            table.omega[i], table.omega[i] * tau / (2.0 * np.pi), table.y[i].real,
+            table.y[i].imag, table.s_qu[i], table.s_t, table.s_f[i], table.s_sql[i],
+            table.ratio[i])) for i in range(grid.size)]
+        assert block == "\n".join(lines) + "\n"
+        assert block == _csv_slice([(d, "optimal", tau)], grid)[0][0]
+    columns = [list(zip(*(line.split(",") for line in block.splitlines()))) for block in blocks]
+    assert columns[2][1] != columns[0][1] and columns[2][7] == columns[0][7]
+    assert columns[3][7] != columns[0][7] and columns[3][1] == columns[0][1]
+    # a scenario that fails ends the slice: the blocks before it, and its exception
+    scenarios[2] = (scenarios[2][0], "bogus", scenarios[2][2])
+    partial, failure = _csv_slice(scenarios, grid)
+    assert partial == blocks[:2]
+    assert isinstance(failure, ValueError) and "bogus" in str(failure)
 
 
 def test_manifests_carry_every_derived_field(tmp_path):
@@ -230,9 +260,25 @@ def test_sweep_memory_is_bounded_per_chunk(tmp_path):
     assert peak < 12e6
 
 
+def test_sweep_memory_is_bounded_per_slice_of_several_scenarios(tmp_path):
+    # four computed scenarios share each slice of 8192 // 4 = 2048 points
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--grid", "log:300:1:1e7"]) == 0  # warm caches
+    scenarios = ["fig2-sym", "fig2-nonsym", "fig3-nonsym-lossy", "fig4-sym-lossy"]
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--preset", "table1", "--out", out, "--grid", "log:100003:1:1e7"]
+                   + [arg for name in scenarios for arg in ("--scenario", name)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 FORK = "fork" in multiprocessing.get_all_start_methods()
-# three computed scenarios of three blocks each; fig3-nonsym-lossless copies
-# fig2-nonsym
+# three computed scenarios on one grid, in slices of 8192 // 3 = 2730 points;
+# fig3-nonsym-lossless is written from fig2-nonsym's blocks
 POOLED_SWEEP = ["sweep", "--preset", "table1", "--grid", f"log:{2 * _CSV_CHUNK_ROWS + 7}:1e3:1e7",
                 "--scenario", "fig3-nonsym-lossy", "--scenario", "fig2-nonsym",
                 "--scenario", "fig3-nonsym-lossless", "--scenario", "fig2-sym"]
@@ -258,8 +304,8 @@ def _spy_on_blocks(monkeypatch, log, fail_on=None):
 
 @pytest.mark.skipif(not FORK, reason="the block pool needs fork")
 def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
-    # inline, then 2 and 3 workers with 4 and 6 blocks in flight, so scenario
-    # boundaries fall inside the window
+    # inline, then 2 and 3 workers with 3 and 4 slices in flight; each of the
+    # 7 slices of 2730 points is evaluated once per computed scenario
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log)
     csvs, stdout = {}, {}
@@ -270,7 +316,7 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
         assert run(POOLED_SWEEP + ["--out", out]) == 0
         assert multiprocessing.active_children() == []
         pids = log.read_text().split()
-        assert len(pids) == 9
+        assert len(pids) == 21
         if cpus == 1:
             assert set(pids) == {str(os.getpid())}
         else:
@@ -332,7 +378,7 @@ def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
     def interrupt(d):
         raise KeyboardInterrupt
 
-    # called after the first CSV is written, with later blocks in flight
+    # called after the first CSV is committed, before the others are
     monkeypatch.setattr(ot.cli, "check_regime", interrupt)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
@@ -342,22 +388,38 @@ def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    writes = []
+
+    class Interrupted(ot.cli._AtomicFile):
+        def write(self, text):
+            writes.append(self.path)
+            if len(writes) == 10:  # 4 headers and the first slice's 4 blocks are written
+                raise KeyboardInterrupt
+            super().write(text)
+
+    monkeypatch.setattr(ot.cli, "_AtomicFile", Interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run(POOLED_SWEEP + ["--out", out])
+    assert multiprocessing.active_children() == []
+    assert os.listdir(out) == []
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
 def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
-    # the parent stalls before it takes each block, so every block in flight
-    # is finished and held when it does: that must stay a few blocks however
-    # many CPUs the host has
+    # the parent stalls as it writes each block, so every slice in flight is
+    # finished and held before it takes the next: that must stay a few slices
+    # however many CPUs the host has
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 64)
-    real = ot.cli._atomic_write
 
-    def stalled(path, chunks):
-        def slow():
-            for chunk in [chunks] if isinstance(chunks, str) else chunks:
-                time.sleep(0.1)
-                yield chunk
+    class Stalled(ot.cli._AtomicFile):
+        def write(self, text):
+            time.sleep(0.1)
+            super().write(text)
 
-        real(path, slow())
-
-    monkeypatch.setattr(ot.cli, "_atomic_write", stalled)
+    monkeypatch.setattr(ot.cli, "_AtomicFile", Stalled)
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
                 "--grid", "log:300:1:1e7"]) == 0  # warm caches
@@ -387,7 +449,7 @@ def test_sweep_formats_inline_while_another_thread_runs(tmp_path, monkeypatch):
     finally:
         release.set()
         other.join()
-    assert log.read_text().split() == [str(os.getpid())] * 9
+    assert log.read_text().split() == [str(os.getpid())] * 21
 
 
 def test_needs_config_or_preset(capsys):
@@ -683,7 +745,7 @@ def _loaded_modules(code, package="scipy"):
     """Modules of ``package`` loaded after running ``code`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(ot.__file__))
     code += ("; import sys; print(sorted(m for m in sys.modules "
-             f"if m.split('.')[0] == {package!r}))")
+             f"if (m + '.').startswith({package + '.'!r})))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
@@ -711,6 +773,16 @@ def test_oracle_run_loads_no_scipy(tmp_path):
             f"assert main(['oracle', '--preset', 'table1', '--trajectories', '2', "
             f"'--out', {str(tmp_path)!r}]) == 0")
     assert _loaded_modules(code) == "[]"
+    assert (tmp_path / "sym-lossless-report.txt").exists()
+
+
+def test_oracle_run_leaves_numpy_ma_unloaded(tmp_path):
+    # the comparison's median is a sort, not np.median, whose first call
+    # imports numpy.ma
+    code = ("from optotriplet.cli import main; "
+            f"assert main(['oracle', '--preset', 'table1', '--trajectories', '2', "
+            f"'--duration', '0.008', '--out', {str(tmp_path)!r}]) in (0, 3)")
+    assert _loaded_modules(code, "numpy.ma") == "[]"
     assert (tmp_path / "sym-lossless-report.txt").exists()
 
 

@@ -20,6 +20,7 @@ from optotriplet.timedomain import (
     _expm,
     _factor_psd,
     _lyapunov,
+    _median,
     _plan,
     _segment_len,
     _Sampler,
@@ -958,6 +959,17 @@ def test_compare_rejects_misscaled(d_lossy):
     rep = ot.compare(doubled, est, band)
     assert not rep.passed
     assert "FAIL" in rep.format()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 255, 256, 1001, 1024])
+def test_median_matches_numpy_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(1.0, 0.05, n), rng.lognormal(0.0, 30.0, n),
+              np.full(n, rng.normal()), rng.integers(-3, 3, n).astype(float)):
+        want = np.median(x)
+        assert np.float64(_median(x)).tobytes() == np.float64(want).tobytes()
+        x[rng.integers(n)] = np.nan
+        assert np.isnan(_median(x)) and np.isnan(np.median(x))
 
 
 def test_compare_band_guards(d_lossy):
