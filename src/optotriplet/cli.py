@@ -8,8 +8,8 @@ Verbs
 - ``minforce``  print the minimum-detectable-force budget
 - ``presets``   list the named scenarios
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
-3 spectral comparison failure.
+Exit codes: 0 success, 1 usage/config error or a file that cannot be read or
+written, 2 numerical failure, 3 spectral comparison failure.
 """
 
 from __future__ import annotations
@@ -185,9 +185,14 @@ def _csv_blocks(groups, live):
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
+            import tracemalloc
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
+            # a worker forked from a traced process would trace every
+            # allocation of its slices, which no one reads, at several times
+            # the cost of formatting them
+            pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=tracemalloc.stop)
             try:
                 yield _pooled_slices(pool, tasks(), n_workers + 1)
             finally:
@@ -498,7 +503,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

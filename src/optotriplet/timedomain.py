@@ -32,13 +32,13 @@ stream per trajectory spawned from the run's seed.
 A run is split into contiguous shards of trajectories, one per usable CPU
 (at most one per trajectory), and each shard runs end to end on a thread of
 its own: it draws its streams, scans and mixes its panels and, in the
-spectral estimate, windows, transforms and weights its segments into one
-periodogram row per trajectory and bin.  The calling thread only sums each
-segment's rows, in trajectory order, as soon as every shard has made them.
-Each stream is read in order and every sum runs in the same order, so the
-records and the estimate are the same bit for bit whatever the number of
-CPUs.  The scan's two large products are issued per trajectory, small
-enough that BLAS runs them on the shard's own thread.
+spectral estimate, windows, transforms and weights its segments and sums
+each trajectory's periodograms over its segments, in order.  The calling
+thread waits for every shard to end and sums those per-trajectory sums in
+trajectory order.  Each stream is read in order and every sum runs in the
+same order, so the records and the estimate are the same bit for bit
+whatever the number of CPUs.  The scan's two large products are issued per
+trajectory, small enough that BLAS runs them on the shard's own thread.
 
 Because the sampler is exact, the step is bounded by what the comparison
 needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
@@ -75,7 +75,6 @@ compared against ``S_qu + S_T``.
 from __future__ import annotations
 
 import bisect
-import collections
 import io
 import math
 import os
@@ -159,7 +158,8 @@ class SimConfig:
     two segments of ``n_traj * (n_steps // segments)``, their transforms and
     one scan panel; both refuse more than 4 GiB.  Both run on up to ``n_traj``
     threads, one per usable CPU, each drawing, scanning and transforming its
-    own trajectories; records and estimates do not depend on how many.
+    own trajectories to the end of the run and summing their periodograms;
+    records and estimates do not depend on how many.
     """
 
     dt: float
@@ -566,73 +566,42 @@ def _until(stop: threading.Event, chunks):
     raise _Stopped
 
 
-def _read(rows: slice, chunks):
-    """A shard's work that reads its chunks to the end and hands nothing on."""
-    for _ in chunks:
-        pass
-    return ()
-
-
-def _sharded(shards, work):
+def _sharded(shards, work) -> list:
     """Run ``work(rows, chunks)`` for each ``(rows, chunks)`` of ``shards`` on
-    a thread of its own, and yield, for ``k = 0, 1, ...``, the list of every
-    shard's ``k``-th item, in shard order, once all have made it.
+    a thread of its own, and return the results in shard order.
 
-    ``work`` runs on the shard's thread and returns an iterable of items,
-    none of them ``None``.  A shard starts on item ``k + 1`` only once the
-    caller is done with item ``k - 1`` (has asked for the next), so it holds
-    at most two.  The first error of any shard stops
-    the others before their next chunk and is raised here; closing this
-    generator stops them the same way.  Every thread has ended when it
-    returns, raises or is closed.  ``chunks`` are not closed, so a caller may
-    read on past what ``work`` read.
+    The first error of any shard stops the others before their next chunk
+    and is raised here once every thread has ended; an interrupt of the
+    wait stops them the same way, and is raised once they have ended.
+    ``chunks`` are not closed, so a caller may read on past what ``work``
+    read.
     """
-    from queue import SimpleQueue  # only a run with shards needs it
-
-    events = SimpleQueue()
     stop = threading.Event()
-    ahead = [threading.Semaphore(1) for _ in shards]
+    results, errors = [None] * len(shards), []
 
-    # events are (shard, item, None), (shard, None, error) or, once a shard
-    # has ended, (shard, None, None)
     def run(g, rows, chunks):
         try:
-            for item in work(rows, _until(stop, chunks)):
-                events.put((g, item, None))
-                ahead[g].acquire()
+            results[g] = work(rows, _until(stop, chunks))
         except _Stopped:
             pass
-        except BaseException as exc:  # handed to the caller, which raises it
+        except BaseException as exc:  # raised by the caller
+            errors.append(exc)
             stop.set()
-            events.put((g, None, exc))
-            return
-        events.put((g, None, None))
 
     threads = [threading.Thread(target=run, args=(g, *shard), daemon=True)
                for g, shard in enumerate(shards)]
     for thread in threads:
         thread.start()
-    pending = [collections.deque() for _ in shards]
-    running = len(threads)
     try:
-        while running:
-            g, item, exc = events.get()
-            if exc is not None:
-                raise exc
-            if item is None:
-                running -= 1
-                continue
-            pending[g].append(item)
-            if all(pending):
-                yield [items.popleft() for items in pending]
-                for sem in ahead:
-                    sem.release()
-    finally:
-        stop.set()
-        for sem in ahead:
-            sem.release()  # a shard waiting to run ahead wakes and stops
         for thread in threads:
             thread.join()
+    finally:
+        stop.set()  # only an interrupted wait finds a shard still running
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 # --- run plan -----------------------------------------------------------------
@@ -870,10 +839,12 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
         )
     b_plus = np.empty((cfg.n_traj, plan.n_steps))
     b_minus = np.empty((cfg.n_traj, plan.n_steps))
-    shards = [(rows, _recorded(panels, b_plus[rows], b_minus[rows]))
-              for rows, panels in _shard_panels(d, cfg, plan)]
-    for _ in _sharded(shards, _read):
-        pass
+
+    def record(rows, panels):
+        for _ in _recorded(panels, b_plus[rows], b_minus[rows]):
+            pass
+
+    _sharded(_shard_panels(d, cfg, plan), record)
     return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
 
 
@@ -976,9 +947,9 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     buffer per channel; each full segment is Hann-windowed and transformed,
     and the transforms are mixed per bin with the weights of
     :func:`sigma_weights` (so cross-correlations between the channels are
-    kept) into one periodogram row per trajectory.  The rows of a segment are
-    summed over trajectories once every shard has made them, and the sums
-    over segments in order.  No ``chunks`` is advanced past the last whole
+    kept) into one periodogram row per trajectory, summed over the segments
+    in order.  Once every shard has ended, those sums are summed over the
+    trajectories in order.  No ``chunks`` is advanced past the last whole
     segment.  The estimate covers every interior bin, or only ``bins`` of a
     segment's rfft, the only ones then weighted and mixed; each bin's value
     is the same either way, and whatever the shards.  The caller has checked
@@ -1000,9 +971,10 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
         xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1)[:, bins])
         return np.abs(wp[None, :] * xp + wm[None, :] * xm) ** 2
 
-    def segment_rows(rows, chunks):
+    def segment_sums(rows, chunks):
         seg_plus = np.empty((rows.stop - rows.start, seg_len))
         seg_minus = np.empty_like(seg_plus)
+        sums = np.zeros((seg_plus.shape[0], omega.size))
         n0 = 0
         for zp, zm in chunks:
             m = min(zp.shape[1], used - n0)
@@ -1014,16 +986,15 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                 seg_minus[:, fill:fill + take] = zm[:, a:a + take]
                 a += take
                 if fill + take == seg_len:
-                    yield periodogram(seg_plus, seg_minus)
+                    sums += periodogram(seg_plus, seg_minus)
             n0 += m
             if n0 == used:
                 break
+        return sums
 
-    acc = np.zeros(omega.size)
-    for rows in _sharded(shards, segment_rows):
-        acc += norm * np.sum(np.concatenate(rows), axis=0)
+    psd = norm * np.sum(np.concatenate(_sharded(shards, segment_sums)), axis=0)
     n_ind = segments * cfg.n_traj
-    return PsdEstimate(omega=omega, psd=acc / n_ind, rel_err=1.0 / math.sqrt(n_ind),
+    return PsdEstimate(omega=omega, psd=psd / n_ind, rel_err=1.0 / math.sqrt(n_ind),
                        n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
 
 

@@ -457,6 +457,22 @@ def test_needs_config_or_preset(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["sweep", "--preset", "table1", "--out", "{file}"], "File exists"),
+    (["oracle", "--preset", "table1", "--trajectories", "2", "--out", "{file}/x"],
+     "Not a directory"),
+    (["regime", "--config", "{dir}"], "Is a directory"),
+], ids=["sweep-out-is-a-file", "oracle-out-under-a-file", "regime-config-is-a-directory"])
+def test_os_errors_are_usage_errors(tmp_path, capsys, args, reason):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    paths = {"file": tmp_path / "file", "dir": tmp_path / "dir"}
+    assert run([a.format(**paths) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+
 def test_config_file_flow(tmp_path, capsys):
     cfg = tmp_path / "sensor.cfg"
     cfg.write_text("p_in = 1e-5\n")

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -714,13 +715,34 @@ def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch):
     assert threading.active_count() == start
     ot.run_comparison(d_lossy, cfg, segments=8)
     assert threading.active_count() == start
-    # a reader that stops after the first panel of every shard ends them all
-    shards = ot.timedomain._shard_panels(d_lossy, cfg, _plan(d_lossy, cfg))
-    panels = ot.timedomain._sharded(shards, lambda rows, chunks: chunks)
-    assert [p[0].shape for p in next(panels)] == [(1, 1024)] * 3
-    assert threading.active_count() > start
-    panels.close()
+
+
+def test_an_interrupted_wait_stops_every_shard_first(monkeypatch):
+    # the caller is interrupted while it waits for the first shard to end:
+    # the shards, which would read 10000 chunks, stop before their next one
+    # and have ended when the interrupt is raised
+    made = collections.Counter()
+
+    def work(rows, chunks):
+        for _ in chunks:
+            made[rows.start] += 1
+            time.sleep(0.001)
+
+    interrupted = []
+
+    class Interrupted(threading.Thread):
+        def join(self, timeout=None):
+            if not interrupted:
+                interrupted.append(self)
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", Interrupted)
+    start = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        ot.timedomain._sharded([(slice(g, g + 1), range(10_000)) for g in range(2)], work)
     assert threading.active_count() == start
+    assert made[0] < 10_000 and made[1] < 10_000
 
 
 @pytest.mark.parametrize("run", [ot.simulate, lambda d, cfg: ot.run_comparison(d, cfg, 8)],
@@ -838,8 +860,8 @@ def test_streamed_comparison_memory_stays_below_records(d_lossy):
 
 def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monkeypatch):
     # every shard holds its segment buffers, transforms and panel at once, and
-    # up to two segments of periodogram rows: together still within the
-    # plan's working set, at one, two and four shards
+    # one periodogram row per trajectory and its running sum: together still
+    # within the plan's working set, at one, two and four shards
     dt = ot.default_sim_config(d_lossy).dt
     cfg = short_cfg(d_lossy, n_traj=8, t_dur=20_000 * dt)
     stream_bytes = _plan(d_lossy, cfg, 16).stream_bytes
