@@ -41,8 +41,8 @@ from .params import (
     load_config,
     table1_preset,
 )
-from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS
-from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
+from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, sweep_grid_spec
+from .spectra import SpectrumTable, _checked_grid, make_grid, s_sql, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
     _STEP_GAP,
@@ -81,42 +81,36 @@ class ConfigError(ValueError):
     """Usage-level problem: bad flags, missing or malformed config."""
 
 
-def _csv_slice(scenarios, grid: np.ndarray):
+def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
     """CSV rows over ``grid``, a checked slice of a sweep's grid, of each of
-    ``scenarios``, a sequence of ``(derived, y_policy, tau)``.
+    ``scenarios``, a sequence of derived parameter sets of one ``tau`` and
+    ``gamma_m``.
 
     Each scenario's rows are evaluated by :func:`spectrum_sweep`, and every
     value is written with ``repr`` (shortest round trip).  ``omega``,
     ``omega_tau_over_2pi`` and ``S_SQL`` depend only on the grid, ``tau`` and
-    ``gamma_m``, which the scenarios of a sweep mostly share: a column whose
-    float64 bytes equal those of a column already formatted in this slice
-    reuses its text, so each block is the text of its scenario formatted
-    alone.
+    ``gamma_m``, so they are formatted once, from the grid, for every
+    scenario of the slice.
 
     Returns the blocks of the scenarios before the first one that fails with
     a ``ValueError`` or ``ArithmeticError``, and that exception (``None`` if
     none does); any other exception propagates.
     """
-    blocks, formatted = [], {}
-
-    def text(column):
-        key = column.tobytes()
-        if key not in formatted:
-            formatted[key] = list(map(repr, column.tolist()))
-        return formatted[key]
-
+    blocks = []
     try:
-        for d, y_policy, tau in scenarios:
-            table = spectrum_sweep(d, grid, y_policy)
+        omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
+            grid, grid * tau / (2.0 * math.pi), s_sql(gamma_m, grid)))
+        for d in scenarios:
+            table = spectrum_sweep(d, grid)
             columns = (
-                text(table.omega),
-                text(table.omega * tau / (2.0 * math.pi)),
+                omega,
+                omega_scaled,
                 map(repr, table.y.real.tolist()),
                 map(repr, table.y.imag.tolist()),
                 map(repr, table.s_qu.tolist()),
                 itertools.repeat(repr(float(table.s_t))),  # the same on every row
                 map(repr, table.s_f.tolist()),
-                text(table.s_sql),
+                sql,
                 map(repr, table.ratio.tolist()),
             )
             blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
@@ -151,12 +145,12 @@ def _pooled_slices(pool, tasks, window: int):
 
 
 @contextlib.contextmanager
-def _csv_blocks(groups, live):
+def _csv_blocks(grid, members, tau, gamma_m, live):
     """An iterator of ``(indices, (blocks, failure))``, the
     :func:`_csv_slice` of each slice of a planned sweep, in order.
 
-    ``groups`` lists ``(grid, members)`` per distinct grid, as
-    :func:`_plan_sweep` gives them.  Each grid is cut into slices of
+    ``members`` lists ``(index, derived)`` of each computed scenario, as
+    :func:`_plan_sweep` gives them.  ``grid`` is cut into slices of
     ``_CSV_CHUNK_ROWS // len(members)`` points, so that a slice formats at
     most ``_CSV_CHUNK_ROWS`` rows over all its scenarios.  A slice is
     formatted for the members whose plan index ``live`` admits when the slice
@@ -169,19 +163,21 @@ def _csv_blocks(groups, live):
     same.  At most one slice more than there are workers is in flight, and no
     worker outlives the context.
     """
-    def tasks():
-        for grid, members in groups:
-            step = _CSV_CHUNK_ROWS // len(members)
-            for start in range(0, grid.size, step):
-                drawn = [(i, scenario) for i, scenario in members if live(i)]
-                if drawn:
-                    indices, scenarios = zip(*drawn)
-                    yield indices, (scenarios, grid[start:start + step])
+    if not members:  # the first scenario was refused in planning
+        yield iter(())
+        return
+    step = _CSV_CHUNK_ROWS // len(members)
 
-    n_slices = sum(-(-grid.size // (_CSV_CHUNK_ROWS // len(members))) for grid, members in groups)
-    n_workers = min(_usable_cpus(), _MAX_WORKERS, n_slices)
-    if (n_workers >= 2 and sum(grid.size * len(members) for grid, members in groups)
-            >= _POOL_MIN_ROWS and threading.active_count() == 1):
+    def tasks():
+        for start in range(0, grid.size, step):
+            drawn = [(i, d) for i, d in members if live(i)]
+            if drawn:
+                indices, scenarios = zip(*drawn)
+                yield indices, (scenarios, grid[start:start + step], tau, gamma_m)
+
+    n_workers = min(_usable_cpus(), _MAX_WORKERS, -(-grid.size // step))
+    if (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS
+            and threading.active_count() == 1):
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -245,53 +241,42 @@ def _manifest(p: PhysParams, d: DerivedParams, extra: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _plan_sweep(p: PhysParams, names, override_grid):
-    """Each scenario's ``(name, scenario, derived, grid, first)``, in order,
-    the computed scenarios grouped by grid, and the planning failure.
+def _plan_sweep(p: PhysParams, names):
+    """Each scenario's ``(name, scenario, derived, first)``, in order, the
+    ``(index, derived)`` of each computed scenario, and the planning failure.
 
-    Scenarios equal up to their name write equal CSVs (a grid override is the
-    same for all of them), so only the first is computed; ``first`` is the
-    index of the earlier plan whose blocks a later one also writes, and is
-    ``None`` for a computed one.  ``groups`` lists ``(grid, members)`` per
-    distinct grid, with ``(index, (derived, y_policy, tau))`` of each computed
-    scenario on it.  Each distinct grid is built and checked whole here, once,
-    as each slice only checks its own points.  Planning stops at the first
-    scenario that fails, and returns its exception with the plans before it,
-    so that it is raised once their CSVs are written.
+    Scenarios equal up to their name write equal CSVs, so only the first is
+    computed; ``first`` is the index of the earlier plan whose blocks a later
+    one also writes, and is ``None`` for a computed one.  Planning stops at
+    the first scenario that fails, and returns its exception with the plans
+    before it, so that it is raised once their CSVs are written.
     """
-    plans, computed, groups = [], {}, {}
+    plans, computed, members = [], {}, []
     try:
         for name in names:
             scen = SWEEP_SCENARIOS[name]
-            p_s = scen.apply(p)
-            d_s = derive(p_s)
+            d_s = derive(scen.apply(p))
             key = dataclasses.replace(scen, name="")
             first = computed.get(key)
             if first is None:
-                grid_key = None if override_grid is not None else (
-                    scen.grid_kind, scen.grid_n, scen.grid_lo_scaled, scen.grid_hi_scaled, p_s.tau)
-                if grid_key not in groups:
-                    groups[grid_key] = (override_grid if grid_key is None
-                                        else _checked_grid(scen.grid(p_s.tau)), [])
-                grid, members = groups[grid_key]
                 computed[key] = len(plans)
-                members.append((len(plans), (d_s, scen.y_policy, p_s.tau)))
-            else:
-                grid = plans[first][3]
-            plans.append((name, scen, d_s, grid, first))
+                members.append((len(plans), d_s))
+            plans.append((name, scen, d_s, first))
     except (ValueError, ArithmeticError) as exc:  # what main reports as an error
-        return plans, list(groups.values()), exc
-    return plans, list(groups.values()), None
+        return plans, members, exc
+    return plans, members, None
 
 
 def cmd_sweep(args) -> int:
     """Write one CSV per scenario, then the manifest.
 
-    Every CSV of the sweep is written at once, each through its own temporary
-    file: the blocks of each slice go to the file of each computed scenario
-    and to those of its repeats.  When a scenario fails, the scenarios before
-    it are finished and written, those from it on are dropped from the slices
-    still to draw and their files removed, and its exception is raised.
+    Every scenario is evaluated on one grid, that of ``--grid`` or the sweep
+    presets' :func:`sweep_grid_spec`.  Every CSV of the sweep is written at
+    once, each through its own temporary file: the blocks of each slice go to
+    the file of each computed scenario and to those of its repeats.  When a
+    scenario fails, the scenarios before it are finished and written, those
+    from it on are dropped from the slices still to draw and their files
+    removed, and its exception is raised.
     """
     p = _resolve_params(args)
     names = args.scenario or list(SWEEP_SCENARIOS)
@@ -301,18 +286,17 @@ def cmd_sweep(args) -> int:
             f"unknown scenario(s): {', '.join(unknown)}; "
             f"known: {', '.join(SWEEP_SCENARIOS)}"
         )
-    grid_override = _parse_grid(args.grid) if args.grid else None
-    override_grid = None
-    if grid_override:
-        # lo and hi are given, so one grid serves every scenario
-        try:
-            override_grid = _checked_grid(make_grid(p.tau, **grid_override))
-        except ValueError as exc:
+    spec = _parse_grid(args.grid) if args.grid else sweep_grid_spec(p.tau)
+    try:
+        grid = _checked_grid(make_grid(p.tau, **spec))
+    except ValueError as exc:
+        if args.grid:
             raise ConfigError(f"bad grid {args.grid!r}: {exc}") from exc
+        raise
     os.makedirs(args.out, exist_ok=True)
 
     d_base = derive(p)
-    plans, groups, failure = _plan_sweep(p, names, override_grid)
+    plans, members, failure = _plan_sweep(p, names)
     # the plans from `end` on are not written: the first scenario that failed
     # and those after it (all written when none failed)
     end = len(plans)
@@ -325,7 +309,7 @@ def cmd_sweep(args) -> int:
         for i, (*_, first) in enumerate(plans):
             writers[i if first is None else first].append(files[i])
             files[i].write(header)
-        with _csv_blocks(groups, lambda i: i < end) as slices:
+        with _csv_blocks(grid, members, p.tau, d_base.gamma_m, lambda i: i < end) as slices:
             for indices, (blocks, exc) in slices:
                 for i, block in zip(indices, blocks):
                     for fh in writers[i]:
@@ -333,7 +317,7 @@ def cmd_sweep(args) -> int:
                 if exc is not None and indices[len(blocks)] < end:
                     end, failure = indices[len(blocks)], exc
                 blocks = block = None  # hold no slice while the next one is awaited
-        for fh, (name, scen, d_s, grid, _) in zip(files, plans[:end]):
+        for fh, (name, scen, d_s, _) in zip(files, plans[:end]):
             fh.commit()
             print(f"wrote {fh.path} ({grid.size} rows, {scen.describe()})")
             regime = check_regime(d_s)
@@ -345,13 +329,11 @@ def cmd_sweep(args) -> int:
             entry = dataclasses.asdict(scen)
             entry["csv"] = f"{name}.csv"
             entry["regime"] = dataclasses.asdict(regime)
-            if grid_override:
-                entry["grid_override"] = grid_override
             scen_entries.append(entry)
     if failure is not None:
         raise failure
 
-    manifest = _manifest(p, d_base, {"command": "sweep", "scenarios": scen_entries})
+    manifest = _manifest(p, d_base, {"command": "sweep", "grid": spec, "scenarios": scen_entries})
     _atomic_write(os.path.join(args.out, "manifest.json"), manifest)
     return EXIT_OK
 
@@ -370,6 +352,7 @@ def cmd_oracle(args) -> int:
         plan = _plan(d, cfg, args.segments, dump=args.dump_timeseries)
     except RunRangeError as exc:
         raise ConfigError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
 
     shards = _shard_panels(d, cfg, plan)
     dump = None
@@ -386,7 +369,6 @@ def cmd_oracle(args) -> int:
         for _ in shards[0][1]:  # the estimate ends at its last whole segment, the dump does not
             pass
 
-    os.makedirs(args.out, exist_ok=True)
     header = (
         f"scenario {scen.name} ({scen.describe()})\n"
         f"trajectories {cfg.n_traj}, duration {cfg.t_dur!r} s, dt {cfg.dt!r} s, "

@@ -10,10 +10,12 @@ A scenario modifies the baseline parameter set only through three switches:
   pump amplitude is identical with and without loss);
 - ``pump_mult``: scales the input power.
 
-The sweep presets named ``fig*`` reproduce the standard comparison plots of
-``R = S_qu/S_SQL`` versus frequency; their grids extend below the default
-sweep band because the sub-SQL dips and the loss floors of the baseline
-sensor sit at low frequency for microwatt pumping.
+A scenario is its name and these three switches, nothing else.  The sweep
+presets named ``fig*`` reproduce the standard comparison plots of
+``R = S_qu/S_SQL`` versus frequency, all on one grid, :func:`sweep_grid_spec`;
+it extends below the default band of ``make_grid`` because the sub-SQL
+dips and the loss floors of the baseline sensor sit at low frequency for
+microwatt pumping.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .params import PhysParams
-from .spectra import GRID_POINTS_DEFAULT, make_grid
+from .spectra import GRID_POINTS_DEFAULT
 
 
 def variant(p: PhysParams, symmetric: bool = False, lossless: bool = False,
@@ -54,30 +54,16 @@ def variant(p: PhysParams, symmetric: bool = False, lossless: bool = False,
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named sensor configuration plus the sweep grid it is plotted on.
-
-    Grid bounds are in the scaled units ``Omega * tau / (2 pi)``;  ``None``
-    keeps the default sweep band.
-    """
+    """A named sensor configuration: the three switches of :func:`variant`."""
 
     name: str
     symmetric: bool = False
     lossless: bool = False
     pump_mult: float = 1.0
-    y_policy: object = "optimal"
-    grid_kind: str = "log"
-    grid_n: int = GRID_POINTS_DEFAULT
-    grid_lo_scaled: float | None = None
-    grid_hi_scaled: float | None = None
 
     def apply(self, p: PhysParams) -> PhysParams:
         return variant(p, symmetric=self.symmetric, lossless=self.lossless,
                        pump_mult=self.pump_mult)
-
-    def grid(self, tau: float) -> np.ndarray:
-        lo = None if self.grid_lo_scaled is None else 2.0 * math.pi * self.grid_lo_scaled / tau
-        hi = None if self.grid_hi_scaled is None else 2.0 * math.pi * self.grid_hi_scaled / tau
-        return make_grid(tau, kind=self.grid_kind, n=self.grid_n, lo=lo, hi=hi)
 
     def describe(self) -> str:
         bits = [
@@ -94,27 +80,27 @@ _FIG_LO = 2e-4
 _FIG_HI = 10.0
 
 
-def _fig(name: str, symmetric: bool, lossless: bool, pump_mult: float = 1.0) -> Scenario:
-    return Scenario(
-        name=name, symmetric=symmetric, lossless=lossless, pump_mult=pump_mult,
-        grid_lo_scaled=_FIG_LO, grid_hi_scaled=_FIG_HI,
-    )
+def sweep_grid_spec(tau: float) -> dict:
+    """The sweep presets' grid as ``make_grid`` arguments: ``n`` log-spaced
+    points over ``[2e-4, 10] * 2 pi / tau`` (``lo`` and ``hi`` in rad/s)."""
+    return {"kind": "log", "n": GRID_POINTS_DEFAULT,
+            "lo": 2.0 * math.pi * _FIG_LO / tau, "hi": 2.0 * math.pi * _FIG_HI / tau}
 
 
 SWEEP_SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        _fig("fig2-sym", symmetric=True, lossless=True),
-        _fig("fig2-nonsym", symmetric=False, lossless=True),
-        _fig("fig2-nonsym-10P", symmetric=False, lossless=True, pump_mult=10.0),
-        _fig("fig3-nonsym-lossy", symmetric=False, lossless=False),
-        _fig("fig3-nonsym-lossless", symmetric=False, lossless=True),
-        _fig("fig3-nonsym-lossy-10P", symmetric=False, lossless=False, pump_mult=10.0),
-        _fig("fig3-nonsym-lossless-10P", symmetric=False, lossless=True, pump_mult=10.0),
-        _fig("fig4-sym-lossy", symmetric=True, lossless=False),
-        _fig("fig4-sym-lossless", symmetric=True, lossless=True),
-        _fig("fig4-sym-lossy-10P", symmetric=True, lossless=False, pump_mult=10.0),
-        _fig("fig4-sym-lossless-10P", symmetric=True, lossless=True, pump_mult=10.0),
+        Scenario(name="fig2-sym", symmetric=True, lossless=True),
+        Scenario(name="fig2-nonsym", symmetric=False, lossless=True),
+        Scenario(name="fig2-nonsym-10P", symmetric=False, lossless=True, pump_mult=10.0),
+        Scenario(name="fig3-nonsym-lossy", symmetric=False, lossless=False),
+        Scenario(name="fig3-nonsym-lossless", symmetric=False, lossless=True),
+        Scenario(name="fig3-nonsym-lossy-10P", symmetric=False, lossless=False, pump_mult=10.0),
+        Scenario(name="fig3-nonsym-lossless-10P", symmetric=False, lossless=True, pump_mult=10.0),
+        Scenario(name="fig4-sym-lossy", symmetric=True, lossless=False),
+        Scenario(name="fig4-sym-lossless", symmetric=True, lossless=True),
+        Scenario(name="fig4-sym-lossy-10P", symmetric=True, lossless=False, pump_mult=10.0),
+        Scenario(name="fig4-sym-lossless-10P", symmetric=True, lossless=True, pump_mult=10.0),
     )
 }
 

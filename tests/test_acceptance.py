@@ -11,7 +11,7 @@ import pytest
 
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
-from optotriplet.scenarios import SWEEP_SCENARIOS
+from optotriplet.scenarios import SWEEP_SCENARIOS, sweep_grid_spec
 from optotriplet.timedomain import sigma_weights
 
 
@@ -144,13 +144,11 @@ def test_criterion_5_preset_constants():
 def test_criterion_6_figure_properties():
     t0 = time.perf_counter()
     base = ot.table1_preset()
+    grid = ot.make_grid(base.tau, **sweep_grid_spec(base.tau))
 
     def ratios(name):
-        scen = SWEEP_SCENARIOS[name]
-        p = scen.apply(base)
-        d = ot.derive(p)
-        recs = ot.spectrum_sweep(d, scen.grid(p.tau), y_policy=scen.y_policy)
-        return recs.ratio
+        d = ot.derive(SWEEP_SCENARIOS[name].apply(base))
+        return ot.spectrum_sweep(d, grid).ratio
 
     r_sym = ratios("fig2-sym")
     r_non = ratios("fig2-nonsym")

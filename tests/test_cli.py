@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -35,6 +36,11 @@ def read_csv(path):
     return header, rows
 
 
+# a sweep manifest's entry per scenario: its four fields, its CSV and its
+# regime report
+SCENARIO_ENTRY_KEYS = {"name", "symmetric", "lossless", "pump_mult", "csv", "regime"}
+
+
 def test_sweep_preset(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["sweep", "--preset", "table1", "--out", out,
@@ -48,10 +54,17 @@ def test_sweep_preset(tmp_path, capsys):
     assert np.any(ratio < 1.0)  # sub-SQL band present in the lossless preset
     sf = rows[:, 4] + rows[:, 5]
     np.testing.assert_allclose(rows[:, 6], sf, rtol=1e-15)
+    # the figures' grid, recorded once for the whole sweep
+    tau = ot.table1_preset().tau
+    lo, hi = 2.0 * math.pi * 2e-4 / tau, 2.0 * math.pi * 10.0 / tau
+    np.testing.assert_array_equal(omega, np.geomspace(lo, hi, 400))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["schema_version"] == 1
     assert manifest["phys_params"]["Q"] == 1e9
-    assert {s["name"] for s in manifest["scenarios"]} == {"fig2-sym", "fig2-nonsym-10P"}
+    assert manifest["grid"] == {"kind": "log", "n": 400, "lo": lo, "hi": hi}
+    assert [s["name"] for s in manifest["scenarios"]] == ["fig2-sym", "fig2-nonsym-10P"]
+    for entry in manifest["scenarios"]:
+        assert set(entry) == SCENARIO_ENTRY_KEYS
 
 
 def test_sweep_reproducible_bytes(tmp_path):
@@ -128,34 +141,35 @@ def test_sweep_csv_in_several_chunks(tmp_path):
     assert (out / "fig3-nonsym-lossy.csv").read_text() == "\n".join(lines) + "\n"
 
 
-def test_csv_slice_formats_each_scenario_as_alone():
-    # the grid-only columns are formatted once per slice; a scenario with
-    # another tau (omega_tau_over_2pi) or Q (S_SQL) formats its own copy
+def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
+    # the grid-only columns are formatted once per slice, for every scenario
     base = ot.table1_preset()
-    params = [ot.SWEEP_SCENARIOS[name].apply(base)
-              for name in ("fig2-sym", "fig3-nonsym-lossy", "fig2-nonsym", "fig4-sym-lossy")]
-    params[2] = dataclasses.replace(params[2], tau=3.0 * base.tau)
-    params[3] = dataclasses.replace(params[3], Q=1e6)
-    scenarios = [(ot.derive(p), "optimal", p.tau) for p in params]
+    derived = [ot.derive(ot.SWEEP_SCENARIOS[name].apply(base))
+               for name in ("fig2-sym", "fig3-nonsym-lossy", "fig2-nonsym", "fig4-sym-lossy")]
+    gamma_m = ot.derive(base).gamma_m
     grid = ot.make_grid(base.tau, kind="log", n=1000, lo=1.0, hi=1e7)
-    blocks, failure = _csv_slice(scenarios, grid)
+    blocks, failure = _csv_slice(derived, grid, base.tau, gamma_m)
     assert failure is None
-    for block, (d, _, tau) in zip(blocks, scenarios, strict=True):
+    for block, d in zip(blocks, derived, strict=True):
         table = ot.spectrum_sweep(d, grid)
         lines = [",".join(repr(float(v)) for v in (
-            table.omega[i], table.omega[i] * tau / (2.0 * np.pi), table.y[i].real,
+            table.omega[i], table.omega[i] * base.tau / (2.0 * np.pi), table.y[i].real,
             table.y[i].imag, table.s_qu[i], table.s_t, table.s_f[i], table.s_sql[i],
             table.ratio[i])) for i in range(grid.size)]
         assert block == "\n".join(lines) + "\n"
-        assert block == _csv_slice([(d, "optimal", tau)], grid)[0][0]
-    columns = [list(zip(*(line.split(",") for line in block.splitlines()))) for block in blocks]
-    assert columns[2][1] != columns[0][1] and columns[2][7] == columns[0][7]
-    assert columns[3][7] != columns[0][7] and columns[3][1] == columns[0][1]
+        assert block == _csv_slice([d], grid, base.tau, d.gamma_m)[0][0]
     # a scenario that fails ends the slice: the blocks before it, and its exception
-    scenarios[2] = (scenarios[2][0], "bogus", scenarios[2][2])
-    partial, failure = _csv_slice(scenarios, grid)
+    real = ot.cli.spectrum_sweep
+
+    def spectrum_sweep(d, grid):
+        if d is derived[2]:
+            raise ValueError("injected scenario failure")
+        return real(d, grid)
+
+    monkeypatch.setattr(ot.cli, "spectrum_sweep", spectrum_sweep)
+    partial, failure = _csv_slice(derived, grid, base.tau, gamma_m)
     assert partial == blocks[:2]
-    assert isinstance(failure, ValueError) and "bogus" in str(failure)
+    assert isinstance(failure, ValueError) and "injected" in str(failure)
 
 
 def test_manifests_carry_every_derived_field(tmp_path):
@@ -218,6 +232,10 @@ def test_sweep_grid_override(tmp_path):
     assert rows.shape[0] == 50
     assert rows[0, 0] == pytest.approx(1e3)
     assert rows[-1, 0] == pytest.approx(1e5)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid"] == {"kind": "linear", "n": 50, "lo": 1e3, "hi": 1e5}
+    [entry] = manifest["scenarios"]
+    assert set(entry) == SCENARIO_ENTRY_KEYS
 
 
 def test_sweep_unknown_scenario(tmp_path, capsys):
@@ -348,12 +366,9 @@ def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
             == (inline / "fig3-nonsym-lossy.csv").read_bytes())
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
-def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys):
-    # scenarios are planned before any block is formatted, but one that
-    # cannot be derived is reported only once the CSVs before it are written
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
-    refused = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
+def _refuse_in_planning(monkeypatch, name):
+    """Make the derivation of sweep scenario ``name`` raise a ParameterError."""
+    refused = ot.SWEEP_SCENARIOS[name].apply(ot.table1_preset())
     real = ot.cli.derive
 
     def derive(p):
@@ -362,6 +377,14 @@ def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp
         return real(p)
 
     monkeypatch.setattr(ot.cli, "derive", derive)
+
+
+@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys):
+    # scenarios are planned before any block is formatted, but one that
+    # cannot be derived is reported only once the CSVs before it are written
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    _refuse_in_planning(monkeypatch, "fig2-nonsym")
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
     assert multiprocessing.active_children() == []
@@ -369,6 +392,19 @@ def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp
     assert captured.err == "error: injected refusal\n"
     assert captured.out.count("wrote ") == 1
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
+
+
+def test_sweep_first_scenario_refused_in_planning_writes_nothing(tmp_path, monkeypatch, capsys):
+    # no scenario is computed, so no slice is drawn and no worker started
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    _refuse_in_planning(monkeypatch, "fig3-nonsym-lossy")
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 1
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert captured.err == "error: injected refusal\n"
+    assert "wrote " not in captured.out
+    assert os.listdir(out) == []
 
 
 @pytest.mark.skipif(not FORK, reason="the block pool needs fork")
@@ -463,7 +499,11 @@ def test_needs_config_or_preset(capsys):
      "Not a directory"),
     (["regime", "--config", "{dir}"], "Is a directory"),
 ], ids=["sweep-out-is-a-file", "oracle-out-under-a-file", "regime-config-is-a-directory"])
-def test_os_errors_are_usage_errors(tmp_path, capsys, args, reason):
+def test_os_errors_are_usage_errors(tmp_path, capsys, monkeypatch, args, reason):
+    def unreached(*args):
+        raise AssertionError("the oracle ran before it made its output directory")
+
+    monkeypatch.setattr(ot.cli, "_shard_panels", unreached)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     paths = {"file": tmp_path / "file", "dir": tmp_path / "dir"}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.params import load_config, parse_config_text
+from optotriplet.scenarios import sweep_grid_spec
 from optotriplet.timedomain import (
     _MAX_RECORD_BYTES,
     _STEP_GAP,
@@ -89,6 +90,9 @@ def test_lossless_variant_keeps_total_half_widths(p, symmetric, pump):
     lossy = ot.variant(p, symmetric=symmetric, pump_mult=pump)
     lossless = ot.variant(p, symmetric=symmetric, lossless=True, pump_mult=pump)
     assert lossless.gamma_e == lossless.gamma_e_plus == lossless.gamma_e_minus == 0.0
+    # a sweep formats the columns of tau and gamma_m once for all its scenarios
+    for v in (lossy, lossless):
+        assert (v.tau, v.omega_m, v.Q) == (p.tau, p.omega_m, p.Q)
     d0, d1 = ot.derive(lossy), ot.derive(lossless)
     assert d1.gamma_plus == d0.gamma_plus
     assert d1.gamma_minus == d0.gamma_minus
@@ -215,14 +219,17 @@ def state_space_density(d, omega, y):
     return np.einsum("ni,ij,nj->n", wh, intens, wh.conj())
 
 
-@pytest.mark.parametrize("scen", list(ot.SWEEP_SCENARIOS.values()) + list(ot.ORACLE_SCENARIOS.values()),
-                         ids=lambda scen: scen.name)
-def test_state_space_density_matches_the_sweep(scen):
+@pytest.mark.parametrize("scen, grid", [
+    pytest.param(scen, grid, id=scen.name)
+    for scenarios, grid in (
+        (ot.SWEEP_SCENARIOS, ot.make_grid(_BASE.tau, **sweep_grid_spec(_BASE.tau))),
+        (ot.ORACLE_SCENARIOS, ot.make_grid(_BASE.tau)))
+    for scen in scenarios.values()])
+def test_state_space_density_matches_the_sweep(scen, grid):
     # the sampled matrices and the closed-form coefficients agree without any
     # sampling noise; the worst error measured is 9.7e-15 (fig2-nonsym-10P)
-    p = scen.apply(_BASE)
-    d = ot.derive(p)
-    table = ot.spectrum_sweep(d, scen.grid(p.tau), scen.y_policy)
+    d = ot.derive(scen.apply(_BASE))
+    table = ot.spectrum_sweep(d, grid)
     density = state_space_density(d, table.omega, table.y)
     assert np.max(np.abs(density - table.s_f) / table.s_f) <= 1e-12
 
