@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 import tempfile
+
+# bytes per read when a file is appended to an AtomicFile
+_COPY_BYTES = 1 << 16
 
 
 class AtomicFile:
-    """A text file written through a uniquely named file in the directory of
-    ``path``, which appears under ``path`` only at :meth:`commit`.
+    """A file written through a uniquely named file in the directory of
+    ``path``, which appears under ``path`` only at :meth:`commit`.  Text is
+    written as UTF-8, with no newline translation.
 
     Concurrent writers never share a temporary file.  Leaving the ``with``
     block without a commit, or calling :meth:`discard`, removes the temporary
@@ -21,14 +26,20 @@ class AtomicFile:
         fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".",
                                          prefix=os.path.basename(self.path) + ".", suffix=".tmp")
         try:
-            self._fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+            self._fh = os.fdopen(fd, "wb")
         except BaseException:
             os.close(fd)
             os.unlink(self._tmp)
             raise
 
-    def write(self, text: str) -> None:
-        self._fh.write(text)
+    def write(self, data: str | bytes) -> None:
+        self._fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+    def append(self, src) -> None:
+        """Write the whole of ``src``, a binary file open for reading, from its
+        start, ``_COPY_BYTES`` at a time."""
+        src.seek(0)
+        shutil.copyfileobj(src, self._fh, _COPY_BYTES)
 
     def commit(self) -> None:
         self._fh.close()

@@ -15,14 +15,16 @@ written, 2 numerical failure, 3 spectral comparison failure.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
+import pickle
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -69,11 +71,12 @@ BINS_COLUMNS = ("omega", "est", "analytic", "dev_sigma")
 # rows evaluated and formatted per slice of a sweep, over all its scenarios;
 # bounds a sweep's memory on huge grids
 _CSV_CHUNK_ROWS = 8192
-# a sweep's slices are formatted in a process pool from this many rows on;
-# below it, starting the workers cost more than they saved
+# a sweep's slices are formatted in forked worker processes from this many
+# rows on; below it, starting the workers cost more than they saved
 _POOL_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
-# workers of that pool at most; with one more slice in flight than workers,
-# the parent holds at most 5 finished slices of about 1.4 MB each
+# worker processes of a sweep at most; each formats a contiguous run of
+# slices into part files of its own, so the main process holds no slice of
+# text however many there are
 _MAX_WORKERS = 4
 
 
@@ -90,7 +93,8 @@ def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
     value is written with ``repr`` (shortest round trip).  ``omega``,
     ``omega_tau_over_2pi`` and ``S_SQL`` depend only on the grid, ``tau`` and
     ``gamma_m``, so they are formatted once, from the grid, for every
-    scenario of the slice.
+    scenario of the slice.  :func:`_format_slices` calls it once per slice,
+    inline or in a sweep worker.
 
     Returns the blocks of the scenarios before the first one that fails with
     a ``ValueError`` or ``ArithmeticError``, and that exception (``None`` if
@@ -119,82 +123,169 @@ def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
     return blocks, None
 
 
-def _pooled_slices(pool, tasks, window: int):
-    """``(indices, _csv_slice(*args))`` of each ``(indices, args)`` of ``tasks``,
-    in order, computed by ``pool`` with at most ``window`` slices submitted or
-    held at a time.  Each task is drawn only once the result ``window`` tasks
-    before it has been taken and handled."""
-    tasks = iter(tasks)
-    with warnings.catch_warnings():
-        # The fork pool starts its workers at the first submit.  Python 3.12+
-        # warns there whenever the process has other OS threads.  The pool is
-        # only used when no other Python thread runs, so the others are
-        # OpenBLAS's idle threads, which exist from `import numpy` on; the
-        # workers run only elementwise numpy and never call BLAS, so no lock
-        # a BLAS thread held at the fork is ever taken.
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded, use of fork\(\) may lead to deadlocks",
-            DeprecationWarning)
-        pending = collections.deque((indices, pool.submit(_csv_slice, *args))
-                                    for indices, args in itertools.islice(tasks, window))
-    while pending:
-        indices, future = pending.popleft()
-        yield indices, future.result()
-        for indices, args in itertools.islice(tasks, 1):
-            pending.append((indices, pool.submit(_csv_slice, *args)))
+def _format_slices(grid, step, starts, members, tau, gamma_m, outs):
+    """Format the slices of ``step`` points of ``grid`` at ``starts``, in
+    order, and write each block of the ``k``-th of ``members``, as UTF-8
+    bytes, to every file of ``outs[k]``.
+
+    ``members`` lists ``(index, derived)`` of each computed scenario of a
+    sweep, as :func:`_plan_sweep` gives them.  A member that fails is dropped,
+    with those after it, from the slices still to format.  Returns ``(index,
+    exception)`` of the earliest failing member in plan order, or ``None``.
+    """
+    live, failure = len(members), None
+    for start in starts:
+        if not live:
+            break
+        blocks, exc = _csv_slice([d for _, d in members[:live]], grid[start:start + step],
+                                 tau, gamma_m)
+        for block, files in zip(blocks, outs):
+            data = block.encode("utf-8")
+            for fh in files:
+                fh.write(data)
+        if exc is not None:
+            live = len(blocks)
+            failure = members[live][0], exc
+        blocks = block = data = None  # hold no slice while the next one is formatted
+    return failure
 
 
-@contextlib.contextmanager
-def _csv_blocks(grid, members, tau, gamma_m, live):
-    """An iterator of ``(indices, (blocks, failure))``, the
-    :func:`_csv_slice` of each slice of a planned sweep, in order.
+def _forked(works) -> list:
+    """What each of ``works``, callables without arguments, returns, in
+    order, each called in a child process forked for it.
 
-    ``members`` lists ``(index, derived)`` of each computed scenario, as
-    :func:`_plan_sweep` gives them.  ``grid`` is cut into slices of
-    ``_CSV_CHUNK_ROWS // len(members)`` points, so that a slice formats at
-    most ``_CSV_CHUNK_ROWS`` rows over all its scenarios.  A slice is
-    formatted for the members whose plan index ``live`` admits when the slice
-    is drawn, and ``indices`` are theirs.
+    A child stops tracing memory, calls its work and reports what it
+    returned, or ``(None, exception)`` if it raised, as a pickle through a
+    pipe; it always leaves with ``os._exit``, so it flushes no buffer it
+    shares with this process.  Every child is waited for.  One that ends
+    without a report (killed, crashed) raises :class:`ChildProcessError`
+    with its pid and status once all have ended.  On any exception here,
+    ``KeyboardInterrupt`` included, every child still running is killed and
+    every child reaped before it propagates.
+    """
+    pending, reports = [], []
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at a fork whenever the process has other OS
+            # threads.  Workers are only forked when no other Python thread
+            # runs, so the others are OpenBLAS's idle threads, which exist
+            # from `import numpy` on; the workers run only elementwise numpy
+            # and never call BLAS, so no lock a BLAS thread held at the fork
+            # is ever taken.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\) may lead to deadlocks",
+                DeprecationWarning)
+            for work in works:
+                rfd, wfd = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(rfd)
+                    os.close(wfd)
+                    raise
+                if pid == 0:
+                    _child(work, wfd)
+                os.close(wfd)
+                pending.append((pid, open(rfd, "rb")))
+        lost = []
+        while pending:
+            pid, fh = pending[0]
+            report = fh.read()  # until the child has ended
+            fh.close()
+            _, status = os.waitpid(pid, 0)
+            pending.pop(0)
+            if report:
+                reports.append(pickle.loads(report))
+            else:
+                code = os.waitstatus_to_exitcode(status)
+                lost.append(f"sweep worker {pid} ended without a report ("
+                            + (f"killed by signal {-code})" if code < 0 else f"exit status {code})"))
+    except BaseException:
+        import signal
 
-    The slices are formatted in a pool of forked processes, one per usable
-    CPU up to ``_MAX_WORKERS``, when there are at least two such CPUs and
-    ``_POOL_MIN_ROWS`` rows, no other Python thread runs and the platform can
-    fork; otherwise they are formatted inline.  Either way the text is the
-    same.  At most one slice more than there are workers is in flight, and no
-    worker outlives the context.
+        for pid, fh in pending:
+            fh.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+    if lost:
+        raise ChildProcessError("; ".join(lost))
+    return reports
+
+
+def _child(work, wfd: int):
+    """Body of a child of :func:`_forked`; never returns."""
+    try:
+        import tracemalloc
+
+        # a child forked from a traced process would trace every allocation
+        # of its slices, which no one reads, at several times the cost of
+        # formatting them
+        tracemalloc.stop()
+        try:
+            report = work()
+        except BaseException as exc:  # reported to the parent, which raises it
+            report = None, exc
+        # a report that cannot be pickled is not written: the parent then
+        # finds none
+        data = pickle.dumps(report)
+        with open(wfd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _write_blocks(out_dir, grid, members, tau, gamma_m, outs):
+    """Write the CSV blocks of each of ``members`` over ``grid`` to every file
+    of ``outs[k]``, and return the failure, as :func:`_format_slices` does.
+
+    ``grid`` is cut into slices of ``_CSV_CHUNK_ROWS // len(members)`` points,
+    so that a slice formats at most ``_CSV_CHUNK_ROWS`` rows over all its
+    scenarios.  The slices are formatted in forked worker processes, one per
+    usable CPU up to ``_MAX_WORKERS``, when there are at least two such CPUs
+    and ``_POOL_MIN_ROWS`` rows, no other Python thread runs and the platform
+    can fork; otherwise they are formatted inline.  Each worker formats a
+    contiguous run of whole slices into anonymous part files in ``out_dir``,
+    one per member, which are appended to ``outs`` in run order once every
+    worker has ended, for the members before the earliest failure.  Either
+    way the bytes are the same, and no worker outlives the call.
     """
     if not members:  # the first scenario was refused in planning
-        yield iter(())
-        return
+        return None
     step = _CSV_CHUNK_ROWS // len(members)
+    starts = range(0, grid.size, step)
+    n_workers = min(_usable_cpus(), _MAX_WORKERS, len(starts))
+    if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS
+            and threading.active_count() == 1 and hasattr(os, "fork")):
+        return _format_slices(grid, step, starts, members, tau, gamma_m, outs)
+    runs = [starts[len(starts) * r // n_workers:len(starts) * (r + 1) // n_workers]
+            for r in range(n_workers)]
+    with contextlib.ExitStack() as stack:
+        parts = [[stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in members]
+                 for _ in runs]
 
-    def tasks():
-        for start in range(0, grid.size, step):
-            drawn = [(i, d) for i, d in members if live(i)]
-            if drawn:
-                indices, scenarios = zip(*drawn)
-                yield indices, (scenarios, grid[start:start + step], tau, gamma_m)
+        def work(run, run_parts):
+            failure = _format_slices(grid, step, run, members, tau, gamma_m,
+                                     [[part] for part in run_parts])
+            for part in run_parts:
+                part.flush()
+            return failure
 
-    n_workers = min(_usable_cpus(), _MAX_WORKERS, -(-grid.size // step))
-    if (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS
-            and threading.active_count() == 1):
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            import tracemalloc
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a worker forked from a traced process would trace every
-            # allocation of its slices, which no one reads, at several times
-            # the cost of formatting them
-            pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=tracemalloc.stop)
-            try:
-                yield _pooled_slices(pool, tasks(), n_workers + 1)
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return
-    yield ((indices, _csv_slice(*args)) for indices, args in tasks())
+        reports = _forked([functools.partial(work, run, run_parts)
+                           for run, run_parts in zip(runs, parts)])
+        for report in reports:
+            if report is not None and report[0] is None:  # not a scenario's failure
+                raise report[1]
+        failure = min(filter(None, reports), key=lambda f: f[0], default=None)
+        for k, (i, _) in enumerate(members):
+            if failure is not None and i >= failure[0]:
+                break
+            for fh in outs[k]:
+                for run_parts in parts:
+                    fh.append(run_parts[k])
+    return failure
 
 
 def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> str:
@@ -272,11 +363,15 @@ def cmd_sweep(args) -> int:
 
     Every scenario is evaluated on one grid, that of ``--grid`` or the sweep
     presets' :func:`sweep_grid_spec`.  Every CSV of the sweep is written at
-    once, each through its own temporary file: the blocks of each slice go to
-    the file of each computed scenario and to those of its repeats.  When a
-    scenario fails, the scenarios before it are finished and written, those
-    from it on are dropped from the slices still to draw and their files
-    removed, and its exception is raised.
+    once, each through its own temporary file: the blocks of each computed
+    scenario go to its file and to those of its repeats, from the inline
+    loop or, once sweep workers have formatted them, from their part files
+    (:func:`_write_blocks`), so this process holds no slice of text while
+    workers run.  When a scenario fails, the scenarios before it are
+    finished and written, those from it on are dropped from the slices still
+    to format and their files removed, and its exception is raised.  A
+    worker that ends without a report raises :class:`ChildProcessError`, an
+    ``OSError`` (exit 1), and no CSV is written.
     """
     p = _resolve_params(args)
     names = args.scenario or list(SWEEP_SCENARIOS)
@@ -309,14 +404,10 @@ def cmd_sweep(args) -> int:
         for i, (*_, first) in enumerate(plans):
             writers[i if first is None else first].append(files[i])
             files[i].write(header)
-        with _csv_blocks(grid, members, p.tau, d_base.gamma_m, lambda i: i < end) as slices:
-            for indices, (blocks, exc) in slices:
-                for i, block in zip(indices, blocks):
-                    for fh in writers[i]:
-                        fh.write(block)
-                if exc is not None and indices[len(blocks)] < end:
-                    end, failure = indices[len(blocks)], exc
-                blocks = block = None  # hold no slice while the next one is awaited
+        slice_failure = _write_blocks(args.out, grid, members, p.tau, d_base.gamma_m,
+                                      [writers[i] for i, _ in members])
+        if slice_failure is not None:
+            end, failure = slice_failure
         for fh, (name, scen, d_s, _) in zip(files, plans[:end]):
             fh.commit()
             print(f"wrote {fh.path} ({grid.size} rows, {scen.describe()})")

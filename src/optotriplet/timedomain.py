@@ -25,9 +25,10 @@ The step recursion ``x[n+1] = phi x[n] + w[n]`` is evaluated as a blocked
 affine prefix scan (Blelloch 1990), not one step at a time: panels of 1024
 steps are split into blocks of 32, each block is solved from a zero start by
 one product with a block-Toeplitz matrix of powers of ``phi``, and only the
-block-start states are carried in sequence.  Outputs are formed for a whole
-panel at once, and the noise is drawn one panel at a time, from one PCG64
-stream per trajectory spawned from the run's seed.
+block-start states are carried in sequence.  The noise is drawn one panel at
+a time, from one PCG64 stream per trajectory spawned from the run's seed,
+and mixed, scanned and turned into outputs a quarter panel (256 steps) at a
+time.
 
 A run is split into contiguous shards of trajectories, one per usable CPU
 (at most one per trajectory), and each shard runs end to end on a thread of
@@ -57,8 +58,8 @@ Two consumers read the panels.  :func:`simulate` collects them into records
 of ``2 * n_traj * n_steps`` floats, for inspection and signal-transfer checks;
 it refuses records that, with their scan panel, would exceed 4 GiB.
 :func:`run_comparison` feeds them straight into the Welch estimator, which
-fills one segment buffer per channel from pieces of any length: one panel at
-a time there, the whole records in :func:`estimate_psd`.  The streamed run
+fills one segment buffer per channel from pieces of any length: a quarter
+panel at a time there, the whole records in :func:`estimate_psd`.  The streamed run
 thus needs ``O(n_traj * segment)`` memory whatever its length.  Its estimate
 covers only the comparison band's bins, each bit-identical to the same bin of
 :func:`estimate_psd` of the records.  Records are copied out of the panels by
@@ -75,7 +76,6 @@ compared against ``S_qu + S_T``.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 import os
 import threading
@@ -102,9 +102,11 @@ _GAP_POINTS = 256
 _MAX_DOUBLINGS = 40
 # shortest Welch segment, in samples
 _MIN_SEG_LEN = 64
-# steps per block of the affine scan, and per panel of 32 blocks
+# steps per block of the affine scan, per panel of 32 blocks (the noise
+# drawn at a time), and per quarter panel (mixed, scanned and output at a time)
 _BLOCK = 32
 _PANEL = 32 * _BLOCK
+_QUARTER = _PANEL // 4
 # negative eigenvalue mass, relative to the largest eigenvalue, that
 # _factor_psd may clip as rounding noise
 _PSD_CLIP_TOL = 1e-12
@@ -429,20 +431,25 @@ class TimeSeriesBundle:
     def dump_text(self, path) -> None:
         """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a.
 
-        Formatted one panel of rows at a time, so no copy of the series is
-        made, and written through a temporary file, so ``path`` only appears
-        once the dump is complete.
+        Formatted one panel of rows at a time, as ``np.savetxt`` formats
+        them (:func:`_rows_text`), so no copy of the series is made, and
+        written through a temporary file, so ``path`` only appears once the
+        dump is complete.
         """
         def blocks():
             yield "time b_plus_a b_minus_a\n"
             for n0 in range(0, self.n_steps, _PANEL):
                 n1 = min(n0 + _PANEL, self.n_steps)
-                block = [np.arange(n0, n1) * self.dt, self.b_plus[0, n0:n1], self.b_minus[0, n0:n1]]
-                text = io.StringIO()
-                np.savetxt(text, np.column_stack(block))
-                yield text.getvalue()
+                yield _rows_text(np.column_stack([np.arange(n0, n1) * self.dt,
+                                                  self.b_plus[0, n0:n1], self.b_minus[0, n0:n1]]))
 
         atomic_write(path, blocks())
+
+
+def _rows_text(block: np.ndarray) -> str:
+    """The rows of ``block``, of three columns, as ``np.savetxt`` writes them
+    by default: each value ``%.18e``, separated by spaces, one line per row."""
+    return ("%.18e %.18e %.18e\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 def sigma_weights(d: DerivedParams, omega, y_policy):
@@ -779,12 +786,14 @@ def _shard_panels(d: DerivedParams, cfg: SimConfig, plan: _Plan) -> list:
 
 def _panels(sampler: _Sampler, rows: slice):
     """Outputs ``(b_plus, b_minus)`` of the trajectories ``rows`` of a run,
-    one row per trajectory, per panel of ``m = _PANEL`` steps (fewer in the
-    last one).
+    one row per trajectory, per ``_QUARTER`` steps (fewer in the last one).
 
-    All work, the streams' creation included, waits for the first panel, so
-    it runs on the thread that reads the panels.  Each trajectory draws from
-    its own PCG64 stream, in the same order whatever consumes the panels.
+    The noise is drawn per panel of ``_PANEL`` steps, one call per
+    trajectory, and mixed, scanned and output per quarter of it, so the
+    mixed increments and scan temporaries are a quarter panel's.  All work,
+    the streams' creation included, waits for the first output, so it runs
+    on the thread that reads them.  Each trajectory draws from its own PCG64
+    stream, in the same order whatever consumes the outputs.
     """
     n_steps, (i0, i1), amp = sampler.n_steps, sampler.signal, sampler.amp
     rngs = [np.random.Generator(np.random.PCG64(s)) for s in sampler.seeds[rows]]
@@ -794,7 +803,7 @@ def _panels(sampler: _Sampler, rows: slice):
         x[k] = sampler.stat_factor @ rng.standard_normal(3)
 
     # trajectory-major draws, reused per panel; the padded tail of the last
-    # panel carries zero noise, so every product has the same shape, and a
+    # panel carries zero noise, so every product has a quarter's shape, and a
     # noiseless run mixes its all-zero noise factor into zeros and draws nothing
     eps = np.zeros((n_tr, _PANEL, 5))
     for n0 in range(0, n_steps, _PANEL):
@@ -803,18 +812,21 @@ def _panels(sampler: _Sampler, rows: slice):
             for k, rng in enumerate(rngs):
                 rng.standard_normal(out=eps[k, :m])
             eps[:, m:] = 0.0
-        w = eps @ sampler.to_w                  # state increments
-        z = eps @ sampler.to_z                  # output noise
-        if amp and i0 < n0 + _PANEL and n0 < i1:
-            f = np.zeros(_PANEL)
-            f[max(i0 - n0, 0):i1 - n0] = amp
-            w += f[:, None] * sampler.x_kick
-            z += f[:, None] * sampler.z_kick
-        x_prev, x = sampler.scan(w, x)
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(f"state diverged by step {n0 + m} (of {n_steps})")
-        z += x_prev @ sampler.zx_t
-        yield z[:, :m, 0], z[:, :m, 1]
+        for q0 in range(n0, n0 + m, _QUARTER):
+            quarter = eps[:, q0 - n0:q0 - n0 + _QUARTER]
+            w = quarter @ sampler.to_w          # state increments
+            z = quarter @ sampler.to_z          # output noise
+            if amp and i0 < q0 + _QUARTER and q0 < i1:
+                f = np.zeros(_QUARTER)
+                f[max(i0 - q0, 0):i1 - q0] = amp
+                w += f[:, None] * sampler.x_kick
+                z += f[:, None] * sampler.z_kick
+            x_prev, x = sampler.scan(w, x)
+            mq = min(_QUARTER, n0 + m - q0)
+            if not np.all(np.isfinite(x)):
+                raise SimulationError(f"state diverged by step {q0 + mq} (of {n_steps})")
+            z += x_prev @ sampler.zx_t
+            yield z[:, :mq, 0], z[:, :mq, 1]
 
 
 def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
@@ -861,9 +873,10 @@ def _recorded(panels, b_plus: np.ndarray, b_minus: np.ndarray):
 
 
 class _BlockScan:
-    """Blocked affine prefix scan of ``x[n+1] = phi x[n] + w[n]`` over a panel.
+    """Blocked affine prefix scan of ``x[n+1] = phi x[n] + w[n]`` over a run
+    of whole blocks.
 
-    A panel of ``_PANEL`` steps is cut into blocks of ``_BLOCK`` steps.  Each
+    The steps are cut into blocks of ``_BLOCK`` steps.  Each
     block is solved from a zero start with one product against the lower
     block-Toeplitz matrix of powers of ``phi``; only the block-start states are
     carried sequentially, and their propagated contribution is added with a
@@ -892,9 +905,10 @@ class _BlockScan:
         self.n = n
 
     def __call__(self, w: np.ndarray, x0: np.ndarray):
-        """States before every step of the panel, and the state after it.
+        """States before every step of ``w``, and the state after it.
 
-        ``w`` has shape ``(n_traj, _PANEL, n)``, ``x0`` shape ``(n_traj, n)``.
+        ``w`` has shape ``(n_traj, m, n)``, ``m`` a multiple of ``_BLOCK``,
+        ``x0`` shape ``(n_traj, n)``.
         """
         n_tr, n = x0.shape[0], self.n
         # one product per trajectory, not one for the whole panel: products of
@@ -913,7 +927,7 @@ class _BlockScan:
             starts[:, b] = x[:n_tr]
             x = x @ self.phi_block_t + ends[:, b]
         local += starts @ self.from_start
-        return local.reshape(n_tr, _PANEL, n), x[:n_tr]
+        return local.reshape(n_tr, -1, n), x[:n_tr]
 
 
 # --- spectral estimation ------------------------------------------------------

@@ -2,8 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -294,17 +294,21 @@ def test_sweep_memory_is_bounded_per_slice_of_several_scenarios(tmp_path):
     assert peak < 12e6
 
 
-FORK = "fork" in multiprocessing.get_all_start_methods()
+FORK = hasattr(os, "fork")
 # three computed scenarios on one grid, in slices of 8192 // 3 = 2730 points;
 # fig3-nonsym-lossless is written from fig2-nonsym's blocks
 POOLED_SWEEP = ["sweep", "--preset", "table1", "--grid", f"log:{2 * _CSV_CHUNK_ROWS + 7}:1e3:1e7",
                 "--scenario", "fig3-nonsym-lossy", "--scenario", "fig2-nonsym",
                 "--scenario", "fig3-nonsym-lossless", "--scenario", "fig2-sym"]
+# the omega between POOLED_SWEEP's slices 2 and 3 (points 5460 and 8190): at
+# two workers, the second one's run starts at slice 3
+SECOND_RUN_OMEGA = 5e4
 
 
-def _spy_on_blocks(monkeypatch, log, fail_on=None):
+def _spy_on_blocks(monkeypatch, log, fail_on=None, on_block=None):
     """Record the pid that evaluates each block in ``log``; raise ValueError
-    on every block but the first of the scenario with parameters ``fail_on``.
+    on every block but the first of the scenario with parameters ``fail_on``;
+    call ``on_block(grid)`` before each block.
 
     Workers are forked after the patch, so it reaches them too.
     """
@@ -313,6 +317,8 @@ def _spy_on_blocks(monkeypatch, log, fail_on=None):
     def spy(d, grid, y_policy="optimal"):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
+        if on_block is not None:
+            on_block(grid)
         if d.phys == fail_on and grid[0] > 1e3:
             raise ValueError("injected block failure")
         return real(d, grid, y_policy)
@@ -320,10 +326,22 @@ def _spy_on_blocks(monkeypatch, log, fail_on=None):
     monkeypatch.setattr(ot.cli, "spectrum_sweep", spy)
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+def _reaped_workers(log):
+    """The pids of the workers that evaluated blocks, as ``log`` of
+    :func:`_spy_on_blocks` holds them, each checked to be reaped: waiting
+    for it without blocking raises, where a live or unreaped child would not."""
+    pids = set(log.read_text().split()) if log.exists() else set()
+    workers = {int(pid) for pid in pids - {str(os.getpid())}}
+    for pid in workers:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return workers
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
-    # inline, then 2 and 3 workers with 3 and 4 slices in flight; each of the
-    # 7 slices of 2730 points is evaluated once per computed scenario
+    # inline, then 2 and 3 workers, each formatting a contiguous run of the 7
+    # slices of 2730 points; each slice is evaluated once per computed scenario
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log)
     csvs, stdout = {}, {}
@@ -332,31 +350,34 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
         out = tmp_path / f"cpus{cpus}"
         log.write_text("")
         assert run(POOLED_SWEEP + ["--out", out]) == 0
-        assert multiprocessing.active_children() == []
         pids = log.read_text().split()
         assert len(pids) == 21
         if cpus == 1:
             assert set(pids) == {str(os.getpid())}
         else:
-            assert str(os.getpid()) not in pids and len(set(pids)) <= cpus
+            assert str(os.getpid()) not in pids and len(_reaped_workers(log)) == cpus
+        # the CSVs and the manifest, and no part file
+        assert sorted(os.listdir(out)) == sorted(
+            [f"{name}.csv" for name in POOLED_SWEEP[6::2]] + ["manifest.json"])
         csvs[cpus] = {f.name: f.read_bytes() for f in out.glob("*.csv")}
         stdout[cpus] = capsys.readouterr().out.replace(str(out), "OUT")
-    assert sorted(csvs[1]) == sorted(f"{name}.csv" for name in POOLED_SWEEP[6::2])
     assert csvs[1] == csvs[2] == csvs[3]
     assert stdout[1] == stdout[2] == stdout[3]
     assert stdout[1].count("wrote OUT") == 4
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
         tmp_path, monkeypatch, capsys):
-    # fig2-nonsym's second block fails while fig2-sym's blocks are in flight
+    # fig2-nonsym's second block fails in the first worker, and its blocks of
+    # the second worker's run fail too: fig2-nonsym and fig2-sym are dropped
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     failing = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
-    _spy_on_blocks(monkeypatch, tmp_path / "pids", fail_on=failing)
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log, fail_on=failing)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 2
-    assert multiprocessing.active_children() == []
+    assert len(_reaped_workers(log)) == 2
     assert capsys.readouterr().err == "numerical failure: injected block failure\n"
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
@@ -379,15 +400,17 @@ def _refuse_in_planning(monkeypatch, name):
     monkeypatch.setattr(ot.cli, "derive", derive)
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys):
     # scenarios are planned before any block is formatted, but one that
     # cannot be derived is reported only once the CSVs before it are written
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     _refuse_in_planning(monkeypatch, "fig2-nonsym")
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
-    assert multiprocessing.active_children() == []
+    assert len(_reaped_workers(log)) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: injected refusal\n"
     assert captured.out.count("wrote ") == 1
@@ -395,21 +418,25 @@ def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp
 
 
 def test_sweep_first_scenario_refused_in_planning_writes_nothing(tmp_path, monkeypatch, capsys):
-    # no scenario is computed, so no slice is drawn and no worker started
+    # no scenario is computed, so no slice is formatted and no worker started
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     _refuse_in_planning(monkeypatch, "fig3-nonsym-lossy")
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
-    assert multiprocessing.active_children() == []
+    assert not log.exists()
     captured = capsys.readouterr()
     assert captured.err == "error: injected refusal\n"
     assert "wrote " not in captured.out
     assert os.listdir(out) == []
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
 
     def interrupt(d):
         raise KeyboardInterrupt
@@ -419,46 +446,76 @@ def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(POOLED_SWEEP + ["--out", out])
-    assert multiprocessing.active_children() == []
+    assert len(_reaped_workers(log)) == 2
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_path, monkeypatch):
+    # the parent's wait is interrupted once the first worker has ended, while
+    # the second, slowed down, is still formatting its run: it is killed,
+    # both are reaped, and no file is left
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
-    writes = []
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log,
+                   on_block=lambda grid: time.sleep(0.3 if grid[0] > SECOND_RUN_OMEGA else 0.0))
+    real_waitpid, waits = os.waitpid, []
 
-    class Interrupted(ot.cli._AtomicFile):
-        def write(self, text):
-            writes.append(self.path)
-            if len(writes) == 10:  # 4 headers and the first slice's 4 blocks are written
-                raise KeyboardInterrupt
-            super().write(text)
+    def waitpid(pid, options):
+        waits.append(pid)
+        if len(waits) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
 
-    monkeypatch.setattr(ot.cli, "_AtomicFile", Interrupted)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(POOLED_SWEEP + ["--out", out])
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "waitpid", real_waitpid)
+    workers = _reaped_workers(log)
+    assert len(workers) == 2 and set(waits) == workers
+    # the second worker's run of 4 slices of 3 scenarios was cut short
+    assert len(log.read_text().split()) < 9 + 12
     assert os.listdir(out) == []
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
+def test_sweep_worker_killed_mid_run_fails_the_sweep_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # a worker that ends without a report is an error (exit 1) naming it;
+    # no CSV is committed and no part file stays open
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def kill_the_second_worker(grid):
+        if os.getpid() != parent and grid[0] > SECOND_RUN_OMEGA:
+            (tmp_path / "killed").write_text(str(os.getpid()))
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log, on_block=kill_the_second_worker)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: sweep worker {(tmp_path / 'killed').read_text()} ended without a report "
+                   f"(killed by signal {int(signal.SIGKILL)})\n")
+    assert len(_reaped_workers(log)) == 2
+    assert os.listdir(out) == []
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
-    # the parent stalls as it writes each block, so every slice in flight is
-    # finished and held before it takes the next: that must stay a few slices
-    # however many CPUs the host has
+    # 64 usable CPUs start at most 4 workers, and the parent holds no slice
+    # of text however many there are
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 64)
-
-    class Stalled(ot.cli._AtomicFile):
-        def write(self, text):
-            time.sleep(0.1)
-            super().write(text)
-
-    monkeypatch.setattr(ot.cli, "_AtomicFile", Stalled)
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
                 "--grid", "log:300:1:1e7"]) == 0  # warm caches
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
     tracemalloc.start()
     try:
         assert run(["sweep", "--preset", "table1", "--out", out, "--scenario",
@@ -466,13 +523,43 @@ def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert multiprocessing.active_children() == []
+    assert len(_reaped_workers(log)) == ot.cli._MAX_WORKERS
     assert peak < 12e6
 
 
-@pytest.mark.skipif(not FORK, reason="the block pool needs fork")
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
+def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch):
+    # four computed scenarios in 49 slices of 2048 points at two workers:
+    # once the grid is built and checked, the parent's peak stays under one
+    # slice of text (about 1.4 MB), the 0.8 MB grid included
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--grid", "log:300:1:1e7"]) == 0  # warm caches
+    scenarios = ["fig2-sym", "fig2-nonsym", "fig3-nonsym-lossy", "fig4-sym-lossy"]
+    real = ot.cli._plan_sweep
+
+    def plan_sweep(*args):
+        tracemalloc.reset_peak()
+        return real(*args)
+
+    monkeypatch.setattr(ot.cli, "_plan_sweep", plan_sweep)
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log)
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--preset", "table1", "--out", out, "--grid", "log:100003:1:1e7"]
+                   + [arg for name in scenarios for arg in ("--scenario", name)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(_reaped_workers(log)) == 2
+    assert peak < 1.4e6
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_formats_inline_while_another_thread_runs(tmp_path, monkeypatch):
-    # a thread that holds a lock when the pool forks could deadlock a worker,
+    # a thread that holds a lock when a worker is forked could deadlock it,
     # so a host process with other Python threads formats inline
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     log = tmp_path / "pids"
@@ -815,12 +902,13 @@ def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
 
 
 def test_cli_import_and_sweep_load_no_thread_pool(tmp_path):
-    # the sweep's process pool is imported only where it runs, and the
-    # oracle's shards are plain threads
+    # the sweep's workers are plain forks, started here on a grid of two full
+    # slices where two CPUs are usable, and the oracle's shards plain threads
     code = ("from optotriplet.cli import main; "
-            f"assert main(['sweep', '--preset', 'table1', '--grid', 'log:100:1:1e7', "
-            f"'--out', {str(tmp_path)!r}]) == 0")
+            f"assert main(['sweep', '--preset', 'table1', '--scenario', 'fig2-sym', "
+            f"'--grid', 'log:{2 * _CSV_CHUNK_ROWS}:1:1e7', '--out', {str(tmp_path)!r}]) == 0")
     assert _loaded_modules(code, "concurrent") == "[]"
+    assert _loaded_modules(code, "multiprocessing") == "[]"
 
 
 def test_oracle_run_loads_no_scipy(tmp_path):

@@ -447,15 +447,15 @@ def test_interrupted_dump_leaves_the_old_file(tmp_path, d_lossy, monkeypatch):
     ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=1, dt=fine_dt(d_lossy)))
     path = tmp_path / "series.txt"
     path.write_text("old\n")
-    savetxt, blocks = np.savetxt, []
+    rows_text, blocks = ot.timedomain._rows_text, []
 
-    def failing(fh, block):
+    def failing(block):
         blocks.append(len(block))
         if len(blocks) == 2:
             raise OSError("disk full")
-        savetxt(fh, block)
+        return rows_text(block)
 
-    monkeypatch.setattr(np, "savetxt", failing)
+    monkeypatch.setattr(ot.timedomain, "_rows_text", failing)
     with pytest.raises(OSError, match="disk full"):
         ts.dump_text(path)
     assert blocks == [1024, 1024]
