@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import os
 import sys
 import threading
@@ -645,6 +646,37 @@ def run_7001(d_lossy):
     dt = ot.default_sim_config(d_lossy).dt
     pulse = ot.SignalPulse(force_amp=1e-15, duration=60 * dt, t_start=1000 * dt)
     return ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=3, t_dur=7001 * dt, signal=pulse))
+
+
+# SHA-256 of the records (b_plus, then b_minus) and of the streamed estimate of
+# the default nonsym-lossy run of 3 trajectories, seed 2026, without and with a
+# pulse over steps [1000, 1600).  Captured (numpy 2.4, x86-64) before the noise
+# was drawn a quarter at a time and the estimator reused its buffers, so any
+# change to a record or estimate bit shows, not only one between shard counts.
+PINNED_DIGESTS = {
+    False: ("ff518aec1794e2d1014bffe81ec56fa6147d65aa5c153d5be168714912cfa551",
+            "cb168239ddcbecf4492b4e8da1f033f7c5973d73c293a2b1e05c0b674e96d7a2"),
+    True: ("60add895be3e56f4ff98ae6aeab246cc2fdf050a1b5a3803d7c58c5255b0d56e",
+           "ddb392a5c80e19c6e1b7cdc295ad987dc2308ab255cc83cc1c82e2059a7a97c5"),
+}
+
+
+@pytest.mark.parametrize("pulsed", [False, True])
+def test_default_records_and_estimate_keep_their_bits(monkeypatch, pulsed):
+    # one shard, and three shards of one trajectory each (the lone-trajectory scan)
+    d = oracle_derived("nonsym-lossy")
+    cfg = ot.default_sim_config(d, seed=2026, n_traj=3)
+    assert round(cfg.t_dur / cfg.dt) == 17280
+    if pulsed:
+        pulse = ot.SignalPulse(force_amp=1e-15, duration=600 * cfg.dt, t_start=1000 * cfg.dt)
+        cfg = dataclasses.replace(cfg, signal=pulse)
+    for cpus in (1, 3):
+        monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
+        ts = ot.simulate(d, cfg)
+        psd = ot.run_comparison(d, cfg)[1].psd
+        got = (hashlib.sha256(ts.b_plus.tobytes() + ts.b_minus.tobytes()).hexdigest(),
+               hashlib.sha256(psd.tobytes()).hexdigest())
+        assert got == PINNED_DIGESTS[pulsed]
 
 
 def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
