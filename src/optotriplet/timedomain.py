@@ -102,11 +102,12 @@ _GAP_POINTS = 256
 _MAX_DOUBLINGS = 40
 # shortest Welch segment, in samples
 _MIN_SEG_LEN = 64
-# steps per block of the affine scan, per panel of 32 blocks (the noise
-# drawn at a time), and per quarter panel (mixed, scanned and output at a time)
+# steps per block of the affine scan, and per quarter of 8 blocks (drawn,
+# mixed, scanned and output at a time); rows of the time-series dump
+# formatted at a time
 _BLOCK = 32
-_PANEL = 32 * _BLOCK
-_QUARTER = _PANEL // 4
+_QUARTER = 8 * _BLOCK
+_PANEL = 4 * _QUARTER
 # negative eigenvalue mass, relative to the largest eigenvalue, that
 # _factor_psd may clip as rounding noise
 _PSD_CLIP_TOL = 1e-12
@@ -620,7 +621,7 @@ class _Plan:
     n_steps: int
     signal: tuple[int, int]  # the pulse acts over steps [i0, i1); (0, 0) without one
     record_bytes: int
-    panel_bytes: int         # one scan panel of every trajectory
+    scan_bytes: int          # one quarter's draws and scan of every trajectory
     step_gap: float          # what admitted the step: see _step_gap
     segments: int | None = None
     seg_len: int | None = None
@@ -675,16 +676,22 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
         raise RunRangeError(
             f"t_dur / dt = {cfg.t_dur!r} s / {cfg.dt!r} s is not a finite number of steps")
     n_steps = round(steps)
-    # float64 values per scan-panel step and trajectory, rounded up
-    panel_bytes = 8 * cfg.n_traj * 20 * _PANEL
+    # float64 values per quarter step and trajectory, rounded up: the draws
+    # (5), the increments and output noise (5), the scan's block solutions and
+    # their start terms (6), and the carried block ends and the pulse's drive
+    scan_bytes = 8 * cfg.n_traj * 20 * _QUARTER
     seg_len = band = bins = stream_bytes = None
     if segments is not None:
         seg_len = _segment_len(n_steps, segments)
-        # float64 values per segment sample and trajectory (buffers, transforms)
-        # and per sample (bin weights): run_comparison's tracemalloc peak, rounded
-        # up; a dump adds both channels of trajectory 0 at every step
+        # float64 values per segment sample and trajectory (the two segment
+        # buffers, one rfft, and per band bin, at most one per two samples, the
+        # complex mix, its periodogram row and their sum) and per sample (window,
+        # bin weights), and 256 KiB whatever the run's size (the step bound's
+        # frequencies and the scan's operators): run_comparison's tracemalloc
+        # peak, rounded up; a dump adds both channels of trajectory 0 at every step
         dump_bytes = 16 * n_steps if dump else 0
-        stream_bytes = 8 * (6 * cfg.n_traj + 24) * seg_len + panel_bytes + dump_bytes
+        stream_bytes = (8 * (5 * cfg.n_traj + 24) * seg_len + scan_bytes + 2**18
+                        + dump_bytes)
         if stream_bytes > _MAX_RECORD_BYTES:
             dumped = f", {_gib(dump_bytes)} GiB of it the dump" if dump else ""
             raise RunRangeError(
@@ -711,7 +718,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
             f"the density the sampler draws differs from the analytic S_f by {gap:.3g} "
             f"relative (bound {_STEP_GAP:g}); use a smaller dt"
         )
-    return _Plan(n_steps, signal, 16 * cfg.n_traj * n_steps, panel_bytes, gap,
+    return _Plan(n_steps, signal, 16 * cfg.n_traj * n_steps, scan_bytes, gap,
                  segments, seg_len, band, bins, stream_bytes)
 
 
@@ -788,11 +795,11 @@ def _panels(sampler: _Sampler, rows: slice):
     """Outputs ``(b_plus, b_minus)`` of the trajectories ``rows`` of a run,
     one row per trajectory, per ``_QUARTER`` steps (fewer in the last one).
 
-    The noise is drawn per panel of ``_PANEL`` steps, one call per
-    trajectory, and mixed, scanned and output per quarter of it, so the
-    mixed increments and scan temporaries are a quarter panel's.  All work,
-    the streams' creation included, waits for the first output, so it runs
-    on the thread that reads them.  Each trajectory draws from its own PCG64
+    The noise of each quarter is drawn into one reused buffer, one call per
+    trajectory, then mixed, scanned and output, so the draws, the mixed
+    increments and the scan temporaries are a quarter's.  All work, the
+    streams' creation included, waits for the first output, so it runs on
+    the thread that reads them.  Each trajectory draws from its own PCG64
     stream, in the same order whatever consumes the outputs.
     """
     n_steps, (i0, i1), amp = sampler.n_steps, sampler.signal, sampler.amp
@@ -802,51 +809,52 @@ def _panels(sampler: _Sampler, rows: slice):
     for k, rng in enumerate(rngs):
         x[k] = sampler.stat_factor @ rng.standard_normal(3)
 
-    # trajectory-major draws, reused per panel; the padded tail of the last
-    # panel carries zero noise, so every product has a quarter's shape, and a
+    # trajectory-major draws, reused per quarter; the zeroed tail of the last
+    # quarter carries no noise, so every product has a quarter's shape, and a
     # noiseless run mixes its all-zero noise factor into zeros and draws nothing
-    eps = np.zeros((n_tr, _PANEL, 5))
-    for n0 in range(0, n_steps, _PANEL):
-        m = min(_PANEL, n_steps - n0)
+    eps = np.zeros((n_tr, _QUARTER, 5))
+    draws = [(rng, eps[k]) for k, rng in enumerate(rngs)]
+    for q0 in range(0, n_steps, _QUARTER):
+        mq = min(_QUARTER, n_steps - q0)
         if sampler.noise:
-            for k, rng in enumerate(rngs):
-                rng.standard_normal(out=eps[k, :m])
-            eps[:, m:] = 0.0
-        for q0 in range(n0, n0 + m, _QUARTER):
-            quarter = eps[:, q0 - n0:q0 - n0 + _QUARTER]
-            w = quarter @ sampler.to_w          # state increments
-            z = quarter @ sampler.to_z          # output noise
-            if amp and i0 < q0 + _QUARTER and q0 < i1:
-                f = np.zeros(_QUARTER)
-                f[max(i0 - q0, 0):i1 - q0] = amp
-                w += f[:, None] * sampler.x_kick
-                z += f[:, None] * sampler.z_kick
-            x_prev, x = sampler.scan(w, x)
-            mq = min(_QUARTER, n0 + m - q0)
-            if not np.all(np.isfinite(x)):
-                raise SimulationError(f"state diverged by step {q0 + mq} (of {n_steps})")
-            z += x_prev @ sampler.zx_t
-            yield z[:, :mq, 0], z[:, :mq, 1]
+            if mq < _QUARTER:  # the last quarter, partial
+                draws = [(rng, e[:mq]) for rng, e in draws]
+                eps[:, mq:] = 0.0
+            for rng, e in draws:
+                rng.standard_normal(out=e)
+        w = eps @ sampler.to_w          # state increments
+        z = eps @ sampler.to_z          # output noise
+        if amp and i0 < q0 + _QUARTER and q0 < i1:
+            f = np.zeros(_QUARTER)
+            f[max(i0 - q0, 0):i1 - q0] = amp
+            w += f[:, None] * sampler.x_kick
+            z += f[:, None] * sampler.z_kick
+        x_prev, x = sampler.scan(w, x)
+        if not np.all(np.isfinite(x)):
+            raise SimulationError(f"state diverged by step {q0 + mq} (of {n_steps})")
+        z += x_prev @ sampler.zx_t
+        del w, x_prev  # not held while the consumer reads z
+        yield z[:, :mq, 0], z[:, :mq, 1]
 
 
 def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     """Integrate the quadrature dynamics and record both outputs.
 
-    Refuses what the run's plan refuses, then records and a scan panel above
+    Refuses what the run's plan refuses, then records and scan buffers above
     ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams long runs instead.
     Identical config and seed give bit-identical records.  Each shard fills
     its own rows of the records.
     """
     plan = _plan(d, cfg)
-    size, panel = plan.record_bytes, plan.panel_bytes
-    if size + panel > _MAX_RECORD_BYTES:
-        # streaming drops the records but keeps the panel, so it is only a
-        # remedy when the panel alone fits
+    size, scan = plan.record_bytes, plan.scan_bytes
+    if size + scan > _MAX_RECORD_BYTES:
+        # streaming drops the records but keeps the scan buffers, so it is only
+        # a remedy when those alone fit
         hint = ("; run_comparison streams the spectral check without materialising them"
-                if panel <= _MAX_RECORD_BYTES else "")
+                if scan <= _MAX_RECORD_BYTES else "")
         raise SimulationError(
             f"records of {_count(cfg.n_traj)} trajectories x {_count(plan.n_steps)} steps "
-            f"would take {_gib(size)} GiB and their scan panel {_gib(panel)} GiB "
+            f"would take {_gib(size)} GiB and their scan buffers {_gib(scan)} GiB "
             f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB){hint}"
         )
     b_plus = np.empty((cfg.n_traj, plan.n_steps))
@@ -979,16 +987,12 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
     used = segments * seg_len
 
-    def periodogram(seg_plus, seg_minus):
-        # its own frame, so the transforms are freed before the next chunk is made
-        xp = dt * np.conj(np.fft.rfft(seg_plus * win, axis=1)[:, bins])
-        xm = dt * np.conj(np.fft.rfft(seg_minus * win, axis=1)[:, bins])
-        return np.abs(wp[None, :] * xp + wm[None, :] * xm) ** 2
-
     def segment_sums(rows, chunks):
         seg_plus = np.empty((rows.stop - rows.start, seg_len))
         seg_minus = np.empty_like(seg_plus)
         sums = np.zeros((seg_plus.shape[0], omega.size))
+        xp = np.empty(sums.shape, dtype=complex)  # the mix, from the + channel
+        row = np.empty_like(sums)                 # its periodogram
         n0 = 0
         for zp, zm in chunks:
             m = min(zp.shape[1], used - n0)
@@ -1000,7 +1004,23 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                 seg_minus[:, fill:fill + take] = zm[:, a:a + take]
                 a += take
                 if fill + take == seg_len:
-                    sums += periodogram(seg_plus, seg_minus)
+                    # |wp dt conj(X+) + wm dt conj(X-)|^2, each product in
+                    # that operand order; every buffer is refilled before
+                    # its next use, so all of it runs in place
+                    seg_plus *= win
+                    seg_minus *= win
+                    np.conj(np.fft.rfft(seg_plus, axis=1)[:, bins], out=xp)
+                    np.multiply(dt, xp, out=xp)
+                    np.multiply(wp[None, :], xp, out=xp)
+                    xm = np.fft.rfft(seg_minus, axis=1)[:, bins]
+                    np.conj(xm, out=xm)
+                    np.multiply(dt, xm, out=xm)
+                    np.multiply(wm[None, :], xm, out=xm)
+                    np.add(xp, xm, out=xp)
+                    del xm
+                    np.abs(xp, out=row)
+                    np.square(row, out=row)
+                    sums += row
             n0 += m
             if n0 == used:
                 break
