@@ -721,13 +721,13 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
-    # 2.8e8 steps in 1000 segments: 0.88 GiB of streamed working set, plus
+    # 2.8e8 steps in 1000 segments: 0.73 GiB of streamed working set, plus
     # 4.24 GiB for both channels of trajectory 0 when they are dumped
     flags = ["--duration", 100, "--segments", 1000, "--dt", FINE_DT]
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
                 "--dump-timeseries"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "5.12 GiB, 4.24 GiB of it the dump" in err
+    assert err.startswith("error: ") and "4.97 GiB, 4.24 GiB of it the dump" in err
     assert not list(tmp_path.iterdir())
     # without the dump the same plan fits
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
@@ -801,7 +801,7 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
 def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys):
     # 20000 steps in 32 segments: the records of 15 more trajectories would
     # take 4.8 MB, but only trajectory 0 is dumped; the growth is the streamed
-    # working set, 2.9 MB by the plan's count
+    # working set, 0.99 MB by the plan's count
     d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
     t_dur = 20_000 * ot.default_sim_config(d).dt
     args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--duration",
@@ -838,7 +838,7 @@ def test_oracle_dt_violation(tmp_path, capsys):
     # segments of 142 samples, but a band from 7.9e5 rad/s
     pytest.param("--duration=8e-4", f"--dt={FINE_DT}", "too short for any comparison band",
                  id="--duration-8e-4-too short for any comparison band"),
-    # streamed working sets of 108 GiB and 61 GiB, far above the 4 GiB cap
+    # streamed working sets of 92 GiB and 7.8 GiB, above the 4 GiB cap
     ("--dt", "1e-10", "GiB"),
     ("--trajectories", "100000", "GiB"),
     # 1e300 / 1e-300 steps overflow to infinity

@@ -891,7 +891,7 @@ def test_streamed_comparison_memory_stays_below_records(d_lossy):
 
 
 def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monkeypatch):
-    # every shard holds its segment buffers, transforms and panel at once, and
+    # every shard holds its segment buffers, transforms and quarter at once, and
     # one periodogram row per trajectory and its running sum: together still
     # within the plan's working set, at one, two and four shards
     dt = ot.default_sim_config(d_lossy).dt
@@ -926,7 +926,7 @@ def test_simulate_refuses_records_above_the_cap(d_lossy):
 
 def test_simulate_cap_counts_the_scan_panel(d_lossy, monkeypatch):
     # 1e6 trajectories x 200 steps: 2.98 GiB of records fit the cap, but the
-    # scan panel that fills them would take 152.59 GiB
+    # scan buffers that fill them would take 38.15 GiB
     def no_panels(*args):
         raise AssertionError("panels started")
 
@@ -935,7 +935,7 @@ def test_simulate_cap_counts_the_scan_panel(d_lossy, monkeypatch):
     cfg = short_cfg(d_lossy, n_traj=10**6, t_dur=200 * dt)
     tracemalloc.start()
     try:
-        with pytest.raises(SimulationError, match=r"2\.98 GiB and their scan panel 152\.59 GiB"):
+        with pytest.raises(SimulationError, match=r"2\.98 GiB and their scan buffers 38\.15 GiB"):
             ot.simulate(d_lossy, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -946,9 +946,9 @@ def test_simulate_cap_counts_the_scan_panel(d_lossy, monkeypatch):
 @pytest.mark.parametrize("n_traj, n_steps, streams", [(64, 5_000_000, True), (10**6, 200, False)])
 def test_simulate_hints_at_streaming_only_where_the_records_break_the_cap(
         d_lossy, monkeypatch, n_traj, n_steps, streams):
-    # 64 x 5e6 steps: 4.77 GiB of records over a 0.01 GiB panel, which a
+    # 64 x 5e6 steps: 4.77 GiB of records over 2.6 MB of scan buffers, which a
     # streamed run holds easily; 1e6 x 200 steps: 2.98 GiB of records fit, but
-    # the 152.59 GiB panel does not, and a streamed run would need it too
+    # the 38.15 GiB of scan buffers do not, and a streamed run would need them too
     def no_panels(*args):
         raise AssertionError("panels started")
 
@@ -969,7 +969,8 @@ def test_simulate_hints_at_streaming_only_where_the_records_break_the_cap(
 def test_streamed_run_refuses_working_set_above_the_cap(d_lossy, monkeypatch, overrides):
     # default duration: 5.7e8 steps of 64 trajectories, or 1.7e4 steps of 1e5
     # trajectories; the segment buffers alone would take 34 GiB (and the bin
-    # weights of 1.8e7 bins about 6 GB), or the scan panel 15 GiB
+    # weights of 1.8e7 bins about 6 GB), or the working set 7.84 GiB, 3.81 GiB
+    # of it the scan buffers
     def no_simulation(*args):
         raise AssertionError("simulation started")
 
