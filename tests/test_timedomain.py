@@ -910,6 +910,23 @@ def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monk
         assert peak <= stream_bytes
 
 
+def test_streamed_memory_of_a_tiny_run_stays_within_the_plan(d_lossy):
+    # 1100 steps of one trajectory: the peak, 0.19 MB, is the step bound's
+    # evaluation at 256 frequencies, whatever the run's size; the plan's fixed
+    # 256 KiB counts it
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=1, t_dur=1100 * dt)
+    stream_bytes = _plan(d_lossy, cfg, 16).stream_bytes
+    ot.run_comparison(d_lossy, cfg, segments=16)  # warm caches
+    tracemalloc.start()
+    try:
+        ot.run_comparison(d_lossy, cfg, segments=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= stream_bytes
+
+
 def test_simulate_refuses_records_above_the_cap(d_lossy):
     # 64 trajectories x 5e6 steps would take 4.77 GiB of records
     dt = ot.default_sim_config(d_lossy).dt
