@@ -333,7 +333,13 @@ def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
     ``exp([[M, I, 0], [0, 0, I], [0, 0, 0]] dt)``, and the covariance is that
     of the state augmented with the integrated outputs, ``A = [[M, 0], [C, 0]]``
     driven through ``B = [F; -E]``; its output rows and columns are divided by
-    ``dt``.  Both are exact up to rounding at any step size.
+    ``dt``.  The covariance block holds ``exp(-A h)``, which grows as
+    ``e^{|lambda| h}`` and cancels in the product that gives the covariance, so
+    it is formed over ``h = dt / 2^s``, ``s`` the least with the largest
+    eigenvalue modulus of ``M`` times ``h`` at most 1, and doubled ``s`` times,
+    ``Q(2h) = exp(A h) Q(h) exp(A h)^T + Q(h)``, a sum of positive
+    semi-definite terms (Anderson & Moore 1979).  Both are exact up to
+    rounding at any step size; at every default step ``s = 0``.
     """
     n = drift.shape[0]
     m = n + c_out.shape[0]
@@ -354,8 +360,16 @@ def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
     van_loan[:m, :m] = -a
     van_loan[:m, m:] = b @ intens @ b.T
     van_loan[m:, m:] = a.T
-    blocks = _expm(van_loan * dt)
-    cov = blocks[m:, m:].T @ blocks[:m, m:]
+    # the least s >= 0 with rho dt / 2^s <= 1, from rho dt = frac 2^e with
+    # 0.5 <= frac < 1; none where rho dt is not finite, which overflows as before
+    frac, e = math.frexp(float(np.max(np.abs(np.linalg.eigvals(drift)))) * dt)
+    halvings = max(0, e - 1 if frac == 0.5 else e)
+    blocks = _expm(van_loan * math.ldexp(dt, -halvings))
+    phi_a = blocks[m:, m:].T  # exp(A h)
+    cov = phi_a @ blocks[:m, m:]
+    for _ in range(halvings):
+        cov = phi_a @ cov @ phi_a.T + cov
+        phi_a = phi_a @ phi_a
     cov[:, n:] /= dt  # integrated outputs -> step averages
     cov[n:, :] /= dt
     cov = 0.5 * (cov + cov.T)

@@ -201,7 +201,14 @@ def test_scan_carry_does_not_drift(d_lossy):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("dt_mult", [1, 8])
+# 32 fine steps are 3.4 default steps, where the covariance is formed over a
+# quarter step and doubled twice; the worst block there is the cross block,
+# 6.8e-15 of its largest element in both scenarios, against 1.1e-14 and 3.6e-14
+# when it was one Van Loan exponential over the whole step.  Coarser steps are
+# checked in test_step_covariance_stays_exact_at_coarse_steps: from 4 default
+# steps on, quad_vec's own cross block is off by 2e-14 to 2e-13 (roundoff in
+# the integrand, against a 60-digit Van Loan exponential)
+@pytest.mark.parametrize("dt_mult", [1, 8, 32])
 @pytest.mark.parametrize("scenario", ["sym-lossless", "nonsym-lossy"])
 def test_step_operators_match_quadrature(scenario, dt_mult):
     # every operator against adaptive quadrature of its explicit integrand,
@@ -241,6 +248,43 @@ def test_step_operators_match_quadrature(scenario, dt_mult):
     # the stationary covariance is a fixed point of one exact step
     p_stat = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
     np.testing.assert_allclose(phi @ p_stat @ phi.T + cov[:3, :3], p_stat, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("dt_mult", [32, 128])
+@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
+def test_step_covariance_stays_exact_at_coarse_steps(scenario, dt_mult):
+    # at 32 and 128 default steps one Van Loan exponential over the whole step
+    # missed this fixed point by up to 2.6e-8 and 1.6e24 relative: its
+    # exp(-A dt) block grows as e^{|lambda| dt}, |lambda| dt = 24 and 97, and
+    # cancels.  Halved to |lambda| h <= 1 and doubled back, the worst miss is
+    # 8.3e-15
+    d = oracle_derived(scenario)
+    dt = dt_mult * ot.default_sim_config(d).dt
+    drift, f_in, intens, c_out, e_sel = _system_matrices(d, True)
+    phi, _, _, cov = _step_operators(drift, f_in, intens, c_out, e_sel, dt)
+    assert np.all(np.isfinite(cov))
+    np.testing.assert_array_equal(cov, cov.T)
+    np.linalg.cholesky(cov)  # positive definite
+    p_stat = solve_continuous_lyapunov(drift, -(f_in @ intens @ f_in.T))
+    np.testing.assert_allclose(phi @ p_stat @ phi.T + cov[:3, :3], p_stat, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("pump", [1.0, 10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
+def test_default_step_covariance_is_one_exponential(monkeypatch, scenario, pump):
+    # the largest drift eigenvalue modulus times the default step is 0.76 at
+    # most (0.011 at 1000x pump), so the covariance is never halved and
+    # doubled: its Van Loan matrix is built over the whole step
+    sc = ot.ORACLE_SCENARIOS[scenario]
+    d = ot.derive(ot.variant(ot.table1_preset(), symmetric=sc.symmetric,
+                             lossless=sc.lossless, pump_mult=pump))
+    dt = ot.default_sim_config(d).dt
+    drift = _system_matrices(d, True)[0]
+    assert np.max(np.abs(np.linalg.eigvals(drift))) * dt <= 1.0
+    seen = []
+    monkeypatch.setattr(ot.timedomain, "_expm", lambda a: seen.append(a) or _expm(a))
+    _step_operators(*_system_matrices(d, True), dt)
+    np.testing.assert_array_equal(seen[1][:3, :3], -drift * dt)
 
 
 # norm 0 is the zero matrix, whose exponential is the identity to the rounding
