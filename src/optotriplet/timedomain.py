@@ -22,17 +22,17 @@ the stationary distribution, the solution of the continuous Lyapunov equation
 in its Kronecker form, so every record is stationary from the first sample.
 
 The step recursion ``x[n+1] = phi x[n] + w[n]`` is evaluated as a blocked
-affine prefix scan (Blelloch 1990), not one step at a time: panels of 1024
+affine prefix scan (Blelloch 1990), not one step at a time: quarters of 256
 steps are split into blocks of 32, each block is solved from a zero start by
 one product with a block-Toeplitz matrix of powers of ``phi``, and only the
-block-start states are carried in sequence.  The noise is drawn one panel at
-a time, from one PCG64 stream per trajectory spawned from the run's seed,
-and mixed, scanned and turned into outputs a quarter panel (256 steps) at a
-time.
+block-start states are carried in sequence.  The noise is drawn a quarter at
+a time into one reused buffer, from one PCG64 stream per trajectory spawned
+from the run's seed, and mixed, scanned and turned into outputs before the
+next quarter is drawn.
 
 A run is split into contiguous shards of trajectories, one per usable CPU
 (at most one per trajectory), and each shard runs end to end on a thread of
-its own: it draws its streams, scans and mixes its panels and, in the
+its own: it draws its streams, mixes and scans its quarters and, in the
 spectral estimate, windows, transforms and weights its segments and sums
 each trajectory's periodograms over its segments, in order.  The calling
 thread waits for every shard to end and sums those per-trajectory sums in
@@ -54,18 +54,20 @@ one order, before any array that grows with it is built.  A run out of range
 is refused first, as a :class:`RunRangeError` (exit 1 in the CLI); an
 unstable drift or a step over the bound is a numerical failure (exit 2).
 
-Two consumers read the panels.  :func:`simulate` collects them into records
-of ``2 * n_traj * n_steps`` floats, for inspection and signal-transfer checks;
-it refuses records that, with their scan panel, would exceed 4 GiB.
-:func:`run_comparison` feeds them straight into the Welch estimator, which
-fills one segment buffer per channel from pieces of any length: a quarter
-panel at a time there, the whole records in :func:`estimate_psd`.  The streamed run
-thus needs ``O(n_traj * segment)`` memory whatever its length.  Its estimate
-covers only the comparison band's bins, each bit-identical to the same bin of
-:func:`estimate_psd` of the records.  Records are copied out of the panels by
-:func:`_recorded`, which passes them on: :func:`simulate` keeps every
-trajectory, and the CLI's time-series dump keeps trajectory 0 of a streamed
-run, 16 bytes per step that the plan counts in its working set.
+Two consumers read the outputs, a quarter (a panel) at a time.
+:func:`simulate` collects them into records of ``2 * n_traj * n_steps``
+floats, for inspection and signal-transfer checks; it refuses records that,
+with their scan buffers, would exceed 4 GiB.  :func:`run_comparison` feeds
+them straight into the Welch estimator, which fills one segment buffer per
+channel from pieces of any length: a quarter at a time there, the whole
+records in :func:`estimate_psd`.  It windows the buffers in place and mixes
+each segment's transforms into buffers it reuses, so the streamed run needs
+``O(n_traj * (segment + quarter))`` memory whatever its length.  Its
+estimate covers only the comparison band's bins, each bit-identical to the
+same bin of :func:`estimate_psd` of the records.  Records are copied out of
+the panels by :func:`_recorded`, which passes them on: :func:`simulate`
+keeps every trajectory, and the CLI's time-series dump keeps trajectory 0 of
+a streamed run, 16 bytes per step that the plan counts in its working set.
 
 The post-processed combination is applied in the frequency domain: segmented
 Hann-windowed transforms of the two records are mixed per bin with the same
@@ -158,11 +160,12 @@ class SimConfig:
     to the drift's stability and the step bound (numerical failures); any
     ``dt`` the bound admits samples the same spectrum.  :func:`simulate`
     holds ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison`
-    two segments of ``n_traj * (n_steps // segments)``, their transforms and
-    one scan panel; both refuse more than 4 GiB.  Both run on up to ``n_traj``
-    threads, one per usable CPU, each drawing, scanning and transforming its
-    own trajectories to the end of the run and summing their periodograms;
-    records and estimates do not depend on how many.
+    two segments of ``n_traj * (n_steps // segments)``, a transform, the band
+    bins' mix and one quarter's scan buffers; both refuse more than 4 GiB.
+    Both run on up to ``n_traj`` threads, one per usable CPU, each drawing,
+    scanning and transforming its own trajectories to the end of the run and
+    summing their periodograms; records and estimates do not depend on how
+    many.
     """
 
     dt: float
@@ -933,7 +936,7 @@ class _BlockScan:
         ``x0`` shape ``(n_traj, n)``.
         """
         n_tr, n = x0.shape[0], self.n
-        # one product per trajectory, not one for the whole panel: products of
+        # one product per trajectory, not one for the whole quarter: products of
         # this size stay on the calling thread, so BLAS starts no worker thread
         # to compete with the other shards
         w = w.reshape(n_tr, -1, _BLOCK * n)
@@ -980,16 +983,18 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     ``(b_plus, b_minus)`` pieces of one row per trajectory and ``m`` columns,
     ``m`` arbitrary.
     Each shard, on a thread of its own (:func:`_sharded`), fills one segment
-    buffer per channel; each full segment is Hann-windowed and transformed,
-    and the transforms are mixed per bin with the weights of
+    buffer per channel; each full segment is Hann-windowed in place and
+    transformed, and the transforms are mixed per bin with the weights of
     :func:`sigma_weights` (so cross-correlations between the channels are
     kept) into one periodogram row per trajectory, summed over the segments
-    in order.  Once every shard has ended, those sums are summed over the
-    trajectories in order.  No ``chunks`` is advanced past the last whole
-    segment.  The estimate covers every interior bin, or only ``bins`` of a
-    segment's rfft, the only ones then weighted and mixed; each bin's value
-    is the same either way, and whatever the shards.  The caller has checked
-    the segments.
+    in order.  The mix, its periodogram row and their sum are buffers of the
+    shard, reused for every segment, and the second channel is mixed in
+    place in its own transform.  Once every shard has ended, those sums are
+    summed over the trajectories in order.  No ``chunks`` is advanced past
+    the last whole segment.  The estimate covers every interior bin, or only
+    ``bins`` of a segment's rfft, the only ones then weighted and mixed; each
+    bin's value is the same either way, and whatever the shards.  The caller
+    has checked the segments.
     """
     dt = cfg.dt
     seg_len = n_len // segments
@@ -1031,7 +1036,7 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                     np.multiply(dt, xm, out=xm)
                     np.multiply(wm[None, :], xm, out=xm)
                     np.add(xp, xm, out=xp)
-                    del xm
+                    del xm  # one transform at a time, none while chunks are read
                     np.abs(xp, out=row)
                     np.square(row, out=row)
                     sums += row
