@@ -69,10 +69,10 @@ the panels by :func:`_recorded`, which passes them on: :func:`simulate`
 keeps every trajectory, and the CLI's time-series dump keeps trajectory 0 of
 a streamed run, 16 bytes per step that the plan counts in its working set.
 
-The post-processed combination is applied in the frequency domain: segmented
-Hann-windowed transforms of the two records are mixed per bin with the same
-complex weights the analytic engine uses, and the averaged periodogram is
-compared against ``S_qu + S_T``.
+The weight is applied only where records are combined, in the frequency
+domain: segmented Hann-windowed transforms of the two records are mixed per
+bin with the analytic engine's optimal weights (any, in :func:`estimate_psd`),
+and the averaged periodogram is compared against ``S_qu + S_T``.
 """
 
 from __future__ import annotations
@@ -152,8 +152,7 @@ class SignalPulse:
 class SimConfig:
     """Run settings for :func:`simulate` and :func:`run_comparison`.
 
-    ``y_policy`` selects the combination weight used when the records are
-    reduced to a spectral density (same conventions as the analytic sweep).
+    It holds no weight, which enters only where records are combined.
     ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range raise
     :class:`RunRangeError` here; the run's plan checks the rest, in one order
     from the step count, working set, band and signal window (range errors)
@@ -172,7 +171,6 @@ class SimConfig:
     t_dur: float
     n_traj: int = 64
     seed: int = 0
-    y_policy: object = "optimal"
     signal: SignalPulse | None = None
     noise: bool = True
 
@@ -199,11 +197,11 @@ def default_sim_config(d: DerivedParams, seed: int = 0, **overrides) -> SimConfi
     """
     t_dur = 2e4 * (2.0 * math.pi / d.phys.omega_m)
     if "dt" not in overrides:
-        overrides["dt"] = t_dur / _default_steps(d, t_dur, overrides.get("y_policy", "optimal"))
+        overrides["dt"] = t_dur / _default_steps(d, t_dur)
     return SimConfig(**{"t_dur": t_dur, "n_traj": 64, "seed": seed, **overrides})
 
 
-def _default_steps(d: DerivedParams, t_dur: float, y_policy) -> int:
+def _default_steps(d: DerivedParams, t_dur: float) -> int:
     """The fewest steps ``n = 16 m`` over ``t_dur``, ``m`` 5-smooth (a product
     of 2, 3 and 5, so that each of 16 Welch segments transforms fast) and at
     least ``_MIN_SEG_LEN``, that keep the band's top edge ``2 pi 10 / tau``
@@ -216,7 +214,7 @@ def _default_steps(d: DerivedParams, t_dur: float, y_policy) -> int:
     refuses first, is not searched.
     """
     def admitted(m):
-        return _step_gap(d, t_dur / (16 * m), y_policy) <= _STEP_GAP
+        return _step_gap(d, t_dur / (16 * m)) <= _STEP_GAP
 
     # 0.8 pi / dt >= 2 pi 10 / tau  <=>  16 m >= 25 t_dur / tau
     m = _smooth_at_least(max(_MIN_SEG_LEN, 25.0 * t_dur / d.phys.tau / 16))
@@ -441,7 +439,7 @@ class TimeSeriesBundle:
         """
         n = self.n_steps
         omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=self.dt)
-        wp, wm = sigma_weights(self.d, omega, self.cfg.y_policy)
+        wp, wm = sigma_weights(self.d, omega, "optimal")
         xp = np.conj(np.fft.rfft(self.b_plus, axis=1))
         xm = np.conj(np.fft.rfft(self.b_minus, axis=1))
         return np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
@@ -483,9 +481,9 @@ def sigma_weights(d: DerivedParams, omega, y_policy):
     return (y - 0.5) * chi / c.a_plus, (y + 0.5) * chi / c.a_minus
 
 
-def exact_discrete_psd(d: DerivedParams, dt: float, omega, y_policy="optimal") -> np.ndarray:
-    """Spectral density of the combined record as the sampler draws it at step
-    ``dt``: exact in discrete time, with no sampling noise.
+def exact_discrete_psd(d: DerivedParams, dt: float, omega) -> np.ndarray:
+    """Spectral density of the optimally combined record as the sampler draws
+    it at step ``dt``: exact in discrete time, with no sampling noise.
 
     The sampled run is ``x[n+1] = phi x[n] + w[n]``, ``z[n] = zx x[n] + v[n]``,
     with the per-step covariance ``[[Q, S], [S^T, R]]`` of ``(w[n], v[n])``
@@ -505,7 +503,7 @@ def exact_discrete_psd(d: DerivedParams, dt: float, omega, y_policy="optimal") -
     shift = np.exp(1j * omega * dt)[:, None, None] * np.eye(3) - phi
     g = np.swapaxes(np.linalg.solve(np.swapaxes(shift, 1, 2), zx.T), 1, 2)  # zx shift^-1
     g_h = np.conj(np.swapaxes(g, 1, 2))
-    w = np.stack(sigma_weights(d, omega, y_policy), axis=1)
+    w = np.stack(sigma_weights(d, omega, "optimal"), axis=1)
     return dt * np.einsum("ni,nij,nj->n", w, np.conj(g @ q @ g_h + g @ s + s.T @ g_h + r),
                           np.conj(w)).real
 
@@ -516,7 +514,7 @@ def _band_top(d: DerivedParams, dt: float) -> float:
     return min(2.0 * math.pi * 10.0 / d.phys.tau, 0.8 * math.pi / dt)
 
 
-def _step_gap(d: DerivedParams, dt: float, y_policy) -> float:
+def _step_gap(d: DerivedParams, dt: float) -> float:
     """Largest relative difference between :func:`exact_discrete_psd` at step
     ``dt`` and the analytic ``S_f``, at ``_GAP_POINTS`` frequencies evenly
     spaced up to the band's top edge; ``inf`` when either is not finite, or
@@ -526,10 +524,10 @@ def _step_gap(d: DerivedParams, dt: float, y_policy) -> float:
     # result is then not finite, and the step is refused
     with np.errstate(all="ignore"):
         try:
-            exact = exact_discrete_psd(d, dt, omega, y_policy)
+            exact = exact_discrete_psd(d, dt, omega)
         except np.linalg.LinAlgError:  # e^{i omega dt} an eigenvalue of phi in floats
             return math.inf
-        analytic = spectrum_sweep(d, omega, y_policy).s_f
+        analytic = spectrum_sweep(d, omega).s_f
         gap = np.abs(exact - analytic) / analytic
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else math.inf
 
@@ -728,7 +726,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
             signal = (round(ends[0]), round(ends[1]))
         if not 0 <= signal[0] < signal[1] <= n_steps:
             raise RunRangeError(f"signal window [{t0}, {t1}] s does not fit the run")
-    gap = _step_gap(d, cfg.dt, cfg.y_policy)
+    gap = _step_gap(d, cfg.dt)
     if not gap <= _STEP_GAP:
         raise SimulationError(
             f"dt = {cfg.dt:g} s breaks the step bound: up to {_band_top(d, cfg.dt):g} rad/s "
@@ -974,7 +972,7 @@ class PsdEstimate:
 
 
 def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
-           bins: slice | None = None) -> PsdEstimate:
+           bins: slice | None = None, y_policy="optimal") -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
 
     ``shards`` holds, in trajectory order, one ``(rows, chunks)`` per shard of
@@ -1002,7 +1000,7 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
         bins = slice(1, (seg_len + 1) // 2)  # positive bins without DC and Nyquist
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
     omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[bins]
-    wp, wm = sigma_weights(d, omega, cfg.y_policy)
+    wp, wm = sigma_weights(d, omega, y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
     used = segments * seg_len
 
@@ -1051,16 +1049,17 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                        n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
 
 
-def estimate_psd(ts: TimeSeriesBundle, segments: int = 16) -> PsdEstimate:
-    """Spectral density of the combined record from a run's output series.
+def estimate_psd(ts: TimeSeriesBundle, segments: int = 16, y_policy="optimal") -> PsdEstimate:
+    """Spectral density of a run's records, combined at the weight ``y_policy``.
 
-    Each shard's rows of the records go to :func:`_welch` as one chunk.
-    Fewer than 8 segments, and segments under 64 samples, raise
-    :class:`RunRangeError`.
+    The weight is one of :func:`sigma_weights`; the step bound admits the
+    run's step for the optimal weight only and bounds no other.  Each shard's
+    rows go to :func:`_welch` as one chunk.  Fewer than 8 segments, and
+    segments under 64 samples, raise :class:`RunRangeError`.
     """
     _check_segment_len(ts.n_steps, _segment_len(ts.n_steps, segments))
     shards = [(rows, [(ts.b_plus[rows], ts.b_minus[rows])]) for rows in _shards(ts.cfg.n_traj)]
-    return _welch(ts.d, ts.cfg, ts.n_steps, segments, shards)
+    return _welch(ts.d, ts.cfg, ts.n_steps, segments, shards, y_policy=y_policy)
 
 
 # --- comparison against the analytic engine -----------------------------------
@@ -1163,11 +1162,11 @@ def compare(analytic: SpectrumTable, est: PsdEstimate, band: tuple[float, float]
     )
 
 
-def analytic_records_for(d: DerivedParams, est: PsdEstimate, band: tuple[float, float],
-                         y_policy="optimal") -> SpectrumTable:
-    """Analytic sweep table evaluated exactly on an estimate's band bins."""
+def analytic_records_for(d: DerivedParams, est: PsdEstimate,
+                         band: tuple[float, float]) -> SpectrumTable:
+    """Analytic sweep table at the optimal weight, evaluated on an estimate's band bins."""
     sel = (est.omega >= band[0]) & (est.omega <= band[1])
-    return spectrum_sweep(d, est.omega[sel], y_policy=y_policy)
+    return spectrum_sweep(d, est.omega[sel])
 
 
 def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
@@ -1196,5 +1195,5 @@ def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, shards):
     """:func:`run_comparison` of a planned run, reading the panels of its
     ``shards`` (see :func:`_shard_panels`) only up to the last whole segment."""
     est = _welch(d, cfg, plan.n_steps, plan.segments, shards, plan.bins)
-    analytic = analytic_records_for(d, est, plan.band, y_policy=cfg.y_policy)
+    analytic = analytic_records_for(d, est, plan.band)
     return compare(analytic, est, plan.band), est, analytic

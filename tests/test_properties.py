@@ -188,7 +188,7 @@ def test_default_step_is_the_largest_the_step_bound_admits(p):
     if coarser >= 64:
         dt = cfg.t_dur / (16 * coarser)
         assert (_band_top(d, dt) < 2.0 * np.pi * 10.0 / p.tau
-                or _step_gap(d, dt, "optimal") > _STEP_GAP)
+                or _step_gap(d, dt) > _STEP_GAP)
 
 
 @PROPERTY

@@ -904,7 +904,7 @@ def test_estimate_psd_matches_plain_segment_slices(run_7001):
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     bins = slice(1, (n + 1) // 2)  # positive bins without DC and Nyquist
     omega = 2.0 * np.pi * np.arange(n)[bins] / (n * ts.dt)
-    wp, wm = sigma_weights(ts.d, omega, ts.cfg.y_policy)
+    wp, wm = sigma_weights(ts.d, omega, "optimal")
     power = np.zeros(omega.size)
     for s in range(segments):
         sl = slice(s * n, (s + 1) * n)
@@ -1116,8 +1116,7 @@ def test_backaction_signature():
     cfg = ot.default_sim_config(d, seed=11, n_traj=16, t_dur=0.03)
     ts = ot.simulate(d, cfg)
     est_opt = ot.estimate_psd(ts, segments=16)
-    ts0 = dataclasses.replace(ts, cfg=dataclasses.replace(cfg, y_policy=0.0))
-    est0 = ot.estimate_psd(ts0, segments=16)
+    est0 = ot.estimate_psd(ts, segments=16, y_policy=0.0)
     band = default_band(d, cfg)
     sel = (est_opt.omega >= band[0]) & (est_opt.omega <= band[1])
     om = est_opt.omega[sel]
