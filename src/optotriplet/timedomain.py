@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -153,11 +154,12 @@ class SimConfig:
     """Run settings for :func:`simulate` and :func:`run_comparison`.
 
     It holds no weight, which enters only where records are combined.
-    ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range raise
-    :class:`RunRangeError` here; the run's plan checks the rest, in one order
-    from the step count, working set, band and signal window (range errors)
-    to the drift's stability and the step bound (numerical failures); any
-    ``dt`` the bound admits samples the same spectrum.  :func:`simulate`
+    ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range, and an ``n_traj``
+    or ``seed`` that is not an integer, raise :class:`RunRangeError` here; the
+    run's plan checks the rest, in one order from the step count, working
+    set, band and signal window (range errors) to the drift's stability and
+    the step bound (numerical failures); any ``dt`` the bound admits samples
+    the same spectrum.  :func:`simulate`
     holds ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison`
     two segments of ``n_traj * (n_steps // segments)``, a transform, the band
     bins' mix and one quarter's scan buffers; both refuse more than 4 GiB.
@@ -181,6 +183,11 @@ class SimConfig:
             raise RunRangeError(f"t_dur must be finite, got {self.t_dur!r}")
         if self.t_dur <= 0.0 or self.t_dur < 2.0 * self.dt:
             raise RunRangeError(f"t_dur must cover at least two steps, got {self.t_dur!r}")
+        for name in ("n_traj", "seed"):
+            value = getattr(self, name)
+            # numpy integers are Integral; a bool is an int, but not a count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise RunRangeError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise RunRangeError(f"n_traj must be >= 1, got {self.n_traj!r}")
         if self.seed < 0:

@@ -17,6 +17,7 @@ import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
     _THETA13,
+    RunRangeError,
     SimulationError,
     _check_segment_len,
     _expm,
@@ -407,6 +408,15 @@ def test_config_validation(d_lossy):
         ot.SimConfig(dt=1e-7, t_dur=float("inf"))
     with pytest.raises(SimulationError, match="seed"):
         ot.SimConfig(dt=1e-7, t_dur=1.0, seed=-1)
+    # counts that are not integers are refused before any plan or operator;
+    # numpy integers are counts
+    for bad in ({"n_traj": 2.5}, {"n_traj": 2.0}, {"n_traj": True}, {"n_traj": np.True_},
+                {"seed": 1.5}, {"seed": False}, {"n_traj": "2"}):
+        (name,) = bad
+        with pytest.raises(RunRangeError, match=f"{name} must be an integer"):
+            ot.SimConfig(dt=1e-7, t_dur=1.0, **bad)
+    cfg = ot.SimConfig(dt=1e-7, t_dur=1.0, n_traj=np.int64(2), seed=np.uint8(3))
+    assert (cfg.n_traj, cfg.seed) == (2, 3)
 
 
 def test_signal_linearity_noiseless(d_lossy):
