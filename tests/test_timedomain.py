@@ -660,6 +660,10 @@ def test_estimate_psd_guards(d_lossy, monkeypatch):
     tiny = dataclasses.replace(ts, b_plus=ts.b_plus[:, :400], b_minus=ts.b_minus[:, :400])
     with pytest.raises(ValueError, match="too short"):
         ot.estimate_psd(tiny, segments=8)
+    # a weight table needs one value per interior bin of a segment
+    n_bins = (ts.n_steps // 8 + 1) // 2 - 1
+    with pytest.raises(ValueError, match="per-frequency y table"):
+        ot.estimate_psd(ts, segments=8, y_policy=np.zeros(n_bins + 1, dtype=complex))
 
     # the streamed run is rejected by the same guards before any simulation work
     def no_simulation(*args):
@@ -906,15 +910,20 @@ def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
         assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
 
 
-def test_estimate_psd_matches_plain_segment_slices(run_7001):
+@pytest.mark.parametrize("weight", ["optimal", 0.1 - 0.2j, "table"],
+                         ids=["optimal", "fixed", "table"])
+def test_estimate_psd_matches_plain_segment_slices(run_7001, weight):
     # reference without a refill buffer: slice each segment out of the records,
-    # transform with the physics sign e^{+i Omega t}, mix with sigma_weights
+    # transform with the physics sign e^{+i Omega t}, mix with sigma_weights at
+    # the weight the records are combined with
     ts, segments = run_7001, 8
     n = ts.n_steps // segments
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     bins = slice(1, (n + 1) // 2)  # positive bins without DC and Nyquist
     omega = 2.0 * np.pi * np.arange(n)[bins] / (n * ts.dt)
-    wp, wm = sigma_weights(ts.d, omega, "optimal")
+    if weight == "table":  # one value per interior bin
+        weight = np.linspace(-0.5, 0.5, omega.size) + 0.3j * np.cos(omega * ts.dt)
+    wp, wm = sigma_weights(ts.d, omega, weight)
     power = np.zeros(omega.size)
     for s in range(segments):
         sl = slice(s * n, (s + 1) * n)
@@ -922,7 +931,7 @@ def test_estimate_psd_matches_plain_segment_slices(run_7001):
         xm = ts.dt * n * np.fft.ifft(ts.b_minus[:, sl] * win, axis=1)[:, bins]
         power += np.sum(np.abs(wp * xp + wm * xm) ** 2, axis=0)
     want = power / (ts.dt * np.sum(win**2) * segments * ts.b_plus.shape[0])
-    est = ot.estimate_psd(ts, segments=segments)
+    est = ot.estimate_psd(ts, segments=segments, y_policy=weight)
     np.testing.assert_allclose(est.omega, omega, rtol=1e-15, atol=0.0)
     assert np.max(np.abs(est.psd - want) / want) <= 1e-13
 
