@@ -374,7 +374,8 @@ def cmd_sweep(args) -> int:
     ``OSError`` (exit 1), and no CSV is written.
     """
     p = _resolve_params(args)
-    names = args.scenario or list(SWEEP_SCENARIOS)
+    # a scenario named more than once is swept once, where it was first named
+    names = list(dict.fromkeys(args.scenario or SWEEP_SCENARIOS))
     unknown = [n for n in names if n not in SWEEP_SCENARIOS]
     if unknown:
         raise ConfigError(

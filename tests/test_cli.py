@@ -67,6 +67,27 @@ def test_sweep_preset(tmp_path, capsys):
         assert set(entry) == SCENARIO_ENTRY_KEYS
 
 
+def test_sweep_repeated_scenario_names_are_swept_once(tmp_path, capsys, monkeypatch):
+    opened = []
+
+    def atomic_file(path):
+        opened.append(os.path.basename(path))
+        return real(path)
+
+    real = ot.cli._AtomicFile
+    monkeypatch.setattr(ot.cli, "_AtomicFile", atomic_file)
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--scenario", "fig2-nonsym", "--scenario", "fig2-sym"]) == 0
+    assert opened == ["fig2-sym.csv", "fig2-nonsym.csv"]
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert len(wrote) == 2 and "fig2-sym.csv" in wrote[0] and "fig2-nonsym.csv" in wrote[1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [s["name"] for s in manifest["scenarios"]] == ["fig2-sym", "fig2-nonsym"]
+    assert sorted(os.listdir(out)) == ["fig2-nonsym.csv", "fig2-sym.csv", "manifest.json"]
+    assert sha256_of(out / "fig2-sym.csv") == GOLDEN_SWEEP_SHA256["fig2-sym"]
+
+
 def test_sweep_reproducible_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
