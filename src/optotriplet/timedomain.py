@@ -156,17 +156,16 @@ class SimConfig:
     It holds no weight, which enters only where records are combined.
     ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range, and an ``n_traj``
     or ``seed`` that is not an integer, raise :class:`RunRangeError` here; the
-    run's plan checks the rest, in one order from the step count, working
-    set, band and signal window (range errors) to the drift's stability and
-    the step bound (numerical failures); any ``dt`` the bound admits samples
-    the same spectrum.  :func:`simulate`
-    holds ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison`
-    two segments of ``n_traj * (n_steps // segments)``, a transform, the band
-    bins' mix and one quarter's scan buffers; both refuse more than 4 GiB.
-    Both run on up to ``n_traj`` threads, one per usable CPU, each drawing,
-    scanning and transforming its own trajectories to the end of the run and
-    summing their periodograms; records and estimates do not depend on how
-    many.
+    run's plan checks the rest, in one order from the step count, working set,
+    band and signal window (range errors) to the drift's stability and the
+    step bound (numerical failures); any ``dt`` the bound admits samples the
+    same spectrum.  :func:`simulate` holds ``2 * n_traj * n_steps`` float64
+    records, :func:`run_comparison` two segments of
+    ``n_traj * (n_steps // segments)``, a transform, the band bins' mix and
+    one quarter's scan buffers; both refuse more than 4 GiB.  Both run on up
+    to ``n_traj`` threads, one per usable CPU, each drawing, scanning and
+    transforming its own trajectories to the end of the run and summing their
+    periodograms; records and estimates do not depend on how many.
     """
 
     dt: float
