@@ -51,11 +51,8 @@ from .timedomain import (
     ComparisonReport,
     RunRangeError,
     SimulationError,
-    TimeSeriesBundle,
     _plan,
-    _recorded,
     _run_comparison,
-    _shard_panels,
     _usable_cpus,
     default_sim_config,
 )
@@ -445,21 +442,7 @@ def cmd_oracle(args) -> int:
     except RunRangeError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
-
-    shards = _shard_panels(d, cfg, plan)
-    dump = None
-    if args.dump_timeseries:
-        # trajectory 0 is copied out of the first shard's panels as a
-        # one-trajectory bundle
-        size = (1, plan.n_steps)
-        dump = TimeSeriesBundle(d, dataclasses.replace(cfg, n_traj=1), np.empty(size),
-                                np.empty(size))
-        rows, panels = shards[0]
-        shards[0] = rows, _recorded(panels, dump.b_plus, dump.b_minus)
-    report, _, analytic = _run_comparison(d, cfg, plan, shards)
-    if dump is not None:
-        for _ in shards[0][1]:  # the estimate ends at its last whole segment, the dump does not
-            pass
+    report, _, analytic, dump = _run_comparison(d, cfg, plan)
 
     header = (
         f"scenario {scen.name} ({scen.describe()})\n"

@@ -49,25 +49,25 @@ the band's top edge.  :func:`default_sim_config` takes the largest admitted
 step that keeps that edge within 0.8 Nyquist and splits the run into 16
 segments of a 5-smooth length.
 
-Every run is planned first: :func:`_plan` fixes its sizes and refuses it, in
-one order, before any array that grows with it is built.  A run out of range
-is refused first, as a :class:`RunRangeError` (exit 1 in the CLI); an
+Every run is planned first: :func:`_plan` alone fixes its sizes and refuses
+it, in one order, before any array that grows with it is built.  A run out of
+range is refused first, as a :class:`RunRangeError` (exit 1 in the CLI); an
 unstable drift or a step over the bound is a numerical failure (exit 2).
 
 Two consumers read the outputs, a quarter (a panel) at a time.
 :func:`simulate` collects them into records of ``2 * n_traj * n_steps``
-floats, for inspection and signal-transfer checks; it refuses records that,
-with their scan buffers, would exceed 4 GiB.  :func:`run_comparison` feeds
-them straight into the Welch estimator, which fills one segment buffer per
-channel from pieces of any length: a quarter at a time there, the whole
+floats, for inspection and signal-transfer checks; its plan refuses records
+that, with their scan buffers, would exceed 4 GiB.  :func:`run_comparison`
+feeds them straight into the Welch estimator, which fills one segment buffer
+per channel from pieces of any length: a quarter at a time there, the whole
 records in :func:`estimate_psd`.  It windows the buffers in place and mixes
 each segment's transforms into buffers it reuses, so the streamed run needs
 ``O(n_traj * (segment + quarter))`` memory whatever its length.  Its
 estimate covers only the comparison band's bins, each bit-identical to the
 same bin of :func:`estimate_psd` of the records.  Records are copied out of
 the panels by :func:`_recorded`, which passes them on: :func:`simulate`
-keeps every trajectory, and the CLI's time-series dump keeps trajectory 0 of
-a streamed run, 16 bytes per step that the plan counts in its working set.
+keeps every trajectory, and a streamed run planned with a dump keeps
+trajectory 0, 16 bytes per step that the plan counts in its working set.
 
 The weight is applied only where records are combined, in the frequency
 domain: segmented Hann-windowed transforms of the two records are mixed per
@@ -82,7 +82,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -101,8 +101,6 @@ MIN_CYCLES_IN_RECORD = 100.0
 # comparison
 _STEP_GAP = 1e-6
 _GAP_POINTS = 256
-# default step search: doublings of the step count tried before giving up
-_MAX_DOUBLINGS = 40
 # shortest Welch segment, in samples
 _MIN_SEG_LEN = 64
 # steps per block of the affine scan, and per quarter of 8 blocks (drawn,
@@ -153,17 +151,17 @@ class SignalPulse:
 class SimConfig:
     """Run settings for :func:`simulate` and :func:`run_comparison`.
 
-    It holds no weight, which enters only where records are combined.
-    ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out of range, and an ``n_traj``
-    or ``seed`` that is not an integer, raise :class:`RunRangeError` here; the
-    run's plan checks the rest, in one order from the step count, working set,
-    band and signal window (range errors) to the drift's stability and the
-    step bound (numerical failures); any ``dt`` the bound admits samples the
-    same spectrum.  :func:`simulate` holds ``2 * n_traj * n_steps`` float64
+    It holds no weight, which enters only where records are combined.  Fields
+    of the wrong type (a non-real ``dt`` or ``t_dur``, a non-integer ``n_traj``
+    or ``seed``, a non-bool ``noise``, a ``signal`` not ``None`` nor a
+    :class:`SignalPulse`), then ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out
+    of range raise :class:`RunRangeError` here; the run's plan checks the rest
+    (see :func:`_plan`); any ``dt`` the step bound admits samples the same
+    spectrum.  :func:`simulate` holds ``2 * n_traj * n_steps`` float64
     records, :func:`run_comparison` two segments of
     ``n_traj * (n_steps // segments)``, a transform, the band bins' mix and
-    one quarter's scan buffers; both refuse more than 4 GiB.  Both run on up
-    to ``n_traj`` threads, one per usable CPU, each drawing, scanning and
+    one quarter's scan buffers; both plans refuse more than 4 GiB.  Both run on
+    up to ``n_traj`` threads, one per usable CPU, each drawing, scanning and
     transforming its own trajectories to the end of the run and summing their
     periodograms; records and estimates do not depend on how many.
     """
@@ -176,17 +174,25 @@ class SimConfig:
     noise: bool = True
 
     def __post_init__(self):
+        # numpy numbers are Integral or Real; a bool is an int, but neither a
+        # count nor a duration
+        for name, kind, what in (("dt", numbers.Real, "a real number"),
+                                 ("t_dur", numbers.Real, "a real number"),
+                                 ("n_traj", numbers.Integral, "an integer"),
+                                 ("seed", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise RunRangeError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.noise, (bool, np.bool_)):
+            raise RunRangeError(f"noise must be a bool, got {self.noise!r}")
+        if self.signal is not None and not isinstance(self.signal, SignalPulse):
+            raise RunRangeError(f"signal must be None or a SignalPulse, got {self.signal!r}")
         if self.dt <= 0.0 or not math.isfinite(self.dt):
             raise RunRangeError(f"dt must be positive and finite, got {self.dt!r}")
         if not math.isfinite(self.t_dur):
             raise RunRangeError(f"t_dur must be finite, got {self.t_dur!r}")
         if self.t_dur <= 0.0 or self.t_dur < 2.0 * self.dt:
             raise RunRangeError(f"t_dur must cover at least two steps, got {self.t_dur!r}")
-        for name in ("n_traj", "seed"):
-            value = getattr(self, name)
-            # numpy integers are Integral; a bool is an int, but not a count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise RunRangeError(f"{name} must be an integer, got {value!r}")
         if self.n_traj < 1:
             raise RunRangeError(f"n_traj must be >= 1, got {self.n_traj!r}")
         if self.seed < 0:
@@ -213,27 +219,29 @@ def _default_steps(d: DerivedParams, t_dur: float) -> int:
     least ``_MIN_SEG_LEN``, that keep the band's top edge ``2 pi 10 / tau``
     within 0.8 Nyquist and that the step bound of :func:`_plan` admits.
 
-    Where the bound refuses the first such ``m``, ``m`` is doubled until it
-    admits one, at most ``_MAX_DOUBLINGS`` times, and the fewest admitted
-    5-smooth ``m`` since the last refused one is found by bisection, as the
-    gap grows with the step.  A drift that is not stable, which the plan
-    refuses first, is not searched.
+    Where the bound refuses the first such ``m``, ``m0``, the gap grows as
+    ``dt^2``: the search starts at the least 5-smooth ``m >= m0 sqrt(gap /
+    _STEP_GAP)`` and walks one 5-smooth neighbour at a time to the fewest
+    admitted, up to 4 times that estimate.  A drift that is not stable and a
+    gap at ``m0`` that is not finite, both refused by the plan, end at ``m0``.
     """
     def admitted(m):
         return _step_gap(d, t_dur / (16 * m)) <= _STEP_GAP
 
     # 0.8 pi / dt >= 2 pi 10 / tau  <=>  16 m >= 25 t_dur / tau
-    m = _smooth_at_least(max(_MIN_SEG_LEN, 25.0 * t_dur / d.phys.tau / 16))
-    if _drift_rates(d)[-1] >= 0.0 or admitted(m):
-        return 16 * m
-    for _ in range(_MAX_DOUBLINGS):
-        refused, m = m, 2 * m
-        if admitted(m):
-            smooth = [refused]
-            while smooth[-1] < m:
-                smooth.append(_smooth_at_least(smooth[-1] + 1))
-            return 16 * smooth[bisect.bisect_left(smooth, True, lo=1, key=admitted)]
-    return 16 * m
+    least = max(_MIN_SEG_LEN, math.ceil(25.0 * t_dur / d.phys.tau / 16))
+    m0 = _smooth(least, 2 * least)[0]
+    gap = math.inf if _drift_rates(d)[-1] >= 0.0 else _step_gap(d, t_dur / (16 * m0))
+    if not _STEP_GAP < gap < math.inf:
+        return 16 * m0
+    estimate = m0 * math.sqrt(gap / _STEP_GAP)
+    smooth = _smooth(m0 + 1, math.floor(4 * estimate))
+    k = bisect.bisect_left(smooth, estimate)  # smooth[k] < 2 estimate: 2 smooth[k] follows
+    if not admitted(smooth[k]):  # up to the first admitted, else the last, refused
+        return 16 * next((m for m in smooth[k + 1:-1] if admitted(m)), smooth[-1])
+    while k > 0 and admitted(smooth[k - 1]):
+        k -= 1
+    return 16 * smooth[k]
 
 
 def _drift_rates(d: DerivedParams) -> np.ndarray:
@@ -242,18 +250,18 @@ def _drift_rates(d: DerivedParams) -> np.ndarray:
     return np.sort(np.linalg.eigvals(_system_matrices(d, True)[0]).real)
 
 
-def _smooth_at_least(x: float) -> int:
-    """The least 5-smooth integer (of the form ``2^a 3^b 5^c``) at least ``x``."""
-    n = max(1, math.ceil(x))
-    best = 1 << (n - 1).bit_length()  # a power of two
+def _smooth(lo: int, hi: int) -> list[int]:
+    """The 5-smooth integers (``2^a 3^b 5^c``) in ``[lo, hi]``, ascending."""
+    smooth = []
     p5 = 1
-    while p5 < best:
+    while p5 <= hi:
         p35 = p5
-        while p35 < best:
-            best = min(best, p35 << max(0, (-(-n // p35) - 1).bit_length()))
+        while p35 <= hi:
+            n = p35 << max(0, (-(-lo // p35) - 1).bit_length())  # the least p35 2^a >= lo
+            smooth += [n << a for a in range((hi // n).bit_length())]
             p35 *= 3
         p5 *= 5
-    return best
+    return sorted(smooth)
 
 
 def _system_matrices(d: DerivedParams, noise_on: bool):
@@ -641,14 +649,13 @@ class _Plan:
 
     n_steps: int
     signal: tuple[int, int]  # the pulse acts over steps [i0, i1); (0, 0) without one
-    record_bytes: int
-    scan_bytes: int          # one quarter's draws and scan of every trajectory
     step_gap: float          # what admitted the step: see _step_gap
     segments: int | None = None
     seg_len: int | None = None
     band: tuple[float, float] | None = None
     bins: slice | None = None          # the band's bins of a segment's rfft
     stream_bytes: int | None = None    # working set of the streamed estimate and its dump
+    dump: bool = False                 # trajectory 0 of the streamed run is kept
 
 
 def _gib(size: int) -> str:
@@ -681,10 +688,10 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     not finitely, at any of ``_GAP_POINTS`` frequencies evenly spaced up to
     the band's top edge (:func:`_step_gap`).  Those frequencies depend on
     ``d`` and ``dt`` alone, so the bound costs the same whatever the run's
-    size.  Without
-    ``segments`` only the records are planned, for :func:`simulate`: (3) to
-    (6) are skipped, and the records are counted for it to refuse above the
-    cap.
+    size.  Without ``segments`` only the records are planned, for
+    :func:`simulate`: (3) to (6) are skipped, and (4) is the records of
+    ``16 * n_traj * n_steps`` bytes with one quarter's scan buffers above the
+    cap.  ``dump`` is recorded for :func:`_run_comparison`.
     """
     rates = _drift_rates(d)
     if rates[-1] >= 0.0:
@@ -702,7 +709,19 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     # their start terms (6), and the carried block ends and the pulse's drive
     scan_bytes = 8 * cfg.n_traj * 20 * _QUARTER
     seg_len = band = bins = stream_bytes = None
-    if segments is not None:
+    if segments is None:
+        record_bytes = 16 * cfg.n_traj * n_steps
+        if record_bytes + scan_bytes > _MAX_RECORD_BYTES:
+            # streaming drops the records but keeps the scan buffers, so it is
+            # only a remedy when those alone fit
+            hint = ("; run_comparison streams the spectral check without materialising them"
+                    if scan_bytes <= _MAX_RECORD_BYTES else "")
+            raise RunRangeError(
+                f"records of {_count(cfg.n_traj)} trajectories x {_count(n_steps)} steps "
+                f"would take {_gib(record_bytes)} GiB and their scan buffers "
+                f"{_gib(scan_bytes)} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB){hint}"
+            )
+    else:
         seg_len = _segment_len(n_steps, segments)
         # float64 values per segment sample and trajectory (the two segment
         # buffers, one rfft, and per band bin, at most one per two samples, the
@@ -739,8 +758,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
             f"the density the sampler draws differs from the analytic S_f by {gap:.3g} "
             f"relative (bound {_STEP_GAP:g}); use a smaller dt"
         )
-    return _Plan(n_steps, signal, 16 * cfg.n_traj * n_steps, scan_bytes, gap,
-                 segments, seg_len, band, bins, stream_bytes)
+    return _Plan(n_steps, signal, gap, segments, seg_len, band, bins, stream_bytes, dump)
 
 
 def _segment_len(n_len: int, segments: int) -> int:
@@ -758,7 +776,7 @@ def _check_segment_len(n_len: int, seg_len: int) -> None:
 def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
     """The interior bins of a segment's rfft inside ``band``; refuses none.
     Each frequency is computed as in ``2 pi np.fft.rfftfreq(seg_len, dt)``, so
-    bisection finds the ends ``np.searchsorted`` finds in :func:`_welch`'s."""
+    bisection finds the ends ``np.searchsorted`` finds over its interior bins."""
     val = 1.0 / (seg_len * dt)
     interior = range(1, (seg_len + 1) // 2)  # no DC, no Nyquist
 
@@ -861,23 +879,11 @@ def _panels(sampler: _Sampler, rows: slice):
 def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     """Integrate the quadrature dynamics and record both outputs.
 
-    Refuses what the run's plan refuses, then records and scan buffers above
-    ``_MAX_RECORD_BYTES``; :func:`run_comparison` streams long runs instead.
-    Identical config and seed give bit-identical records.  Each shard fills
-    its own rows of the records.
+    Refuses what the run's plan refuses, records above 4 GiB among it;
+    :func:`run_comparison` streams long runs instead.  Identical config and
+    seed give bit-identical records.  Each shard fills its own rows of them.
     """
     plan = _plan(d, cfg)
-    size, scan = plan.record_bytes, plan.scan_bytes
-    if size + scan > _MAX_RECORD_BYTES:
-        # streaming drops the records but keeps the scan buffers, so it is only
-        # a remedy when those alone fit
-        hint = ("; run_comparison streams the spectral check without materialising them"
-                if scan <= _MAX_RECORD_BYTES else "")
-        raise SimulationError(
-            f"records of {_count(cfg.n_traj)} trajectories x {_count(plan.n_steps)} steps "
-            f"would take {_gib(size)} GiB and their scan buffers {_gib(scan)} GiB "
-            f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB){hint}"
-        )
     b_plus = np.empty((cfg.n_traj, plan.n_steps))
     b_minus = np.empty((cfg.n_traj, plan.n_steps))
 
@@ -1193,13 +1199,23 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16):
     length.  Returns ``(report, estimate, analytic)``, the last two over the
     bins of :func:`default_band` only.
     """
-    plan = _plan(d, cfg, segments)
-    return _run_comparison(d, cfg, plan, _shard_panels(d, cfg, plan))
+    return _run_comparison(d, cfg, _plan(d, cfg, segments))[:3]
 
 
-def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan, shards):
-    """:func:`run_comparison` of a planned run, reading the panels of its
-    ``shards`` (see :func:`_shard_panels`) only up to the last whole segment."""
+def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan):
+    """:func:`run_comparison` of a planned run, and its trajectory 0 as a
+    one-trajectory :class:`TimeSeriesBundle` where the plan has a dump (else
+    ``None``), copied out of the first shard's panels up to the last whole
+    segment as the estimate reads them, and out of the rest after it."""
+    shards = _shard_panels(d, cfg, plan)
+    dump = None
+    if plan.dump:
+        dump = TimeSeriesBundle(d, replace(cfg, n_traj=1), *np.empty((2, 1, plan.n_steps)))
+        rows, panels = shards[0]
+        shards[0] = rows, _recorded(panels, dump.b_plus, dump.b_minus)
     est = _welch(d, cfg, plan.n_steps, plan.segments, shards, plan.bins)
+    if dump is not None:
+        for _ in shards[0][1]:
+            pass
     analytic = analytic_records_for(d, est, plan.band)
-    return compare(analytic, est, plan.band), est, analytic
+    return compare(analytic, est, plan.band), est, analytic, dump

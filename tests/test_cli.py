@@ -611,7 +611,7 @@ def test_os_errors_are_usage_errors(tmp_path, capsys, monkeypatch, args, reason)
     def unreached(*args):
         raise AssertionError("the oracle ran before it made its output directory")
 
-    monkeypatch.setattr(ot.cli, "_shard_panels", unreached)
+    monkeypatch.setattr(ot.timedomain, "_shard_panels", unreached)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     paths = {"file": tmp_path / "file", "dir": tmp_path / "dir"}

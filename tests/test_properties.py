@@ -18,6 +18,7 @@ from optotriplet.params import load_config, parse_config_text
 from optotriplet.scenarios import sweep_grid_spec
 from optotriplet.timedomain import (
     _MAX_RECORD_BYTES,
+    _QUARTER,
     _STEP_GAP,
     RunRangeError,
     SimulationError,
@@ -131,12 +132,13 @@ def _log_floats(lo, hi):
 # dt from subnormal to 1 ks, or near the oracle's own steps; t_dur over the
 # whole float range, so that t_dur / dt overflows, or within 1e12 steps;
 # n_traj up to 1e18; segments from negative to 1e9 (each also drawn from the
-# oracle's own range, so that plans are returned too)
+# oracle's own range, so that plans are returned too), or none, for the
+# records alone
 @settings(max_examples=500, deadline=None)
 @given(d=derived, dt=st.one_of(_log_floats(-323.0, 3.0), _log_floats(-9.0, -6.0)),
        data=st.data(),
        n_traj=st.one_of(_log_floats(0.0, 18.0).map(int), st.integers(1, 64)),
-       segments=st.one_of(st.integers(-10, 64), _log_floats(0.0, 9.0).map(int)))
+       segments=st.one_of(st.integers(-10, 64), _log_floats(0.0, 9.0).map(int), st.none()))
 def test_plan_returns_a_bounded_plan_or_refuses(d, dt, data, n_traj, segments):
     t_dur = data.draw(st.one_of(_log_floats(-323.0, 308.25),
                                 _log_floats(-1.0, 12.0).map(lambda steps: dt * steps)))
@@ -152,8 +154,11 @@ def test_plan_returns_a_bounded_plan_or_refuses(d, dt, data, n_traj, segments):
         tracemalloc.stop()
     assert peak < 1e6
     if plan is not None:
-        assert plan.stream_bytes <= _MAX_RECORD_BYTES
-        assert 1 <= plan.bins.start < plan.bins.stop <= (plan.seg_len + 1) // 2
+        if segments is None:  # the records and one quarter's scan buffers fit the cap
+            assert 16 * n_traj * plan.n_steps + 8 * n_traj * 20 * _QUARTER <= _MAX_RECORD_BYTES
+        else:
+            assert plan.stream_bytes <= _MAX_RECORD_BYTES
+            assert 1 <= plan.bins.start < plan.bins.stop <= (plan.seg_len + 1) // 2
         assert plan.step_gap <= _STEP_GAP  # the step bound ran inside the traced plan
 
 

@@ -288,6 +288,29 @@ def test_default_step_covariance_is_one_exponential(monkeypatch, scenario, pump)
     np.testing.assert_array_equal(seen[1][:3, :3], -drift * dt)
 
 
+@pytest.mark.parametrize("scenario, counts", [
+    ("sym-lossless", (17280, 20480, 115200, 1280000)),
+    ("nonsym-lossless", (17280, 20480, 115200, 1296000)),
+    ("nonsym-lossy", (17280, 20480, 115200, 1250000)),
+])
+def test_default_step_counts_at_1x_to_1000x_pump(monkeypatch, scenario, counts):
+    # the step counts as the earlier search by doubling and bisection found
+    # them (in up to 14 step-bound evaluations); the closed form takes one at
+    # 1x pump, where the band's edge sets the step, and three above it
+    sc = ot.ORACLE_SCENARIOS[scenario]
+    step_gap = ot.timedomain._step_gap
+    calls = []
+    monkeypatch.setattr(ot.timedomain, "_step_gap",
+                        lambda d, dt: calls.append(dt) or step_gap(d, dt))
+    for pump, n_steps in zip((1.0, 10.0, 100.0, 1000.0), counts):
+        d = ot.derive(ot.variant(ot.table1_preset(), symmetric=sc.symmetric,
+                                 lossless=sc.lossless, pump_mult=pump))
+        calls.clear()
+        cfg = ot.default_sim_config(d)
+        assert round(cfg.t_dur / cfg.dt) == n_steps
+        assert len(calls) == (1 if pump == 1.0 else 3)
+
+
 # norm 0 is the zero matrix, whose exponential is the identity to the rounding
 # of the final solve (b0 I)^-1 (b0 I), 1.1e-16; the other tolerances are about
 # three times the worst error measured against scipy.linalg.expm on this
@@ -417,6 +440,20 @@ def test_config_validation(d_lossy):
             ot.SimConfig(dt=1e-7, t_dur=1.0, **bad)
     cfg = ot.SimConfig(dt=1e-7, t_dur=1.0, n_traj=np.int64(2), seed=np.uint8(3))
     assert (cfg.n_traj, cfg.seed) == (2, 3)
+    # so are durations that are not real numbers, a noise switch that is not
+    # a bool and a signal that is not a pulse; numpy floats and bools are
+    # durations and switches
+    for bad, message in (({"dt": True}, "dt must be a real number"),
+                         ({"dt": "1e-6"}, "dt must be a real number"),
+                         ({"t_dur": np.True_}, "t_dur must be a real number"),
+                         ({"t_dur": 1.0 + 0.0j}, "t_dur must be a real number"),
+                         ({"noise": "no"}, "noise must be a bool"),
+                         ({"noise": 0}, "noise must be a bool"),
+                         ({"signal": 3.0}, "signal must be None or a SignalPulse")):
+        with pytest.raises(RunRangeError, match=message):
+            ot.SimConfig(**{"dt": 1e-7, "t_dur": 1.0, **bad})
+    cfg = ot.SimConfig(dt=np.float64(1e-7), t_dur=np.float32(1.0), noise=np.False_)
+    assert (cfg.dt, cfg.t_dur, cfg.noise) == (1e-7, 1.0, False)
 
 
 def test_signal_linearity_noiseless(d_lossy):
