@@ -45,9 +45,9 @@ Because the sampler is exact, the step is bounded by what the comparison
 needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
 density of the combined record as sampled at a step, in closed form, and a
 step is admitted when it matches the analytic ``S_f`` to 1e-6 relative up to
-the band's top edge.  :func:`default_sim_config` takes the largest admitted
-step that keeps that edge within 0.8 Nyquist and splits the run into 16
-segments of a 5-smooth length.
+the band's top edge, ten cycles of the measurement window clipped to Nyquist.
+:func:`default_sim_config` takes the largest admitted step that keeps that
+edge within Nyquist and splits the run into 16 segments of a 5-smooth length.
 
 Every run is planned first: :func:`_plan` alone fixes its sizes and refuses
 it, in one order, before any array that grows with it is built.  A run out of
@@ -83,7 +83,6 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -203,7 +202,7 @@ def default_sim_config(d: DerivedParams, seed: int = 0, **overrides) -> SimConfi
     """Statistics tuned for a 3% spectral check in about a second.
 
     64 trajectories over ``t_dur`` = 2e4 mechanical periods, in the steps of
-    :func:`_default_steps`: 17280 steps of 3.3 us on the preset.  An
+    :func:`_default_steps`: 13824 steps of 4.13 us on the preset.  An
     overridden ``t_dur`` keeps that step; an overridden ``dt`` is taken as
     given.
     """
@@ -217,31 +216,51 @@ def _default_steps(d: DerivedParams, t_dur: float) -> int:
     """The fewest steps ``n = 16 m`` over ``t_dur``, ``m`` 5-smooth (a product
     of 2, 3 and 5, so that each of 16 Welch segments transforms fast) and at
     least ``_MIN_SEG_LEN``, that keep the band's top edge ``2 pi 10 / tau``
-    within 0.8 Nyquist and that the step bound of :func:`_plan` admits.
+    within Nyquist and that the step bound of :func:`_plan` admits.
 
     Where the bound refuses the first such ``m``, ``m0``, the gap grows as
     ``dt^2``: the search starts at the least 5-smooth ``m >= m0 sqrt(gap /
-    _STEP_GAP)`` and walks one 5-smooth neighbour at a time to the fewest
-    admitted, up to 4 times that estimate.  A drift that is not stable and a
-    gap at ``m0`` that is not finite, both refused by the plan, end at ``m0``.
+    _STEP_GAP)`` and gallops over the 5-smooth counts up to 4 times that
+    estimate, in strides of 1, 2, 4, ... neighbours, to a refused and an
+    admitted count, then bisects between them to the fewest admitted.  A
+    drift that is not stable and a gap at ``m0`` that is not finite, both
+    refused by the plan, end at ``m0``.
     """
-    def admitted(m):
-        return _step_gap(d, t_dur / (16 * m)) <= _STEP_GAP
-
-    # 0.8 pi / dt >= 2 pi 10 / tau  <=>  16 m >= 25 t_dur / tau
-    least = max(_MIN_SEG_LEN, math.ceil(25.0 * t_dur / d.phys.tau / 16))
+    # Nyquist pi / dt reaches the edge  <=>  16 m >= t_dur edge / pi
+    least = max(_MIN_SEG_LEN, math.ceil(t_dur * _band_edge(d) / math.pi / 16))
     m0 = _smooth(least, 2 * least)[0]
     gap = math.inf if _drift_rates(d)[-1] >= 0.0 else _step_gap(d, t_dur / (16 * m0))
     if not _STEP_GAP < gap < math.inf:
         return 16 * m0
     estimate = m0 * math.sqrt(gap / _STEP_GAP)
-    smooth = _smooth(m0 + 1, math.floor(4 * estimate))
-    k = bisect.bisect_left(smooth, estimate)  # smooth[k] < 2 estimate: 2 smooth[k] follows
-    if not admitted(smooth[k]):  # up to the first admitted, else the last, refused
-        return 16 * next((m for m in smooth[k + 1:-1] if admitted(m)), smooth[-1])
-    while k > 0 and admitted(smooth[k - 1]):
-        k -= 1
-    return 16 * smooth[k]
+    smooth = _smooth(m0, math.floor(4 * estimate))
+
+    def admitted(i):
+        return _step_gap(d, t_dur / (16 * smooth[i])) <= _STEP_GAP
+
+    # smooth[lo] is refused, m0 first, and smooth[hi] taken as admitted, the
+    # last unchecked (the plan refuses it if not); smooth[k] < 2 estimate, so
+    # 2 smooth[k] follows it
+    k = bisect.bisect_left(smooth, estimate)
+    lo, hi, stride = 0, len(smooth) - 1, 1
+    if admitted(k):
+        hi = k
+        while hi - stride > lo:
+            if not admitted(hi - stride):
+                lo = hi - stride
+                break
+            hi, stride = hi - stride, 2 * stride
+    else:
+        lo = k
+        while lo + stride < hi:
+            if admitted(lo + stride):
+                hi = lo + stride
+                break
+            lo, stride = lo + stride, 2 * stride
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if admitted(mid) else (mid, hi)
+    return 16 * smooth[hi]
 
 
 def _drift_rates(d: DerivedParams) -> np.ndarray:
@@ -522,10 +541,16 @@ def exact_discrete_psd(d: DerivedParams, dt: float, omega) -> np.ndarray:
                           np.conj(w)).real
 
 
+def _band_edge(d: DerivedParams) -> float:
+    """Ten cycles of the measurement window: the comparison band's top edge
+    where Nyquist lies above it."""
+    return 2.0 * math.pi * 10.0 / d.phys.tau
+
+
 def _band_top(d: DerivedParams, dt: float) -> float:
-    """Top edge of the comparison band: ten cycles of the measurement window,
-    clipped to 0.8 Nyquist."""
-    return min(2.0 * math.pi * 10.0 / d.phys.tau, 0.8 * math.pi / dt)
+    """Top edge of the comparison band: :func:`_band_edge`, clipped to
+    Nyquist, ``pi / dt``."""
+    return min(_band_edge(d), math.pi / dt)
 
 
 def _step_gap(d: DerivedParams, dt: float) -> float:
@@ -934,9 +959,14 @@ class _BlockScan:
         # the carry applies phi^_BLOCK once per block over the whole run, so a
         # power a few ulps off drifts the slow mechanical mode systematically
         # (about 1e-12 relative over 1.6e5 steps): use the exact power of phi,
-        # rounded once
-        exact = np.linalg.matrix_power(np.vectorize(Fraction, otypes=[object])(phi), _BLOCK)
-        self.phi_block_t = exact.astype(float).T
+        # rounded once.  phi's entries are integers over one power-of-two
+        # denominator, so the power is an integer matrix over its power, and
+        # int / int true division rounds correctly
+        ratios = [x.as_integer_ratio() for x in phi.ravel().tolist()]
+        den = max(q for _, q in ratios)
+        ints = np.array([p * (den // q) for p, q in ratios], dtype=object).reshape(phi.shape)
+        power, scale = np.linalg.matrix_power(ints, _BLOCK), den**_BLOCK
+        self.phi_block_t = np.array([[v / scale for v in row] for row in power.T.tolist()])
         self.n = n
 
     def __call__(self, w: np.ndarray, x0: np.ndarray):
@@ -1183,7 +1213,7 @@ def analytic_records_for(d: DerivedParams, est: PsdEstimate,
 
 def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
     """Comparison band supported by a run: resolution-limited lower edge up to
-    ten cycles of the measurement window (clipped to 0.8 Nyquist)."""
+    ten cycles of the measurement window (clipped to Nyquist)."""
     lo = MIN_CYCLES_IN_RECORD * 2.0 * math.pi / (round(cfg.t_dur / cfg.dt) * cfg.dt)
     hi = _band_top(d, cfg.dt)
     if hi <= lo:

@@ -662,7 +662,9 @@ def test_presets_listing(capsys):
 
 
 # report of the small oracle run below; any change in the sampled records,
-# the estimator or the report format changes it
+# the estimator or the report format changes it.  It runs at the step the
+# report prints, the default while the band's edge was kept within 0.8 Nyquist
+GOLDEN_DT = "3.306878306878307e-06"
 GOLDEN_ORACLE_SMALL_REPORT = """\
 scenario sym-lossless (symmetric, lossless, pump x1)
 trajectories 8, duration 0.008 s, dt 3.306878306878307e-06 s, segments 8, seed 4
@@ -680,7 +682,7 @@ spectral comparison: PASS
 def test_oracle_small_run(tmp_path, capsys):
     out = tmp_path / "oracle"
     args = ["oracle", "--preset", "table1", "--scenario", "sym-lossless",
-            "--out", out, "--trajectories", 8, "--duration", 0.008,
+            "--out", out, "--trajectories", 8, "--duration", 0.008, "--dt", GOLDEN_DT,
             "--segments", 8, "--seed", 4, "--dump-timeseries"]
     assert run(args) == 0
     report = (out / "sym-lossless-report.txt").read_text()
@@ -692,7 +694,7 @@ def test_oracle_small_run(tmp_path, capsys):
     assert manifest["sim"]["n_traj"] == 8
     # the plan the run was checked against, and the gap that admitted its step
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
-    plan = _plan(d, ot.default_sim_config(d, 4, n_traj=8, t_dur=0.008), 8)
+    plan = _plan(d, ot.default_sim_config(d, 4, n_traj=8, t_dur=0.008, dt=float(GOLDEN_DT)), 8)
     assert manifest["plan"] == {"n_steps": 2419, "seg_len": 302, "bins": 104,
                                 "step_gap": plan.step_gap, "step_gap_bound": 1e-6}
     assert 0.0 < plan.step_gap <= 1e-6
@@ -709,7 +711,7 @@ def test_oracle_streamed_report_matches_dump_run(tmp_path, capsys):
     # golden report above comes from the materialising run
     out = tmp_path / "oracle"
     assert run(["oracle", "--preset", "table1", "--scenario", "sym-lossless",
-                "--out", out, "--trajectories", 8, "--duration", 0.008,
+                "--out", out, "--trajectories", 8, "--duration", 0.008, "--dt", GOLDEN_DT,
                 "--segments", 8, "--seed", 4]) == 0
     assert (out / "sym-lossless-report.txt").read_text() == GOLDEN_ORACLE_SMALL_REPORT
     assert sorted(p.name for p in out.iterdir()) == [
@@ -843,10 +845,28 @@ def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys
 
 
 def test_oracle_dt_violation(tmp_path, capsys):
-    # 20 us, six times the default step: the sampled density is off by 7.2e-6
-    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--dt", "2e-5"]) == 2
-    assert "breaks the step bound" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    # 20 us, about five times the default step: the sampled density is off by
+    # 7.2e-6 up to Nyquist; 8 us, the band clipped at Nyquist: off by 1.15e-6
+    for dt in ("2e-5", "8e-6"):
+        assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--dt", dt]) == 2
+        assert "breaks the step bound" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+def test_oracle_band_clipped_at_nyquist(tmp_path, capsys):
+    # at 5 us Nyquist, 6.28e5 rad/s, lies below the band's edge 2 pi 10 / tau
+    # = 7.33e5 rad/s: the band and the step bound reach Nyquist itself, where
+    # e^{i omega dt} = -1, and the sampled density is off by 4.5e-7 there
+    assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--dt", "5e-6"]) == 0
+    report = (tmp_path / "sym-lossless-report.txt").read_text()
+    assert "band                [1.099516e+04, 6.283185e+05] rad/s" in report
+    d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
+    plan = _plan(d, ot.default_sim_config(d, dt=5e-6), 16)
+    assert plan.band[1] == math.pi / 5e-6 < 2.0 * math.pi * 10.0 / d.phys.tau
+    assert 4e-7 < plan.step_gap <= 1e-6
+    manifest = json.loads((tmp_path / "sym-lossless-manifest.json").read_text())
+    assert manifest["plan"] == {"n_steps": 11429, "seg_len": 714, "bins": 350,
+                                "step_gap": plan.step_gap, "step_gap_bound": 1e-6}
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -870,7 +890,7 @@ def test_oracle_dt_violation(tmp_path, capsys):
                  "segments of 1.78e+305 steps would hold inf GiB",
                  id="--duration-1e300-segments of 1.78e+305 steps would hold inf GiB"),
     pytest.param("--duration=1e300", f"--segments={10**305}",
-                 "series too short: 3.02e+305 samples", id="--duration=1e300-huge segments"),
+                 "series too short: 2.42e+305 samples", id="--duration=1e300-huge segments"),
 ])
 def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, flag, value,
                                                  message):
@@ -939,6 +959,18 @@ def test_oracle_run_loads_no_scipy(tmp_path):
             f"'--out', {str(tmp_path)!r}]) == 0")
     assert _loaded_modules(code) == "[]"
     assert (tmp_path / "sym-lossless-report.txt").exists()
+
+
+@pytest.mark.parametrize("package", ["fractions", "decimal"])
+def test_sweep_and_oracle_runs_load_no_fractions(tmp_path, package):
+    # the exact power of the step propagator is an integer matrix power: no
+    # run imports fractions, nor decimal with it
+    code = ("from optotriplet.cli import main; "
+            f"assert main(['sweep', '--preset', 'table1', '--scenario', 'fig2-sym', "
+            f"'--out', {str(tmp_path / 'sweep')!r}]) == 0; "
+            f"assert main(['oracle', '--preset', 'table1', '--trajectories', '2', "
+            f"'--out', {str(tmp_path / 'oracle')!r}]) == 0")
+    assert _loaded_modules(code, package) == "[]"
 
 
 def test_oracle_run_leaves_numpy_ma_unloaded(tmp_path):

@@ -16,9 +16,11 @@ from scipy.linalg import expm, solve_continuous_lyapunov, solve_discrete_lyapuno
 import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
+    _BLOCK,
     _THETA13,
     RunRangeError,
     SimulationError,
+    _BlockScan,
     _check_segment_len,
     _expm,
     _factor_psd,
@@ -54,7 +56,7 @@ def fine_dt(d):
 
 def short_cfg(d, **kw):
     kw.setdefault("n_traj", 4)
-    kw.setdefault("t_dur", 0.002)
+    kw.setdefault("t_dur", 0.0025)
     kw.setdefault("seed", 99)
     return ot.default_sim_config(d, **kw)
 
@@ -202,6 +204,25 @@ def test_scan_carry_does_not_drift(d_lossy):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("source", [*ot.ORACLE_SCENARIOS, "random"])
+def test_scan_carry_power_is_the_exact_power_rounded_once(source):
+    # phi^32 of the integers over one power-of-two denominator is phi^32 of
+    # the rationals the float entries are, rounded once: the step propagator
+    # of each oracle scenario at its default step, and 200 random matrices
+    # with entries over six decades, some of them zero
+    if source == "random":
+        rng = np.random.default_rng(5)
+        phis = [rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-6.0, 0.0, (3, 3))
+                * rng.integers(0, 2, (3, 3)) / 2.0 for _ in range(200)]
+    else:
+        d = oracle_derived(source)
+        phis = [_step_operators(*_system_matrices(d, True), ot.default_sim_config(d).dt)[0]]
+    for phi in phis:
+        rationals = np.vectorize(Fraction, otypes=[object])(phi)
+        want = np.linalg.matrix_power(rationals, _BLOCK).astype(float).T
+        np.testing.assert_array_equal(_BlockScan(phi).phi_block_t, want)
+
+
 # 32 fine steps are 3.4 default steps, where the covariance is formed over a
 # quarter step and doubled twice; the worst block there is the cross block,
 # 6.8e-15 of its largest element in both scenarios, against 1.1e-14 and 3.6e-14
@@ -289,14 +310,15 @@ def test_default_step_covariance_is_one_exponential(monkeypatch, scenario, pump)
 
 
 @pytest.mark.parametrize("scenario, counts", [
-    ("sym-lossless", (17280, 20480, 115200, 1280000)),
-    ("nonsym-lossless", (17280, 20480, 115200, 1296000)),
-    ("nonsym-lossy", (17280, 20480, 115200, 1250000)),
+    ("sym-lossless", (13824, 20480, 115200, 1280000)),
+    ("nonsym-lossless", (13824, 20480, 115200, 1296000)),
+    ("nonsym-lossy", (13824, 20480, 115200, 1250000)),
 ])
 def test_default_step_counts_at_1x_to_1000x_pump(monkeypatch, scenario, counts):
-    # the step counts as the earlier search by doubling and bisection found
-    # them (in up to 14 step-bound evaluations); the closed form takes one at
-    # 1x pump, where the band's edge sets the step, and three above it
+    # at 1x pump the band's edge sets the step, in one step-bound evaluation,
+    # and Nyquist may reach it; above it the bound sets the step, in three:
+    # the counts the earlier searches by doubling and by one 5-smooth
+    # neighbour at a time found
     sc = ot.ORACLE_SCENARIOS[scenario]
     step_gap = ot.timedomain._step_gap
     calls = []
@@ -309,6 +331,30 @@ def test_default_step_counts_at_1x_to_1000x_pump(monkeypatch, scenario, counts):
         cfg = ot.default_sim_config(d)
         assert round(cfg.t_dur / cfg.dt) == n_steps
         assert len(calls) == (1 if pump == 1.0 else 3)
+
+
+def test_default_step_search_gallops(monkeypatch):
+    # a stable parameter set from the property test's ranges, pump 7390x: the
+    # gap grows much faster than dt^2 at coarse steps, so the dt^2 estimate
+    # (m = 108000) lies 65 5-smooth counts above the fewest admitted (40500).
+    # One neighbour per step-bound evaluation took 68 evaluations; strides of
+    # 1, 2, 4, ... then bisection take 15, for the same count
+    base = ot.table1_preset()
+    scales = {"m": 2.28, "omega_m": 0.778, "Q": 3.35, "T": 5.06, "tau": 0.753, "L": 0.453,
+              "wavelength": 4.33, "gamma0": 3.39, "gamma0_plus": 1.88, "gamma0_minus": 9.16,
+              "p_in": 7390.0}
+    values = {name: getattr(base, name) * x for name, x in scales.items()}
+    gamma0 = values["gamma0"]
+    d = ot.derive(dataclasses.replace(
+        base, **values, gamma_e=0.983 * gamma0, gamma_e_plus=0.0688 * gamma0,
+        gamma_e_minus=0.416 * gamma0, eps_plus=1.18, eps_minus=1.38))
+    step_gap = ot.timedomain._step_gap
+    calls = []
+    monkeypatch.setattr(ot.timedomain, "_step_gap",
+                        lambda d, dt: calls.append(dt) or step_gap(d, dt))
+    cfg = ot.default_sim_config(d)
+    assert round(cfg.t_dur / cfg.dt) == 16 * 40500
+    assert len(calls) == 15
 
 
 # norm 0 is the zero matrix, whose exponential is the identity to the rounding
@@ -610,8 +656,9 @@ def expected_welch_psd(d, dt, seg_len, bins, y_policy="optimal"):
 @pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
 def test_exact_discrete_psd_matches_the_analytic_density(scenario, step):
     # from 1 rad/s to the band's top edge, below and across the comparison
-    # band; the worst errors measured are 2.2e-9, 3.5e-8, 1.4e-7 and 2.0e-7,
-    # growing as dt^2, largest near 1.0e4 rad/s
+    # band; the worst errors measured are 2.2e-9, 3.5e-8, 1.4e-7 and 3.1e-7,
+    # growing as dt^2, largest near 1.0e4 rad/s (the default step's band top
+    # is 0.96 Nyquist)
     d = oracle_derived(scenario)
     if step == "default":
         dt = ot.default_sim_config(d).dt
@@ -744,10 +791,12 @@ def run_7001(d_lossy):
 
 
 # SHA-256 of the records (b_plus, then b_minus) and of the streamed estimate of
-# the default nonsym-lossy run of 3 trajectories, seed 2026, without and with a
-# pulse over steps [1000, 1600).  Captured (numpy 2.4, x86-64) before the noise
-# was drawn a quarter at a time and the estimator reused its buffers, so any
-# change to a record or estimate bit shows, not only one between shard counts.
+# the default nonsym-lossy run of 3 trajectories, seed 2026, at the step it had
+# while the band's edge was kept within 0.8 Nyquist (17280 steps), without and
+# with a pulse over steps [1000, 1600).  Captured (numpy 2.4, x86-64) before
+# the noise was drawn a quarter at a time and the estimator reused its
+# buffers, so any change to a record or estimate bit shows, not only one
+# between shard counts.
 PINNED_DIGESTS = {
     False: ("ff518aec1794e2d1014bffe81ec56fa6147d65aa5c153d5be168714912cfa551",
             "cb168239ddcbecf4492b4e8da1f033f7c5973d73c293a2b1e05c0b674e96d7a2"),
@@ -760,7 +809,8 @@ PINNED_DIGESTS = {
 def test_default_records_and_estimate_keep_their_bits(monkeypatch, pulsed):
     # one shard, and three shards of one trajectory each (the lone-trajectory scan)
     d = oracle_derived("nonsym-lossy")
-    cfg = ot.default_sim_config(d, seed=2026, n_traj=3)
+    t_dur = ot.default_sim_config(d).t_dur
+    cfg = ot.default_sim_config(d, seed=2026, n_traj=3, dt=t_dur / 17280)
     assert round(cfg.t_dur / cfg.dt) == 17280
     if pulsed:
         pulse = ot.SignalPulse(force_amp=1e-15, duration=600 * cfg.dt, t_start=1000 * cfg.dt)
