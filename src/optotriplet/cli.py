@@ -465,7 +465,7 @@ def cmd_oracle(args) -> int:
         # what the run plan fixed, and the step bound's measured gap that admitted dt
         "plan": {
             "n_steps": plan.n_steps, "seg_len": plan.seg_len,
-            "bins": plan.bins.stop - plan.bins.start,
+            "periodograms": plan.periodograms, "bins": plan.bins.stop - plan.bins.start,
             "step_gap": plan.step_gap, "step_gap_bound": _STEP_GAP,
         },
     })

@@ -58,10 +58,12 @@ Two consumers read the outputs, a quarter (a panel) at a time.
 :func:`simulate` collects them into records of ``2 * n_traj * n_steps``
 floats, for inspection and signal-transfer checks; its plan refuses records
 that, with their scan buffers, would exceed 4 GiB.  :func:`run_comparison`
-feeds them straight into the Welch estimator, which fills one segment buffer
-per channel from pieces of any length: a quarter at a time there, the whole
-records in :func:`estimate_psd`.  It windows the buffers in place and mixes
-each segment's transforms into buffers it reuses, so the streamed run needs
+feeds them straight into the Welch estimator, which fills one ring buffer of
+a segment per channel from pieces of any length: a quarter at a time there,
+the whole records in :func:`estimate_psd`.  Its segments overlap by half
+(Welch 1967), so each full buffer is windowed into a scratch array and
+keeps its last half as the next segment's start; each segment's transforms
+are mixed into buffers it reuses, so the streamed run needs
 ``O(n_traj * (segment + quarter))`` memory whatever its length.  Its
 estimate covers only the comparison band's bins, each bit-identical to the
 same bin of :func:`estimate_psd` of the records.  Records are copied out of
@@ -111,8 +113,8 @@ _PANEL = 4 * _QUARTER
 # negative eigenvalue mass, relative to the largest eigenvalue, that
 # _factor_psd may clip as rounding noise
 _PSD_CLIP_TOL = 1e-12
-# largest records simulate() materialises: 4 GiB is 240x the default oracle
-# run's 18 MB, and with the temporaries of sigma_timeseries on top it
+# largest records simulate() materialises: 4 GiB is 540x the default oracle
+# run's 8 MB, and with the temporaries of sigma_timeseries on top it
 # already exceeds the memory of a typical workstation; the spectral
 # check streams and never needs the records, and its working set has the same cap
 _MAX_RECORD_BYTES = 4 * 2**30
@@ -157,17 +159,20 @@ class SimConfig:
     of range raise :class:`RunRangeError` here; the run's plan checks the rest
     (see :func:`_plan`); any ``dt`` the step bound admits samples the same
     spectrum.  :func:`simulate` holds ``2 * n_traj * n_steps`` float64
-    records, :func:`run_comparison` two segments of
-    ``n_traj * (n_steps // segments)``, a transform, the band bins' mix and
-    one quarter's scan buffers; both plans refuse more than 4 GiB.  Both run on
-    up to ``n_traj`` threads, one per usable CPU, each drawing, scanning and
-    transforming its own trajectories to the end of the run and summing their
-    periodograms; records and estimates do not depend on how many.
+    records, :func:`run_comparison` two segment buffers of
+    ``n_traj * (n_steps // segments)`` and a windowed copy of one, a
+    transform, the band bins' mix and one quarter's scan buffers; both plans
+    refuse more than 4 GiB.  Both run on up to ``n_traj`` threads, one per
+    usable CPU, each drawing, scanning and transforming its own trajectories
+    to the end of the run and summing their periodograms; records and
+    estimates do not depend on how many.  The default ``n_traj``, 36, gives
+    a default run's half-overlapped segments a 3.07% per-bin error bar
+    (:class:`PsdEstimate`) and splits evenly over 2 and 4 CPUs.
     """
 
     dt: float
     t_dur: float
-    n_traj: int = 64
+    n_traj: int = 36
     seed: int = 0
     signal: SignalPulse | None = None
     noise: bool = True
@@ -201,15 +206,16 @@ class SimConfig:
 def default_sim_config(d: DerivedParams, seed: int = 0, **overrides) -> SimConfig:
     """Statistics tuned for a 3% spectral check in about a second.
 
-    64 trajectories over ``t_dur`` = 2e4 mechanical periods, in the steps of
-    :func:`_default_steps`: 13824 steps of 4.13 us on the preset.  An
-    overridden ``t_dur`` keeps that step; an overridden ``dt`` is taken as
-    given.
+    :class:`SimConfig`'s default trajectories over ``t_dur`` = 2e4
+    mechanical periods, in the steps of :func:`_default_steps`: 36
+    trajectories of 13824 steps of 4.13 us on the preset, 31 half-overlapped
+    periodograms each.  An overridden ``t_dur`` keeps that step; an
+    overridden ``dt`` is taken as given.
     """
     t_dur = 2e4 * (2.0 * math.pi / d.phys.omega_m)
     if "dt" not in overrides:
         overrides["dt"] = t_dur / _default_steps(d, t_dur)
-    return SimConfig(**{"t_dur": t_dur, "n_traj": 64, "seed": seed, **overrides})
+    return SimConfig(**{"t_dur": t_dur, "seed": seed, **overrides})
 
 
 def _default_steps(d: DerivedParams, t_dur: float) -> int:
@@ -679,6 +685,7 @@ class _Plan:
     seg_len: int | None = None
     band: tuple[float, float] | None = None
     bins: slice | None = None          # the band's bins of a segment's rfft
+    periodograms: int | None = None    # half-overlapped segments per trajectory: _overlap
     stream_bytes: int | None = None    # working set of the streamed estimate and its dump
     dump: bool = False                 # trajectory 0 of the streamed run is kept
 
@@ -733,7 +740,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     # (5), the increments and output noise (5), the scan's block solutions and
     # their start terms (6), and the carried block ends and the pulse's drive
     scan_bytes = 8 * cfg.n_traj * 20 * _QUARTER
-    seg_len = band = bins = stream_bytes = None
+    seg_len = band = bins = periodograms = stream_bytes = None
     if segments is None:
         record_bytes = 16 * cfg.n_traj * n_steps
         if record_bytes + scan_bytes > _MAX_RECORD_BYTES:
@@ -749,13 +756,14 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     else:
         seg_len = _segment_len(n_steps, segments)
         # float64 values per segment sample and trajectory (the two segment
-        # buffers, one rfft, and per band bin, at most one per two samples, the
-        # complex mix, its periodogram row and their sum) and per sample (window,
-        # bin weights), and 256 KiB whatever the run's size (the step bound's
-        # frequencies and the scan's operators): run_comparison's tracemalloc
-        # peak, rounded up; a dump adds both channels of trajectory 0 at every step
+        # buffers, the windowed copy, one rfft, and per band bin, at most one per
+        # two samples, the complex mix, its periodogram row and their sum) and per
+        # sample (window, bin weights), and 256 KiB whatever the run's size (the
+        # step bound's frequencies and the scan's operators): run_comparison's
+        # tracemalloc peak, rounded up; a dump adds both channels of trajectory 0
+        # at every step
         dump_bytes = 16 * n_steps if dump else 0
-        stream_bytes = (8 * (5 * cfg.n_traj + 24) * seg_len + scan_bytes + 2**18
+        stream_bytes = (8 * (6 * cfg.n_traj + 24) * seg_len + scan_bytes + 2**18
                         + dump_bytes)
         if stream_bytes > _MAX_RECORD_BYTES:
             dumped = f", {_gib(dump_bytes)} GiB of it the dump" if dump else ""
@@ -766,6 +774,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
                 "use fewer trajectories, a larger dt or more segments"
             )
         _check_segment_len(n_steps, seg_len)
+        periodograms = _overlap(seg_len, segments)[1]
         band = default_band(d, cfg)
         bins = _band_bins(seg_len, cfg.dt, band)
     signal = (0, 0)
@@ -783,13 +792,22 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
             f"the density the sampler draws differs from the analytic S_f by {gap:.3g} "
             f"relative (bound {_STEP_GAP:g}); use a smaller dt"
         )
-    return _Plan(n_steps, signal, gap, segments, seg_len, band, bins, stream_bytes, dump)
+    return _Plan(n_steps, signal, gap, segments, seg_len, band, bins, periodograms,
+                 stream_bytes, dump)
 
 
 def _segment_len(n_len: int, segments: int) -> int:
     if segments < 8:
         raise RunRangeError(f"need at least 8 segments, got {segments}")
     return n_len // segments
+
+
+def _overlap(seg_len: int, segments: int) -> tuple[int, int]:
+    """Hop and count of the half-overlapped Welch segments over the first
+    ``segments * seg_len`` samples: one starts every ``seg_len // 2`` samples
+    while a whole segment fits, ``2 segments - 1`` for an even ``seg_len``."""
+    hop = seg_len // 2
+    return hop, (segments * seg_len - seg_len) // hop + 1
 
 
 def _check_segment_len(n_len: int, seg_len: int) -> None:
@@ -1001,8 +1019,13 @@ class _BlockScan:
 class PsdEstimate:
     """Averaged spectral density of the combined record's noise.
 
+    ``n_ind`` counts the periodograms averaged, ``K`` half-overlapped
+    segments (:func:`_overlap`) of each of ``n_traj`` trajectories.
     ``rel_err`` is the one-sigma relative error bar per bin,
-    ``1/sqrt(segments * n_traj)``.
+    ``sqrt(v / n_ind)``: overlapping segments are correlated, and ``v = 1 +
+    2 sum_k (1 - k/K) rho_k^2`` counts it from the window's correlation
+    ``rho_k`` at a lag of ``k`` hops (Welch 1967), ``1/6`` at one hop for
+    the Hann window and an even segment length, and ``0`` past it.
     """
 
     omega: np.ndarray
@@ -1011,6 +1034,19 @@ class PsdEstimate:
     n_ind: int
     t_dur: float
     t_seg: float
+
+
+def _overlap_variance(win: np.ndarray, hop: int, periodograms: int) -> float:
+    """``v`` of :class:`PsdEstimate`: the variance of a bin averaged over
+    ``periodograms`` segments ``hop`` apart, relative to that of as many
+    independent ones, from the window's correlation at each lag."""
+    power = float(np.dot(win, win))
+    v = 1.0
+    for k in range(1, min(periodograms, -(-win.size // hop))):
+        lag = k * hop
+        rho = float(np.dot(win[:-lag], win[lag:])) / power
+        v += 2.0 * (1.0 - k / periodograms) * rho**2
+    return v
 
 
 def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
@@ -1022,56 +1058,70 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     yields both channels of the trajectories ``rows`` in time order, as
     ``(b_plus, b_minus)`` pieces of one row per trajectory and ``m`` columns,
     ``m`` arbitrary.
-    Each shard, on a thread of its own (:func:`_sharded`), fills one segment
-    buffer per channel; each full segment is Hann-windowed in place and
-    transformed, and the transforms are mixed per bin with the weights of
-    :func:`sigma_weights` (so cross-correlations between the channels are
-    kept) into one periodogram row per trajectory, summed over the segments
-    in order.  The mix, its periodogram row and their sum are buffers of the
-    shard, reused for every segment, and the second channel is mixed in
-    place in its own transform.  Once every shard has ended, those sums are
-    summed over the trajectories in order.  No ``chunks`` is advanced past
-    the last whole segment.  The estimate covers every interior bin, or only
-    ``bins`` of a segment's rfft, the only ones then weighted and mixed; each
-    bin's value is the same either way, and whatever the shards.  The caller
-    has checked the segments.
+    The segments are ``seg_len = n_len // segments`` samples long and start
+    every ``hop = seg_len // 2`` samples, ``K`` of them over the first
+    ``segments * seg_len`` samples (:func:`_overlap`).  Each shard, on a
+    thread of its own (:func:`_sharded`), fills one ring buffer of a segment
+    per channel; each full segment is Hann-windowed into one scratch array,
+    a channel at a time, and transformed, and the transforms are mixed per
+    bin with the weights of :func:`sigma_weights` (so cross-correlations
+    between the channels are kept) into one periodogram row per trajectory,
+    summed over the segments in order.  The ring keeps the segment's raw last
+    ``seg_len - hop`` samples where they are, as the next one's start, and
+    the next ``hop`` samples complete it.  The scratch array, the mix, its
+    periodogram row and their sum are buffers of the shard, reused for every
+    segment, and the second channel is mixed in place in its own transform.
+    Once every shard has ended, those sums are summed over the trajectories
+    in order.  No ``chunks`` is advanced past the last whole segment.  The
+    estimate covers every interior bin, or only ``bins`` of a segment's rfft,
+    the only ones then weighted and mixed; each bin's value is the same
+    either way, and whatever the shards.  The caller has checked the
+    segments.
     """
     dt = cfg.dt
     seg_len = n_len // segments
+    hop, periodograms = _overlap(seg_len, segments)
     if bins is None:
         bins = slice(1, (seg_len + 1) // 2)  # positive bins without DC and Nyquist
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
     omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[bins]
     wp, wm = sigma_weights(d, omega, y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
-    used = segments * seg_len
+    used = (periodograms - 1) * hop + seg_len
 
     def segment_sums(rows, chunks):
-        seg_plus = np.empty((rows.stop - rows.start, seg_len))
-        seg_minus = np.empty_like(seg_plus)
-        sums = np.zeros((seg_plus.shape[0], omega.size))
+        ring_plus = np.empty((rows.stop - rows.start, seg_len))
+        ring_minus = np.empty_like(ring_plus)
+        windowed = np.empty_like(ring_plus)
+        sums = np.zeros((ring_plus.shape[0], omega.size))
         xp = np.empty(sums.shape, dtype=complex)  # the mix, from the + channel
         row = np.empty_like(sums)                 # its periodogram
-        n0 = 0
+
+        def transform(ring, start):
+            # the segment begins at column `start` of the ring and wraps round
+            tail = seg_len - start
+            np.multiply(ring[:, start:], win[:tail], out=windowed[:, :tail])
+            np.multiply(ring[:, :start], win[tail:], out=windowed[:, tail:])
+            return np.fft.rfft(windowed, axis=1)[:, bins]
+
+        n0, end = 0, seg_len  # samples read; samples that complete the next segment
         for zp, zm in chunks:
             m = min(zp.shape[1], used - n0)
             a = 0
             while a < m:
                 fill = (n0 + a) % seg_len
-                take = min(seg_len - fill, m - a)
-                seg_plus[:, fill:fill + take] = zp[:, a:a + take]
-                seg_minus[:, fill:fill + take] = zm[:, a:a + take]
+                take = min(seg_len - fill, m - a, end - n0 - a)
+                ring_plus[:, fill:fill + take] = zp[:, a:a + take]
+                ring_minus[:, fill:fill + take] = zm[:, a:a + take]
                 a += take
-                if fill + take == seg_len:
+                if n0 + a == end:
                     # |wp dt conj(X+) + wm dt conj(X-)|^2, each product in
                     # that operand order; every buffer is refilled before
                     # its next use, so all of it runs in place
-                    seg_plus *= win
-                    seg_minus *= win
-                    np.conj(np.fft.rfft(seg_plus, axis=1)[:, bins], out=xp)
+                    np.conj(transform(ring_plus, end % seg_len), out=xp)
                     np.multiply(dt, xp, out=xp)
                     np.multiply(wp[None, :], xp, out=xp)
-                    xm = np.fft.rfft(seg_minus, axis=1)[:, bins]
+                    xm = transform(ring_minus, end % seg_len)
                     np.conj(xm, out=xm)
                     np.multiply(dt, xm, out=xm)
                     np.multiply(wm[None, :], xm, out=xm)
@@ -1080,22 +1130,26 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                     np.abs(xp, out=row)
                     np.square(row, out=row)
                     sums += row
+                    end += hop
             n0 += m
             if n0 == used:
                 break
         return sums
 
     psd = norm * np.sum(np.concatenate(_sharded(shards, segment_sums)), axis=0)
-    n_ind = segments * cfg.n_traj
-    return PsdEstimate(omega=omega, psd=psd / n_ind, rel_err=1.0 / math.sqrt(n_ind),
+    n_ind = periodograms * cfg.n_traj
+    rel_err = math.sqrt(_overlap_variance(win, hop, periodograms) / n_ind)
+    return PsdEstimate(omega=omega, psd=psd / n_ind, rel_err=rel_err,
                        n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
 
 
 def estimate_psd(ts: TimeSeriesBundle, segments: int = 16, y_policy="optimal") -> PsdEstimate:
     """Spectral density of a run's records, combined at the weight ``y_policy``.
 
-    The weight is one of :func:`sigma_weights`; the step bound admits the
-    run's step for the optimal weight only and bounds no other.  Each shard's
+    ``segments`` fixes the segment length ``n_steps // segments``, and the
+    segments overlap by half (:func:`_welch`).  The weight is one of
+    :func:`sigma_weights`; the step bound admits the run's step for the
+    optimal weight only and bounds no other.  Each shard's
     rows go to :func:`_welch` as one chunk.  Fewer than 8 segments, and
     segments under 64 samples, raise :class:`RunRangeError`.
     """

@@ -695,8 +695,9 @@ def test_oracle_small_run(tmp_path, capsys):
     # the plan the run was checked against, and the gap that admitted its step
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
     plan = _plan(d, ot.default_sim_config(d, 4, n_traj=8, t_dur=0.008, dt=float(GOLDEN_DT)), 8)
-    assert manifest["plan"] == {"n_steps": 2419, "seg_len": 302, "bins": 104,
-                                "step_gap": plan.step_gap, "step_gap_bound": 1e-6}
+    assert manifest["plan"] == {"n_steps": 2419, "seg_len": 302, "periodograms": 15,
+                                "bins": 104, "step_gap": plan.step_gap,
+                                "step_gap_bound": 1e-6}
     assert 0.0 < plan.step_gap <= 1e-6
 
     # identical seed: identical report bytes
@@ -720,9 +721,11 @@ def test_oracle_streamed_report_matches_dump_run(tmp_path, capsys):
 
 def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
     sweep = ot.timedomain.analytic_records_for
+    estimates = []
 
-    def misscaled(*args, **kwargs):
-        table = sweep(*args, **kwargs)
+    def misscaled(d, est, band):
+        estimates.append(est)
+        table = sweep(d, est, band)
         return dataclasses.replace(table, s_f=0.25 * table.s_f)
 
     monkeypatch.setattr(ot.timedomain, "analytic_records_for", misscaled)
@@ -739,18 +742,18 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
     omega, est, analytic, dev = rows.T
     assert np.all(np.diff(omega) > 0.0)
     assert f"{np.max(np.abs(dev)):.3f}" == f"{worst:.3f}"
-    rel_err = 1.0 / np.sqrt(2 * 8)
+    rel_err = estimates[0].rel_err
     assert np.allclose(dev, (est - analytic) / (rel_err * analytic), rtol=1e-12, atol=0.0)
 
 
 def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
-    # 2.8e8 steps in 1000 segments: 0.73 GiB of streamed working set, plus
+    # 2.8e8 steps in 1000 segments: 0.51 GiB of streamed working set, plus
     # 4.24 GiB for both channels of trajectory 0 when they are dumped
     flags = ["--duration", 100, "--segments", 1000, "--dt", FINE_DT]
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
                 "--dump-timeseries"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "4.97 GiB, 4.24 GiB of it the dump" in err
+    assert err.startswith("error: ") and "4.75 GiB, 4.24 GiB of it the dump" in err
     assert not list(tmp_path.iterdir())
     # without the dump the same plan fits
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
@@ -824,7 +827,7 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
 def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys):
     # 20000 steps in 32 segments: the records of 15 more trajectories would
     # take 4.8 MB, but only trajectory 0 is dumped; the growth is the streamed
-    # working set, 0.99 MB by the plan's count
+    # working set, 1.06 MB by the plan's count
     d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
     t_dur = 20_000 * ot.default_sim_config(d).dt
     args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--duration",
@@ -865,8 +868,9 @@ def test_oracle_band_clipped_at_nyquist(tmp_path, capsys):
     assert plan.band[1] == math.pi / 5e-6 < 2.0 * math.pi * 10.0 / d.phys.tau
     assert 4e-7 < plan.step_gap <= 1e-6
     manifest = json.loads((tmp_path / "sym-lossless-manifest.json").read_text())
-    assert manifest["plan"] == {"n_steps": 11429, "seg_len": 714, "bins": 350,
-                                "step_gap": plan.step_gap, "step_gap_bound": 1e-6}
+    assert manifest["plan"] == {"n_steps": 11429, "seg_len": 714, "periodograms": 31,
+                                "bins": 350, "step_gap": plan.step_gap,
+                                "step_gap_bound": 1e-6}
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -879,7 +883,7 @@ def test_oracle_band_clipped_at_nyquist(tmp_path, capsys):
     # segments of 142 samples, but a band from 7.9e5 rad/s
     pytest.param("--duration=8e-4", f"--dt={FINE_DT}", "too short for any comparison band",
                  id="--duration-8e-4-too short for any comparison band"),
-    # streamed working sets of 92 GiB and 7.8 GiB, above the 4 GiB cap
+    # streamed working sets of 64 GiB and 7.7 GiB, above the 4 GiB cap
     ("--dt", "1e-10", "GiB"),
     ("--trajectories", "100000", "GiB"),
     # 1e300 / 1e-300 steps overflow to infinity

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import threading
@@ -122,12 +123,14 @@ def test_welch_guards():
 
 
 def test_error_bar_scaling(d_sym):
+    # n_ind counts the periodograms averaged: 605 samples in 8 segments of 75,
+    # one every 37 samples, give 15 per trajectory
     cfg8 = short_cfg(d_sym, n_traj=8)
     cfg32 = short_cfg(d_sym, n_traj=32)
     e8 = ot.estimate_psd(ot.simulate(d_sym, cfg8), segments=8)
     e32 = ot.estimate_psd(ot.simulate(d_sym, cfg32), segments=8)
     assert e32.rel_err == pytest.approx(0.5 * e8.rel_err, rel=1e-12)
-    assert e8.n_ind == 64 and e32.n_ind == 256
+    assert e8.n_ind == 8 * 15 and e32.n_ind == 32 * 15
 
 
 # --- simulator ------------------------------------------------------------------
@@ -793,15 +796,16 @@ def run_7001(d_lossy):
 # SHA-256 of the records (b_plus, then b_minus) and of the streamed estimate of
 # the default nonsym-lossy run of 3 trajectories, seed 2026, at the step it had
 # while the band's edge was kept within 0.8 Nyquist (17280 steps), without and
-# with a pulse over steps [1000, 1600).  Captured (numpy 2.4, x86-64) before
-# the noise was drawn a quarter at a time and the estimator reused its
-# buffers, so any change to a record or estimate bit shows, not only one
+# with a pulse over steps [1000, 1600).  The records' digests were captured
+# (numpy 2.4, x86-64) before the noise was drawn a quarter at a time and the
+# estimator reused its buffers, the estimate's once its segments overlapped
+# by half, so any change to a record or estimate bit shows, not only one
 # between shard counts.
 PINNED_DIGESTS = {
     False: ("ff518aec1794e2d1014bffe81ec56fa6147d65aa5c153d5be168714912cfa551",
-            "cb168239ddcbecf4492b4e8da1f033f7c5973d73c293a2b1e05c0b674e96d7a2"),
+            "92cd2a6b58b051421b20d7e0779b9bad57dd09c6cf0f2bdfe97cc59f31a9c6ed"),
     True: ("60add895be3e56f4ff98ae6aeab246cc2fdf050a1b5a3803d7c58c5255b0d56e",
-           "ddb392a5c80e19c6e1b7cdc295ad987dc2308ab255cc83cc1c82e2059a7a97c5"),
+           "002c46c2969b36395f415cdd8e8efc88a2deedd980e1a7b043901a51b2c36044"),
 }
 
 
@@ -1000,11 +1004,14 @@ def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
 @pytest.mark.parametrize("weight", ["optimal", 0.1 - 0.2j, "table"],
                          ids=["optimal", "fixed", "table"])
 def test_estimate_psd_matches_plain_segment_slices(run_7001, weight):
-    # reference without a refill buffer: slice each segment out of the records,
-    # transform with the physics sign e^{+i Omega t}, mix with sigma_weights at
-    # the weight the records are combined with
+    # reference without a ring buffer: slice each half-overlapped segment out
+    # of the records (875 samples, one every 437: 15 of them), transform with
+    # the physics sign e^{+i Omega t}, mix with sigma_weights at the weight the
+    # records are combined with
     ts, segments = run_7001, 8
     n = ts.n_steps // segments
+    starts = range(0, segments * n - n + 1, n // 2)
+    assert len(starts) == 15
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     bins = slice(1, (n + 1) // 2)  # positive bins without DC and Nyquist
     omega = 2.0 * np.pi * np.arange(n)[bins] / (n * ts.dt)
@@ -1012,15 +1019,72 @@ def test_estimate_psd_matches_plain_segment_slices(run_7001, weight):
         weight = np.linspace(-0.5, 0.5, omega.size) + 0.3j * np.cos(omega * ts.dt)
     wp, wm = sigma_weights(ts.d, omega, weight)
     power = np.zeros(omega.size)
-    for s in range(segments):
-        sl = slice(s * n, (s + 1) * n)
+    for s in starts:
+        sl = slice(s, s + n)
         xp = ts.dt * n * np.fft.ifft(ts.b_plus[:, sl] * win, axis=1)[:, bins]
         xm = ts.dt * n * np.fft.ifft(ts.b_minus[:, sl] * win, axis=1)[:, bins]
         power += np.sum(np.abs(wp * xp + wm * xm) ** 2, axis=0)
-    want = power / (ts.dt * np.sum(win**2) * segments * ts.b_plus.shape[0])
+    want = power / (ts.dt * np.sum(win**2) * len(starts) * ts.b_plus.shape[0])
     est = ot.estimate_psd(ts, segments=segments, y_policy=weight)
     np.testing.assert_allclose(est.omega, omega, rtol=1e-15, atol=0.0)
     assert np.max(np.abs(est.psd - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("segments", [10, 20, 50])
+def test_even_segments_error_bar_counts_the_half_overlap(run_7001, segments):
+    # segments of 700, 350 and 140 samples, one every half segment: 2 segments
+    # - 1 periodograms per trajectory, each correlated 1/6 with its neighbours
+    # (the periodic Hann window at half overlap) and with nothing further off
+    est = ot.estimate_psd(run_7001, segments=segments)
+    k, n_traj = 2 * segments - 1, run_7001.cfg.n_traj
+    assert est.n_ind == k * n_traj
+    assert est.rel_err == pytest.approx(
+        math.sqrt((1.0 + (k - 1) / (18.0 * k)) / (k * n_traj)), rel=1e-14, abs=0.0)
+
+
+def test_odd_segments_hop_down_and_leave_the_tail_out(d_lossy):
+    # 1212 samples in 8 segments of 151: one every 75 samples, 15 of them, the
+    # last ending at sample 1201; the 11 samples after it are never read
+    dt = ot.default_sim_config(d_lossy).dt
+    ts = ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=2, t_dur=1212 * dt))
+    assert ts.n_steps == 1212
+    plan = _plan(d_lossy, ts.cfg, 8)
+    assert (plan.seg_len, plan.periodograms) == (151, 15)
+    est = ot.estimate_psd(ts, segments=8)
+    assert est.n_ind == 2 * 15
+    poisoned = dataclasses.replace(ts, b_plus=ts.b_plus.copy(), b_minus=ts.b_minus.copy())
+    poisoned.b_plus[:, 1201:] = np.nan
+    poisoned.b_minus[:, 1201:] = np.nan
+    assert np.array_equal(ot.estimate_psd(poisoned, segments=8).psd, est.psd)
+    # every segment sliced out of the records at 75 * s
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(151) / 151)
+    wp, wm = sigma_weights(ts.d, est.omega, "optimal")
+    power = np.zeros(est.omega.size)
+    for s in range(15):
+        sl = slice(75 * s, 75 * s + 151)
+        xp = ts.dt * 151 * np.fft.ifft(ts.b_plus[:, sl] * win, axis=1)[:, 1:76]
+        xm = ts.dt * 151 * np.fft.ifft(ts.b_minus[:, sl] * win, axis=1)[:, 1:76]
+        power += np.sum(np.abs(wp * xp + wm * xm) ** 2, axis=0)
+    want = power / (ts.dt * np.sum(win**2) * 15 * 2)
+    assert np.max(np.abs(est.psd - want) / want) <= 1e-13
+    # the error bar counts the overlap of neighbours, 76 samples, and of
+    # segments two hops apart, one sample where the window is zero
+    rho = [np.dot(win[:151 - lag], win[lag:]) / np.dot(win, win) for lag in (75, 150)]
+    assert rho[1] == 0.0
+    v = 1.0 + 2.0 * (1.0 - 1.0 / 15) * rho[0] ** 2
+    assert est.rel_err == pytest.approx(math.sqrt(v / 30), rel=1e-14, abs=0.0)
+
+
+def test_default_run_is_the_first_trajectories_of_a_longer_one():
+    # trajectory k draws from the k-th spawned seed whatever the count, so the
+    # 36 trajectories of the default run are the first 36 of 64, to the bit
+    d = oracle_derived("nonsym-lossy")
+    cfg = ot.default_sim_config(d, seed=7)
+    assert cfg.n_traj == 36
+    short = ot.simulate(d, cfg)
+    long = ot.simulate(d, dataclasses.replace(cfg, n_traj=64))
+    assert np.array_equal(short.b_plus, long.b_plus[:36])
+    assert np.array_equal(short.b_minus, long.b_minus[:36])
 
 
 def test_streamed_comparison_memory_stays_below_records(d_lossy):
@@ -1134,9 +1198,9 @@ def test_simulate_hints_at_streaming_only_where_the_records_break_the_cap(
 
 @pytest.mark.parametrize("overrides", [{"dt": 1e-10}, {"n_traj": 100_000}])
 def test_streamed_run_refuses_working_set_above_the_cap(d_lossy, monkeypatch, overrides):
-    # default duration: 5.7e8 steps of 64 trajectories, or 1.7e4 steps of 1e5
-    # trajectories; the segment buffers alone would take 34 GiB (and the bin
-    # weights of 1.8e7 bins about 6 GB), or the working set 7.84 GiB, 3.81 GiB
+    # default duration: 5.7e8 steps of 36 trajectories, or 1.4e4 steps of 1e5
+    # trajectories; the segment buffers alone would take 19 GiB (and the bin
+    # weights of 1.8e7 bins about 6 GB), or the working set 7.68 GiB, 3.81 GiB
     # of it the scan buffers
     def no_simulation(*args):
         raise AssertionError("simulation started")
