@@ -671,11 +671,11 @@ trajectories 8, duration 0.008 s, dt 3.306878306878307e-06 s, segments 8, seed 4
 spectral comparison: PASS
   band                [7.854631e+04, 7.330383e+05] rad/s
   bins compared       104
-  per-bin 1-sigma     12.500 %
-  within 3 sigma      99.04 % (need >= 95 %)
-  worst deviation     3.165 sigma
-  median est/analytic 0.962793
-  reduced chi-square  0.9542
+  per-bin 1-sigma     9.362 %
+  within 3 sigma      100.00 % (need >= 95 %)
+  worst deviation     2.889 sigma
+  median est/analytic 0.987303
+  reduced chi-square  0.9910
 """
 
 
