@@ -1036,19 +1036,6 @@ class PsdEstimate:
     t_seg: float
 
 
-def _overlap_variance(win: np.ndarray, hop: int, periodograms: int) -> float:
-    """``v`` of :class:`PsdEstimate`: the variance of a bin averaged over
-    ``periodograms`` segments ``hop`` apart, relative to that of as many
-    independent ones, from the window's correlation at each lag."""
-    power = float(np.dot(win, win))
-    v = 1.0
-    for k in range(1, min(periodograms, -(-win.size // hop))):
-        lag = k * hop
-        rho = float(np.dot(win[:-lag], win[lag:])) / power
-        v += 2.0 * (1.0 - k / periodograms) * rho**2
-    return v
-
-
 def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
            bins: slice | None = None, y_policy="optimal") -> PsdEstimate:
     """Averaged periodogram of the combined record, one segment at a time.
@@ -1116,12 +1103,13 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                 a += take
                 if n0 + a == end:
                     # |wp dt conj(X+) + wm dt conj(X-)|^2, each product in
-                    # that operand order; every buffer is refilled before
-                    # its next use, so all of it runs in place
-                    np.conj(transform(ring_plus, end % seg_len), out=xp)
+                    # that operand order; the mix and its periodogram are
+                    # refilled before their next use, so all of it runs in place
+                    start = end % seg_len
+                    np.conj(transform(ring_plus, start), out=xp)
                     np.multiply(dt, xp, out=xp)
                     np.multiply(wp[None, :], xp, out=xp)
-                    xm = transform(ring_minus, end % seg_len)
+                    xm = transform(ring_minus, start)
                     np.conj(xm, out=xm)
                     np.multiply(dt, xm, out=xm)
                     np.multiply(wm[None, :], xm, out=xm)
@@ -1137,8 +1125,13 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
         return sums
 
     psd = norm * np.sum(np.concatenate(_sharded(shards, segment_sums)), axis=0)
+    # v of PsdEstimate, from the window's correlation at each lag that overlaps
+    v = 1.0
+    for k in range(1, min(periodograms, -(-seg_len // hop))):
+        rho = np.dot(win[:-k * hop], win[k * hop:]) / np.dot(win, win)
+        v += 2.0 * (1.0 - k / periodograms) * rho**2
     n_ind = periodograms * cfg.n_traj
-    rel_err = math.sqrt(_overlap_variance(win, hop, periodograms) / n_ind)
+    rel_err = math.sqrt(v / n_ind)
     return PsdEstimate(omega=omega, psd=psd / n_ind, rel_err=rel_err,
                        n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
 
