@@ -99,8 +99,11 @@ def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
     """
     blocks = []
     try:
-        omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
-            grid, grid * tau / (2.0 * math.pi), s_sql(gamma_m, grid)))
+        # S_SQL overflows past 1.3e154 rad/s, where spectrum_sweep refuses every
+        # scenario, so no overflowed value is written
+        with np.errstate(over="ignore"):
+            omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
+                grid, grid * tau / (2.0 * math.pi), s_sql(gamma_m, grid)))
         for d in scenarios:
             table = spectrum_sweep(d, grid)
             columns = (

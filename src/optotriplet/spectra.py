@@ -313,7 +313,7 @@ def _checked_grid(grid) -> np.ndarray:
     increasing (it may be empty)."""
     grid = np.array(grid, dtype=float)
     if not np.all(np.isfinite(grid)):
-        bad = grid[~np.isfinite(grid)][0]
+        bad = float(grid[~np.isfinite(grid)][0])
         raise ValueError(f"grid contains non-finite frequency {bad!r}")
     if grid.ndim != 1 or (grid.size > 1 and not np.all(np.diff(grid) > 0.0)):
         raise ValueError("grid must be a strictly increasing 1-d array")
@@ -326,17 +326,23 @@ def spectrum_sweep(d: DerivedParams, grid, y_policy="optimal") -> SpectrumTable:
     ``grid`` must be finite and strictly increasing; it may be empty.
     Returns one :class:`SpectrumTable` with a column entry per frequency; it
     carries the weight actually used so the output is self-describing.
-    Evaluation is vectorized and order-independent.
+    Evaluation is vectorized and order-independent.  A frequency at which
+    ``S_qu`` or ``S_SQL`` is not finite raises ``ValueError`` naming it.
     """
     grid = _checked_grid(grid)  # the table keeps its own copy
 
-    c = coeffs(d, grid)
-    y = resolve_y(d, c, y_policy)
-    sq = np.asarray(s_qu(c, d, y), dtype=float)
-    if not np.all(np.isfinite(sq)):
-        bad = grid[~np.isfinite(sq)][0]
+    # a frequency too high for float64 (past about 1e80 rad/s for the default
+    # parameters) overflows the coefficients, or S_SQL past 1.3e154 rad/s:
+    # refused below, without the warnings of the overflow
+    with np.errstate(all="ignore"):
+        c = coeffs(d, grid)
+        y = resolve_y(d, c, y_policy)
+        sq = np.asarray(s_qu(c, d, y), dtype=float)
+        ss = np.asarray(s_sql(d.gamma_m, grid), dtype=float)
+    finite = np.isfinite(sq) & np.isfinite(ss)
+    if not np.all(finite):
+        bad = float(grid[~finite][0])
         raise ValueError(f"spectral density is not finite at omega = {bad!r} rad/s")
     st = s_thermal(d)
-    ss = np.asarray(s_sql(d.gamma_m, grid), dtype=float)
     return SpectrumTable(omega=grid, y=y, s_qu=sq, s_t=st, s_f=sq + st, s_sql=ss,
                          ratio=sq / ss)

@@ -73,7 +73,9 @@ def min_force(d: DerivedParams, tau: float | None = None) -> ForceBudget:
     Valid for pulses much shorter than the mechanical ring-down
     (``gamma_m tau << 1``); longer pulses trigger a warning because the
     thermal limit then dominates and the short-time optimization of the
-    quantum term is no longer accurate.
+    quantum term is no longer accurate.  A ``tau`` too short for a finite
+    budget (below about 3e-154 s, where ``1/tau**2`` overflows) raises
+    ``ValueError``.
     """
     if tau is None:
         tau = d.phys.tau
@@ -87,12 +89,16 @@ def min_force(d: DerivedParams, tau: float | None = None) -> ForceBudget:
         )
     m = d.phys.m
     omega_m = d.phys.omega_m
+    # tau**2 underflows to zero below about 1.5e-162 s
+    band = 2.0 * math.pi / tau**2 if tau**2 > 0.0 else math.inf
     thermal = 2.0 * d.gamma_m * (d.n_t + 0.5) / tau
-    sql = (2.0 / math.sqrt(3.0)) * (2.0 * math.pi / tau**2)
+    sql = (2.0 / math.sqrt(3.0)) * band
     scale = 4.0 * HBAR * m * omega_m
     force_min = math.sqrt(scale * (thermal + sql))
     force_sql = (4.0 / tau) * math.sqrt(math.pi * HBAR * m * omega_m / math.sqrt(3.0))
-    force_alt = math.sqrt(scale * (thermal + 4.0 * math.pi / tau**2))
+    force_alt = math.sqrt(scale * (thermal + 2.0 * band))
+    if not all(map(math.isfinite, (force_min, force_sql, force_alt))):
+        raise ValueError(f"the force budget for tau = {tau!r} s is not finite")
     return ForceBudget(
         tau=tau,
         thermal_term=thermal,

@@ -58,13 +58,14 @@ Two consumers read the outputs, a quarter (a panel) at a time.
 :func:`simulate` collects them into records of ``2 * n_traj * n_steps``
 floats, for inspection and signal-transfer checks; its plan refuses records
 that, with their scan buffers, would exceed 4 GiB.  :func:`run_comparison`
-feeds them straight into the Welch estimator, which fills one ring buffer of
-a segment per channel from pieces of any length: a quarter at a time there,
-the whole records in :func:`estimate_psd`.  Its segments overlap by half
-(Welch 1967), so each full buffer is windowed into a scratch array and
-keeps its last half as the next segment's start; each segment's transforms
-are mixed into buffers it reuses, so the streamed run needs
-``O(n_traj * (segment + quarter))`` memory whatever its length.  Its
+feeds them straight into the Welch estimator, which fills one buffer of a
+segment of both channels from pieces of any length: a quarter at a time
+there, the whole records in :func:`estimate_psd`.  Its segments overlap by
+half (Welch 1967), so each full buffer is windowed into a scratch array and
+its last half is moved to the front as the next segment's start; each
+segment's transforms are mixed into buffers it reuses, so the streamed run
+needs ``O(n_traj * (segment + quarter))`` memory whatever its length.  The
+estimator reads every panel, the ones after the last whole segment too.  Its
 estimate covers only the comparison band's bins, each bit-identical to the
 same bin of :func:`estimate_psd` of the records.  Records are copied out of
 the panels by :func:`_recorded`, which passes them on: :func:`simulate`
@@ -641,8 +642,6 @@ def _sharded(shards, work) -> list:
     The first error of any shard stops the others before their next chunk
     and is raised here once every thread has ended; an interrupt of the
     wait stops them the same way, and is raised once they have ended.
-    ``chunks`` are not closed, so a caller may read on past what ``work``
-    read.
     """
     stop = threading.Event()
     results, errors = [None] * len(shards), []
@@ -1048,18 +1047,19 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     The segments are ``seg_len = n_len // segments`` samples long and start
     every ``hop = seg_len // 2`` samples, ``K`` of them over the first
     ``segments * seg_len`` samples (:func:`_overlap`).  Each shard, on a
-    thread of its own (:func:`_sharded`), fills one ring buffer of a segment
-    per channel; each full segment is Hann-windowed into one scratch array,
-    a channel at a time, and transformed, and the transforms are mixed per
-    bin with the weights of :func:`sigma_weights` (so cross-correlations
-    between the channels are kept) into one periodogram row per trajectory,
-    summed over the segments in order.  The ring keeps the segment's raw last
-    ``seg_len - hop`` samples where they are, as the next one's start, and
-    the next ``hop`` samples complete it.  The scratch array, the mix, its
-    periodogram row and their sum are buffers of the shard, reused for every
-    segment, and the second channel is mixed in place in its own transform.
-    Once every shard has ended, those sums are summed over the trajectories
-    in order.  No ``chunks`` is advanced past the last whole segment.  The
+    thread of its own (:func:`_sharded`), fills one buffer with both
+    channels' current segment; each full segment is Hann-windowed into one
+    scratch array, a channel at a time, and transformed, and the transforms
+    are mixed per bin with the weights of :func:`sigma_weights` (so
+    cross-correlations between the channels are kept) into one periodogram
+    row per trajectory, summed over the segments in order.  The segment's raw
+    last ``seg_len - hop`` samples are then moved to the front of the buffer
+    as the next one's start, and the next ``hop`` samples complete it.  The
+    scratch array, the mix, its periodogram row and their sum are buffers of
+    the shard, reused for every segment, and the second channel is mixed in
+    place in its own transform.  Once every shard has ended, those sums are
+    summed over the trajectories in order.  Every ``chunks`` is read to its
+    end, and the samples after the ``K``-th segment are not used.  The
     estimate covers every interior bin, or only ``bins`` of a segment's rfft,
     the only ones then weighted and mixed; each bin's value is the same
     either way, and whatever the shards.  The caller has checked the
@@ -1074,42 +1074,31 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     omega = 2.0 * math.pi * np.fft.rfftfreq(seg_len, d=dt)[bins]
     wp, wm = sigma_weights(d, omega, y_policy)
     norm = 1.0 / (dt * np.sum(win**2))  # |dt * DFT|^2 -> density
-    used = (periodograms - 1) * hop + seg_len
 
     def segment_sums(rows, chunks):
-        ring_plus = np.empty((rows.stop - rows.start, seg_len))
-        ring_minus = np.empty_like(ring_plus)
-        windowed = np.empty_like(ring_plus)
-        sums = np.zeros((ring_plus.shape[0], omega.size))
+        seg = np.empty((2, rows.stop - rows.start, seg_len))  # both channels' segment
+        windowed = np.empty_like(seg[0])  # one channel: the plan counts one copy
+        sums = np.zeros((seg.shape[1], omega.size))
         xp = np.empty(sums.shape, dtype=complex)  # the mix, from the + channel
         row = np.empty_like(sums)                 # its periodogram
-
-        def transform(ring, start):
-            # the segment begins at column `start` of the ring and wraps round
-            tail = seg_len - start
-            np.multiply(ring[:, start:], win[:tail], out=windowed[:, :tail])
-            np.multiply(ring[:, :start], win[tail:], out=windowed[:, tail:])
-            return np.fft.rfft(windowed, axis=1)[:, bins]
-
-        n0, end = 0, seg_len  # samples read; samples that complete the next segment
+        fill, left = 0, periodograms  # samples in the segment; periodograms to take
         for zp, zm in chunks:
-            m = min(zp.shape[1], used - n0)
-            a = 0
-            while a < m:
-                fill = (n0 + a) % seg_len
-                take = min(seg_len - fill, m - a, end - n0 - a)
-                ring_plus[:, fill:fill + take] = zp[:, a:a + take]
-                ring_minus[:, fill:fill + take] = zm[:, a:a + take]
-                a += take
-                if n0 + a == end:
+            a, m = 0, zp.shape[1]
+            while left and a < m:
+                take = min(seg_len - fill, m - a)
+                seg[0, :, fill:fill + take] = zp[:, a:a + take]
+                seg[1, :, fill:fill + take] = zm[:, a:a + take]
+                a, fill = a + take, fill + take
+                if fill == seg_len:
                     # |wp dt conj(X+) + wm dt conj(X-)|^2, each product in
                     # that operand order; the mix and its periodogram are
                     # refilled before their next use, so all of it runs in place
-                    start = end % seg_len
-                    np.conj(transform(ring_plus, start), out=xp)
+                    np.multiply(seg[0], win, out=windowed)
+                    np.conj(np.fft.rfft(windowed, axis=1)[:, bins], out=xp)
                     np.multiply(dt, xp, out=xp)
                     np.multiply(wp[None, :], xp, out=xp)
-                    xm = transform(ring_minus, start)
+                    np.multiply(seg[1], win, out=windowed)
+                    xm = np.fft.rfft(windowed, axis=1)[:, bins]
                     np.conj(xm, out=xm)
                     np.multiply(dt, xm, out=xm)
                     np.multiply(wm[None, :], xm, out=xm)
@@ -1118,10 +1107,9 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                     np.abs(xp, out=row)
                     np.square(row, out=row)
                     sums += row
-                    end += hop
-            n0 += m
-            if n0 == used:
-                break
+                    # the segment's raw last seg_len - hop samples start the next
+                    seg[..., :seg_len - hop] = seg[..., hop:]
+                    fill, left = seg_len - hop, left - 1
         return sums
 
     psd = norm * np.sum(np.concatenate(_sharded(shards, segment_sums)), axis=0)
@@ -1282,8 +1270,8 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16):
 def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan):
     """:func:`run_comparison` of a planned run, and its trajectory 0 as a
     one-trajectory :class:`TimeSeriesBundle` where the plan has a dump (else
-    ``None``), copied out of the first shard's panels up to the last whole
-    segment as the estimate reads them, and out of the rest after it."""
+    ``None``), copied out of the first shard's panels as the estimate reads
+    them."""
     shards = _shard_panels(d, cfg, plan)
     dump = None
     if plan.dump:
@@ -1291,8 +1279,5 @@ def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan):
         rows, panels = shards[0]
         shards[0] = rows, _recorded(panels, dump.b_plus, dump.b_minus)
     est = _welch(d, cfg, plan.n_steps, plan.segments, shards, plan.bins)
-    if dump is not None:
-        for _ in shards[0][1]:
-            pass
     analytic = analytic_records_for(d, est, plan.band)
     return compare(analytic, est, plan.band), est, analytic, dump

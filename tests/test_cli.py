@@ -654,6 +654,25 @@ def test_minforce(capsys):
     assert run(["minforce", "--preset", "table1", "--tau", "-1"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["minforce", "--preset", "table1", "--tau", "1e-160"],
+    ["minforce", "--preset", "table1", "--tau", "1e-200"],
+    ["sweep", "--preset", "table1", "--grid", "log:3:1e-300:1e300"],
+    ["sweep", "--preset", "table1", "--grid", "log:3:1:1e300"],
+], ids=["minforce-1e-160", "minforce-1e-200", "sweep-1e-300-1e300", "sweep-1-1e300"])
+def test_overflow_is_one_numerical_failure_line(tmp_path, capsys, args):
+    # a force budget or a spectral density past the largest float: exit 2
+    # and one line naming the input, with no warning before it and no output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*args, *(["--out", tmp_path] if args[0] == "sweep" else [])]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+    assert ("tau = 1e-" in err) if args[0] == "minforce" else ("omega = 1e+" in err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_presets_listing(capsys):
     assert run(["presets"]) == 0
     out = capsys.readouterr().out
@@ -766,8 +785,8 @@ def test_oracle_dump_taps_trajectory_0_of_the_streamed_run(tmp_path, capsys, mon
                                                             n_steps):
     # 7001 = 8 * 875 + 1 steps: a partial last panel, and one sample after the
     # last segment; 8193 = 8 * 1024 + 1: the last panel, of one step, comes
-    # after the last segment and is drawn for the dump alone.  The pulse
-    # crosses the panel boundary at step 1024.
+    # after the last segment, and the estimator reads it all the same.  The
+    # pulse crosses the panel boundary at step 1024.
     d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
     dt = ot.default_sim_config(d).dt
     configs, plans, bounds = [], [], []

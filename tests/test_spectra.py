@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,17 @@ def test_sweep_grid_validation(d_lossy):
         ot.spectrum_sweep(d_lossy, [2.0, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         ot.spectrum_sweep(d_lossy, [1.0, np.nan])
+
+
+def test_sweep_refuses_an_overflowing_frequency_without_a_warning(d_lossy):
+    # the coefficients overflow at 1e300 rad/s; the refusal names the
+    # frequency as a plain float, and no RuntimeWarning comes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"not finite at omega = 1e\+300 rad/s$"):
+            ot.spectrum_sweep(d_lossy, [1.0, 1e300])
+        with pytest.raises(ValueError, match=r"non-finite frequency inf$"):
+            ot.spectrum_sweep(d_lossy, [1.0, np.inf])
 
 
 def test_optimal_density_even_in_frequency(d_lossy):

@@ -135,6 +135,13 @@ def test_min_force_guards(d):
         ot.min_force(slow, 1.0)
 
 
+@pytest.mark.parametrize("tau", [1e-160, 1e-200])
+def test_min_force_refuses_a_budget_that_is_not_finite(d, tau):
+    # 2 pi / tau^2 overflows at 1e-160 s, and tau^2 underflows to zero at 1e-200 s
+    with pytest.raises(ValueError, match=f"tau = {tau!r} s is not finite"):
+        ot.min_force(d, tau)
+
+
 def test_band_integral_closed_form_zero_damping():
     # with gamma_m = 0 only the mean-square-frequency and flat terms survive
     k, tau = 37.0, 2.5e-4

@@ -1001,6 +1001,39 @@ def test_welch_of_uneven_chunks_matches_one_chunk(run_7001):
         assert (got.t_dur, got.t_seg, got.n_ind) == (want.t_dur, want.t_seg, want.n_ind)
 
 
+@pytest.mark.parametrize("size", [1, 7, 1000])
+def test_welch_of_pieces_of_any_length_matches_estimate_psd(run_7001, size):
+    # segments of 875 complete at samples 875 + 437 k: pieces of 7 end on the
+    # first of them, and the piece of 1000 over [1000, 2000) completes two
+    ts = run_7001
+    ends = range(875, 8 * 875 + 1, 437)
+    assert 875 % 7 == 0 and sum(1000 <= e <= 2000 for e in ends) == 2
+    cuts = np.arange(size, ts.n_steps, size)
+    pieces = list(zip(np.split(ts.b_plus, cuts, axis=1), np.split(ts.b_minus, cuts, axis=1)))
+    got = _welch(ts.d, ts.cfg, ts.n_steps, 8, [(slice(0, 3), pieces)])
+    want = ot.estimate_psd(ts, segments=8)
+    assert np.array_equal(got.psd, want.psd)
+    assert np.array_equal(got.omega, want.omega)
+    assert (got.rel_err, got.n_ind, got.t_seg) == (want.rel_err, want.n_ind, want.t_seg)
+
+
+def test_streamed_run_reads_every_panel_of_every_shard(d_lossy, monkeypatch):
+    # 8193 = 8 * 1024 + 1 steps: 33 panels, the last of one step, after the
+    # last whole segment; every shard of a plain run (no dump) draws it too
+    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 2)
+    panels, read = ot.timedomain._panels, collections.Counter()
+
+    def counted(sampler, rows):
+        for panel in panels(sampler, rows):
+            read[rows.start, rows.stop] += 1
+            yield panel
+
+    monkeypatch.setattr(ot.timedomain, "_panels", counted)
+    dt = ot.default_sim_config(d_lossy).dt
+    ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=3, t_dur=8193 * dt), segments=8)
+    assert read == {(0, 1): 33, (1, 3): 33}
+
+
 @pytest.mark.parametrize("weight", ["optimal", 0.1 - 0.2j, "table"],
                          ids=["optimal", "fixed", "table"])
 def test_estimate_psd_matches_plain_segment_slices(run_7001, weight):
@@ -1122,6 +1155,25 @@ def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monk
         finally:
             tracemalloc.stop()
         assert peak <= stream_bytes
+
+
+def test_streamed_memory_of_many_trajectories_stays_within_the_plan(d_lossy):
+    # 128 trajectories in segments of 5000: the buffers of each trajectory's
+    # segment dominate, and the plan counts both channels' segment and one
+    # windowed channel; the peak is 0.87 of the plan, and a windowed copy of
+    # both channels would take 1.05 of it
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=128, t_dur=40_000 * dt)
+    stream_bytes = _plan(d_lossy, cfg, 8).stream_bytes
+    ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=1, t_dur=1100 * dt),
+                      segments=8)  # warm caches
+    tracemalloc.start()
+    try:
+        ot.run_comparison(d_lossy, cfg, segments=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= stream_bytes
 
 
 def test_streamed_memory_of_a_tiny_run_stays_within_the_plan(d_lossy):
