@@ -44,9 +44,10 @@ from .params import (
     table1_preset,
 )
 from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, sweep_grid_spec
-from .spectra import SpectrumTable, _checked_grid, make_grid, s_sql, spectrum_sweep
+from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
+    _SEGMENTS,
     _STEP_GAP,
     ComparisonReport,
     RunRangeError,
@@ -81,17 +82,18 @@ class ConfigError(ValueError):
     """Usage-level problem: bad flags, missing or malformed config."""
 
 
-def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
+def _csv_slice(scenarios, grid: np.ndarray):
     """CSV rows over ``grid``, a checked slice of a sweep's grid, of each of
-    ``scenarios``, a sequence of derived parameter sets of one ``tau`` and
-    ``gamma_m``.
+    ``scenarios``, a sequence of derived parameter sets of one sweep.
 
     Each scenario's rows are evaluated by :func:`spectrum_sweep`, and every
     value is written with ``repr`` (shortest round trip).  ``omega``,
     ``omega_tau_over_2pi`` and ``S_SQL`` depend only on the grid, ``tau`` and
-    ``gamma_m``, so they are formatted once, from the grid, for every
-    scenario of the slice.  :func:`_format_slices` calls it once per slice,
-    inline or in a sweep worker.
+    ``gamma_m``, which no scenario switch changes, so they are formatted once
+    per slice, for every scenario: the first two from the grid and the first
+    scenario's ``tau``, ``S_SQL`` from the first table's ``s_sql`` column.
+    :func:`_format_slices` calls it once per slice, inline or in a sweep
+    worker.
 
     Returns the blocks of the scenarios before the first one that fails with
     a ``ValueError`` or ``ArithmeticError``, and that exception (``None`` if
@@ -99,13 +101,11 @@ def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
     """
     blocks = []
     try:
-        # S_SQL overflows past 1.3e154 rad/s, where spectrum_sweep refuses every
-        # scenario, so no overflowed value is written
-        with np.errstate(over="ignore"):
-            omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
-                grid, grid * tau / (2.0 * math.pi), s_sql(gamma_m, grid)))
         for d in scenarios:
             table = spectrum_sweep(d, grid)
+            if not blocks:  # the grid's columns, from the first scenario
+                omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
+                    grid, grid * d.phys.tau / (2.0 * math.pi), table.s_sql))
             columns = (
                 omega,
                 omega_scaled,
@@ -123,7 +123,7 @@ def _csv_slice(scenarios, grid: np.ndarray, tau: float, gamma_m: float):
     return blocks, None
 
 
-def _format_slices(grid, step, starts, members, tau, gamma_m, outs):
+def _format_slices(grid, step, starts, members, outs):
     """Format the slices of ``step`` points of ``grid`` at ``starts``, in
     order, and write each block of the ``k``-th of ``members``, as UTF-8
     bytes, to every file of ``outs[k]``.
@@ -137,8 +137,7 @@ def _format_slices(grid, step, starts, members, tau, gamma_m, outs):
     for start in starts:
         if not live:
             break
-        blocks, exc = _csv_slice([d for _, d in members[:live]], grid[start:start + step],
-                                 tau, gamma_m)
+        blocks, exc = _csv_slice([d for _, d in members[:live]], grid[start:start + step])
         for block, files in zip(blocks, outs):
             data = block.encode("utf-8")
             for fh in files:
@@ -237,7 +236,7 @@ def _child(work, wfd: int):
         os._exit(0)
 
 
-def _write_blocks(out_dir, grid, members, tau, gamma_m, outs):
+def _write_blocks(out_dir, grid, members, outs):
     """Write the CSV blocks of each of ``members`` over ``grid`` to every file
     of ``outs[k]``, and return the failure, as :func:`_format_slices` does.
 
@@ -259,7 +258,7 @@ def _write_blocks(out_dir, grid, members, tau, gamma_m, outs):
     n_workers = min(_usable_cpus(), _MAX_WORKERS, len(starts))
     if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS
             and threading.active_count() == 1 and hasattr(os, "fork")):
-        return _format_slices(grid, step, starts, members, tau, gamma_m, outs)
+        return _format_slices(grid, step, starts, members, outs)
     runs = [starts[len(starts) * r // n_workers:len(starts) * (r + 1) // n_workers]
             for r in range(n_workers)]
     with contextlib.ExitStack() as stack:
@@ -267,8 +266,7 @@ def _write_blocks(out_dir, grid, members, tau, gamma_m, outs):
                  for _ in runs]
 
         def work(run, run_parts):
-            failure = _format_slices(grid, step, run, members, tau, gamma_m,
-                                     [[part] for part in run_parts])
+            failure = _format_slices(grid, step, run, members, [[part] for part in run_parts])
             for part in run_parts:
                 part.flush()
             return failure
@@ -405,8 +403,7 @@ def cmd_sweep(args) -> int:
         for i, (*_, first) in enumerate(plans):
             writers[i if first is None else first].append(files[i])
             files[i].write(header)
-        slice_failure = _write_blocks(args.out, grid, members, p.tau, d_base.gamma_m,
-                                      [writers[i] for i, _ in members])
+        slice_failure = _write_blocks(args.out, grid, members, [writers[i] for i, _ in members])
         if slice_failure is not None:
             end, failure = slice_failure
         for fh, (name, scen, d_s, _) in zip(files, plans[:end]):
@@ -439,11 +436,8 @@ def cmd_oracle(args) -> int:
         )
     d = derive(scen.apply(p))
     flags = {"n_traj": args.trajectories, "t_dur": args.duration, "dt": args.dt}
-    try:
-        cfg = default_sim_config(d, args.seed, **{k: v for k, v in flags.items() if v is not None})
-        plan = _plan(d, cfg, args.segments, dump=args.dump_timeseries)
-    except RunRangeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = default_sim_config(d, args.seed, **{k: v for k, v in flags.items() if v is not None})
+    plan = _plan(d, cfg, args.segments, dump=args.dump_timeseries)
     os.makedirs(args.out, exist_ok=True)
     report, _, analytic, dump = _run_comparison(d, cfg, plan)
 
@@ -537,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trajectories", type=int, default=None, metavar="N")
     sp.add_argument("--duration", type=float, default=None, metavar="S")
     sp.add_argument("--dt", type=float, default=None, metavar="S")
-    sp.add_argument("--segments", type=int, default=16, metavar="N")
+    sp.add_argument("--segments", type=int, default=_SEGMENTS, metavar="N")
     sp.add_argument("--dump-timeseries", action="store_true",
                     help="also write the first trajectory as columnar text")
     sp.set_defaults(func=cmd_oracle)
@@ -559,11 +553,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the verb of ``argv`` and return its exit code.
+
+    A usage error (:class:`ConfigError`, :class:`ParameterError`), a run out
+    of range (:class:`RunRangeError`) and a file that cannot be read or
+    written exit 1, with one ``error:`` line; any other numerical or
+    simulation failure exits 2, with one ``numerical failure:`` line.
+    """
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, OSError) as exc:
+    except (ConfigError, ParameterError, RunRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SimulationError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -219,10 +219,6 @@ class RegimeReport:
                 return c
         raise KeyError(name)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def format(self) -> str:
         lines = ["operating-regime report"]
         for c in self.checks:

@@ -45,8 +45,6 @@ class CoeffSet:
       ``sqrt(2 g0_pm)(gm_tot - i O) / (eta_pm C0)``
     - ``y_plus/y_minus``: back-action ratios ``a_pm / b_pm``
     - ``ye_plus/ye_minus``: loss back-action ratios ``a_pm / be_pm``
-    - ``xi_pm``, ``mu_pm``: vacuum reflection and loss-admixture amplitudes
-      of each output port.
     """
 
     omega: np.ndarray
@@ -62,10 +60,6 @@ class CoeffSet:
     y_minus: np.ndarray
     ye_plus: np.ndarray
     ye_minus: np.ndarray
-    xi_plus: np.ndarray
-    xi_minus: np.ndarray
-    mu_plus: np.ndarray
-    mu_minus: np.ndarray
 
 
 def coeffs(d: DerivedParams, omega) -> CoeffSet:
@@ -105,11 +99,6 @@ def coeffs(d: DerivedParams, omega) -> CoeffSet:
     be_plus = sq_p * chi / (d.eta_plus * c0)
     be_minus = sq_m * chi / (d.eta_minus * c0)
 
-    xi_plus = (p.gamma0_plus - p.gamma_e_plus + i_om) / den_p
-    xi_minus = (p.gamma0_minus - p.gamma_e_minus + i_om) / den_m
-    mu_plus = 2.0 * math.sqrt(p.gamma0_plus * p.gamma_e_plus) / den_p
-    mu_minus = 2.0 * math.sqrt(p.gamma0_minus * p.gamma_e_minus) / den_m
-
     return CoeffSet(
         omega=omega,
         g_opt=g_opt,
@@ -124,10 +113,6 @@ def coeffs(d: DerivedParams, omega) -> CoeffSet:
         y_minus=a_minus / b_minus,
         ye_plus=a_plus / be_plus,
         ye_minus=a_minus / be_minus,
-        xi_plus=xi_plus,
-        xi_minus=xi_minus,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
     )
 
 

@@ -74,13 +74,16 @@ def min_force(d: DerivedParams, tau: float | None = None) -> ForceBudget:
     (``gamma_m tau << 1``); longer pulses trigger a warning because the
     thermal limit then dominates and the short-time optimization of the
     quantum term is no longer accurate.  A ``tau`` too short for a finite
-    budget (below about 3e-154 s, where ``1/tau**2`` overflows) raises
-    ``ValueError``.
+    budget (below about 3e-154 s, where ``1/tau**2`` overflows) or too long
+    for one (from about 1.3e154 s, where ``tau**2`` overflows, to infinity)
+    raises ``ValueError``, before any warning.
     """
     if tau is None:
         tau = d.phys.tau
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau!r}")
+    if not math.isfinite(tau * tau):
+        raise ValueError(f"the force budget for tau = {tau!r} s is not finite: tau**2 overflows")
     if d.gamma_m * tau >= 1.0:
         warnings.warn(
             f"gamma_m * tau = {d.gamma_m * tau:.3g} is not small; "

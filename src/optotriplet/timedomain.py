@@ -105,6 +105,8 @@ _STEP_GAP = 1e-6
 _GAP_POINTS = 256
 # shortest Welch segment, in samples
 _MIN_SEG_LEN = 64
+# Welch segments of a run by default: the segment length is n_steps // _SEGMENTS
+_SEGMENTS = 16
 # steps per block of the affine scan, and per quarter of 8 blocks (drawn,
 # mixed, scanned and output at a time); rows of the time-series dump
 # formatted at a time
@@ -220,10 +222,11 @@ def default_sim_config(d: DerivedParams, seed: int = 0, **overrides) -> SimConfi
 
 
 def _default_steps(d: DerivedParams, t_dur: float) -> int:
-    """The fewest steps ``n = 16 m`` over ``t_dur``, ``m`` 5-smooth (a product
-    of 2, 3 and 5, so that each of 16 Welch segments transforms fast) and at
-    least ``_MIN_SEG_LEN``, that keep the band's top edge ``2 pi 10 / tau``
-    within Nyquist and that the step bound of :func:`_plan` admits.
+    """The fewest steps ``n = _SEGMENTS m`` over ``t_dur``, ``m`` 5-smooth (a
+    product of 2, 3 and 5, so that each of the ``_SEGMENTS`` Welch segments
+    transforms fast) and at least ``_MIN_SEG_LEN``, that keep the band's top
+    edge ``2 pi 10 / tau`` within Nyquist and that the step bound of
+    :func:`_plan` admits.
 
     Where the bound refuses the first such ``m``, ``m0``, the gap grows as
     ``dt^2``: the search starts at the least 5-smooth ``m >= m0 sqrt(gap /
@@ -233,17 +236,17 @@ def _default_steps(d: DerivedParams, t_dur: float) -> int:
     drift that is not stable and a gap at ``m0`` that is not finite, both
     refused by the plan, end at ``m0``.
     """
-    # Nyquist pi / dt reaches the edge  <=>  16 m >= t_dur edge / pi
-    least = max(_MIN_SEG_LEN, math.ceil(t_dur * _band_edge(d) / math.pi / 16))
+    # Nyquist pi / dt reaches the edge  <=>  _SEGMENTS m >= t_dur edge / pi
+    least = max(_MIN_SEG_LEN, math.ceil(t_dur * _band_edge(d) / math.pi / _SEGMENTS))
     m0 = _smooth(least, 2 * least)[0]
-    gap = math.inf if _drift_rates(d)[-1] >= 0.0 else _step_gap(d, t_dur / (16 * m0))
+    gap = math.inf if _drift_rates(d)[-1] >= 0.0 else _step_gap(d, t_dur / (_SEGMENTS * m0))
     if not _STEP_GAP < gap < math.inf:
-        return 16 * m0
+        return _SEGMENTS * m0
     estimate = m0 * math.sqrt(gap / _STEP_GAP)
     smooth = _smooth(m0, math.floor(4 * estimate))
 
     def admitted(i):
-        return _step_gap(d, t_dur / (16 * smooth[i])) <= _STEP_GAP
+        return _step_gap(d, t_dur / (_SEGMENTS * smooth[i])) <= _STEP_GAP
 
     # smooth[lo] is refused, m0 first, and smooth[hi] taken as admitted, the
     # last unchecked (the plan refuses it if not); smooth[k] < 2 estimate, so
@@ -267,7 +270,7 @@ def _default_steps(d: DerivedParams, t_dur: float) -> int:
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if admitted(mid) else (mid, hi)
-    return 16 * smooth[hi]
+    return _SEGMENTS * smooth[hi]
 
 
 def _drift_rates(d: DerivedParams) -> np.ndarray:
@@ -1022,9 +1025,11 @@ class PsdEstimate:
     segments (:func:`_overlap`) of each of ``n_traj`` trajectories.
     ``rel_err`` is the one-sigma relative error bar per bin,
     ``sqrt(v / n_ind)``: overlapping segments are correlated, and ``v = 1 +
-    2 sum_k (1 - k/K) rho_k^2`` counts it from the window's correlation
-    ``rho_k`` at a lag of ``k`` hops (Welch 1967), ``1/6`` at one hop for
-    the Hann window and an even segment length, and ``0`` past it.
+    2 (1 - 1/K) rho^2`` counts it from the window's correlation ``rho`` at a
+    lag of one hop (Welch 1967), ``1/6`` for the Hann window and an even
+    segment length.  Segments two hops apart share at most the window's
+    zero first sample, so no longer lag adds to ``v``.  ``t_dur`` is the
+    run's duration.
     """
 
     omega: np.ndarray
@@ -1032,7 +1037,6 @@ class PsdEstimate:
     rel_err: float
     n_ind: int
     t_dur: float
-    t_seg: float
 
 
 def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
@@ -1062,8 +1066,10 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     end, and the samples after the ``K``-th segment are not used.  The
     estimate covers every interior bin, or only ``bins`` of a segment's rfft,
     the only ones then weighted and mixed; each bin's value is the same
-    either way, and whatever the shards.  The caller has checked the
-    segments.
+    either way, and whatever the shards.  The error bar counts the
+    correlation of segments one hop apart only, the one lag at which a
+    segment overlaps another on more than the window's zero first sample
+    (:class:`PsdEstimate`).  The caller has checked the segments.
     """
     dt = cfg.dt
     seg_len = n_len // segments
@@ -1113,18 +1119,16 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
         return sums
 
     psd = norm * np.sum(np.concatenate(_sharded(shards, segment_sums)), axis=0)
-    # v of PsdEstimate, from the window's correlation at each lag that overlaps
-    v = 1.0
-    for k in range(1, min(periodograms, -(-seg_len // hop))):
-        rho = np.dot(win[:-k * hop], win[k * hop:]) / np.dot(win, win)
-        v += 2.0 * (1.0 - k / periodograms) * rho**2
+    # v of PsdEstimate, from the window's correlation at the lag of one hop
+    rho = np.dot(win[:-hop], win[hop:]) / np.dot(win, win)
+    v = 1.0 + 2.0 * (1.0 - 1.0 / periodograms) * rho**2
     n_ind = periodograms * cfg.n_traj
     rel_err = math.sqrt(v / n_ind)
     return PsdEstimate(omega=omega, psd=psd / n_ind, rel_err=rel_err,
-                       n_ind=n_ind, t_dur=n_len * dt, t_seg=seg_len * dt)
+                       n_ind=n_ind, t_dur=n_len * dt)
 
 
-def estimate_psd(ts: TimeSeriesBundle, segments: int = 16, y_policy="optimal") -> PsdEstimate:
+def estimate_psd(ts: TimeSeriesBundle, segments: int = _SEGMENTS, y_policy="optimal") -> PsdEstimate:
     """Spectral density of a run's records, combined at the weight ``y_policy``.
 
     ``segments`` fixes the segment length ``n_steps // segments``, and the
@@ -1256,7 +1260,7 @@ def default_band(d: DerivedParams, cfg: SimConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = 16):
+def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = _SEGMENTS):
     """Simulate, estimate and compare in one call.
 
     The run is planned first, so the plan's refusals come before any work;

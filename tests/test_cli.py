@@ -167,9 +167,8 @@ def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
     base = ot.table1_preset()
     derived = [ot.derive(ot.SWEEP_SCENARIOS[name].apply(base))
                for name in ("fig2-sym", "fig3-nonsym-lossy", "fig2-nonsym", "fig4-sym-lossy")]
-    gamma_m = ot.derive(base).gamma_m
     grid = ot.make_grid(base.tau, kind="log", n=1000, lo=1.0, hi=1e7)
-    blocks, failure = _csv_slice(derived, grid, base.tau, gamma_m)
+    blocks, failure = _csv_slice(derived, grid)
     assert failure is None
     for block, d in zip(blocks, derived, strict=True):
         table = ot.spectrum_sweep(d, grid)
@@ -178,7 +177,7 @@ def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
             table.y[i].imag, table.s_qu[i], table.s_t, table.s_f[i], table.s_sql[i],
             table.ratio[i])) for i in range(grid.size)]
         assert block == "\n".join(lines) + "\n"
-        assert block == _csv_slice([d], grid, base.tau, d.gamma_m)[0][0]
+        assert block == _csv_slice([d], grid)[0][0]
     # a scenario that fails ends the slice: the blocks before it, and its exception
     real = ot.cli.spectrum_sweep
 
@@ -188,7 +187,7 @@ def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
         return real(d, grid)
 
     monkeypatch.setattr(ot.cli, "spectrum_sweep", spectrum_sweep)
-    partial, failure = _csv_slice(derived, grid, base.tau, gamma_m)
+    partial, failure = _csv_slice(derived, grid)
     assert partial == blocks[:2]
     assert isinstance(failure, ValueError) and "injected" in str(failure)
 
@@ -657,9 +656,11 @@ def test_minforce(capsys):
 @pytest.mark.parametrize("args", [
     ["minforce", "--preset", "table1", "--tau", "1e-160"],
     ["minforce", "--preset", "table1", "--tau", "1e-200"],
+    ["minforce", "--preset", "table1", "--tau", "1e300"],
     ["sweep", "--preset", "table1", "--grid", "log:3:1e-300:1e300"],
     ["sweep", "--preset", "table1", "--grid", "log:3:1:1e300"],
-], ids=["minforce-1e-160", "minforce-1e-200", "sweep-1e-300-1e300", "sweep-1-1e300"])
+], ids=["minforce-1e-160", "minforce-1e-200", "minforce-1e300", "sweep-1e-300-1e300",
+        "sweep-1-1e300"])
 def test_overflow_is_one_numerical_failure_line(tmp_path, capsys, args):
     # a force budget or a spectral density past the largest float: exit 2
     # and one line naming the input, with no warning before it and no output
@@ -669,7 +670,7 @@ def test_overflow_is_one_numerical_failure_line(tmp_path, capsys, args):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
-    assert ("tau = 1e-" in err) if args[0] == "minforce" else ("omega = 1e+" in err)
+    assert (f"tau = {float(args[-1])!r} s" in err) if args[0] == "minforce" else ("omega = 1e+" in err)
     assert not list(tmp_path.iterdir())
 
 

@@ -62,21 +62,6 @@ def test_table1_dc_damping(d_lossy):
     assert g0.real > 0.0
 
 
-def test_lossless_port_coefficients(d_nonsym_lossless):
-    c = ot.coeffs(d_nonsym_lossless, np.geomspace(1.0, 1e6, 7))
-    assert np.max(np.abs(c.mu_plus)) == 0.0
-    assert np.max(np.abs(c.mu_minus)) == 0.0
-    np.testing.assert_allclose(np.abs(c.xi_plus), 1.0, rtol=1e-14)
-    np.testing.assert_allclose(np.abs(c.xi_minus), 1.0, rtol=1e-14)
-
-
-def test_port_unitarity_with_loss(d_lossy):
-    # |xi|^2 + |mu|^2 = 1 at every frequency: the output port is passive
-    c = ot.coeffs(d_lossy, np.geomspace(1.0, 1e7, 9))
-    np.testing.assert_allclose(np.abs(c.xi_plus) ** 2 + np.abs(c.mu_plus) ** 2, 1.0, rtol=1e-13)
-    np.testing.assert_allclose(np.abs(c.xi_minus) ** 2 + np.abs(c.mu_minus) ** 2, 1.0, rtol=1e-13)
-
-
 def test_ratio_definitions(d_lossy):
     c = ot.coeffs(d_lossy, np.array([0.0, 17.0, 3e5]))
     np.testing.assert_allclose(c.y_plus * c.b_plus, c.a_plus, rtol=1e-14)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,10 +136,11 @@ def test_min_force_guards(d):
         ot.min_force(slow, 1.0)
 
 
-@pytest.mark.parametrize("tau", [1e-160, 1e-200])
+@pytest.mark.parametrize("tau", [1e-160, 1e-200, 1e155, 1e300, math.inf])
 def test_min_force_refuses_a_budget_that_is_not_finite(d, tau):
-    # 2 pi / tau^2 overflows at 1e-160 s, and tau^2 underflows to zero at 1e-200 s
-    with pytest.raises(ValueError, match=f"tau = {tau!r} s is not finite"):
+    # 2 pi / tau^2 overflows at 1e-160 s, and tau^2 underflows to zero at 1e-200 s;
+    # tau^2 overflows from about 1.3e154 s, and at infinity the budget would be 0 N
+    with pytest.raises(ValueError, match=re.escape(f"tau = {tau!r} s is not finite")):
         ot.min_force(d, tau)
 
 
