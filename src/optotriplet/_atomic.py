@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import shutil
 import tempfile
 
 # bytes per read when a file is appended to an AtomicFile
@@ -35,11 +34,18 @@ class AtomicFile:
     def write(self, data: str | bytes) -> None:
         self._fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
-    def append(self, src) -> None:
-        """Write the whole of ``src``, a binary file open for reading, from its
-        start, ``_COPY_BYTES`` at a time."""
-        src.seek(0)
-        shutil.copyfileobj(src, self._fh, _COPY_BYTES)
+    def append(self, src, start: int, size: int) -> None:
+        """Write the ``size`` bytes of ``src``, a binary file open for reading,
+        from offset ``start``, through one buffer of at most ``_COPY_BYTES``;
+        raises ``OSError`` if ``src`` ends before them."""
+        src.seek(start)
+        buf = memoryview(bytearray(min(size, _COPY_BYTES)))
+        while size:
+            n = src.readinto(buf[:size])
+            if not n:
+                raise OSError(f"{src.name}: ends {size} bytes before the range to append")
+            self._fh.write(buf[:n])
+            size -= n
 
     def commit(self) -> None:
         self._fh.close()

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import pickle
+import select
 import sys
 import tempfile
 import threading
@@ -72,9 +73,9 @@ _CSV_CHUNK_ROWS = 8192
 # a sweep's slices are formatted in forked worker processes from this many
 # rows on; below it, starting the workers cost more than they saved
 _POOL_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
-# worker processes of a sweep at most; each formats a contiguous run of
-# slices into part files of its own, so the main process holds no slice of
-# text however many there are
+# worker processes of a sweep at most; each claims slices from a shared queue
+# and formats them into part files of its own, so the main process holds no
+# slice of text however many there are
 _MAX_WORKERS = 4
 
 
@@ -245,11 +246,20 @@ def _write_blocks(out_dir, grid, members, outs):
     scenarios.  The slices are formatted in forked worker processes, one per
     usable CPU up to ``_MAX_WORKERS``, when there are at least two such CPUs
     and ``_POOL_MIN_ROWS`` rows, no other Python thread runs and the platform
-    can fork; otherwise they are formatted inline.  Each worker formats a
-    contiguous run of whole slices into anonymous part files in ``out_dir``,
-    one per member, which are appended to ``outs`` in run order once every
-    worker has ended, for the members before the earliest failure.  Either
-    way the bytes are the same, and no worker outlives the call.
+    can fork; otherwise they are formatted inline.  The workers claim units,
+    each one slice or, past ``select.PIPE_BUF // 4`` slices, a run of
+    consecutive ones, from a queue: a pipe holding every unit's index as 4
+    bytes, written at once before the first fork, whose write end is closed
+    before it, so a faster worker claims more units and each sees EOF once
+    the queue is empty.  A worker formats each unit it claims into anonymous
+    part files in ``out_dir``, one per member, and reports the size of each
+    of the unit's blocks.  A member that fails is dropped, with those after
+    it, from the worker's units still to format; the earliest failing member
+    in plan order, with its exception from the earliest unit where it failed,
+    is the sweep's failure.  Once every worker has ended, each block of the
+    members before it is copied from its part file to ``outs``, in unit
+    order, one byte range at a time.  Either way the bytes are the same, and
+    no worker outlives the call.
     """
     if not members:  # the first scenario was refused in planning
         return None
@@ -259,31 +269,52 @@ def _write_blocks(out_dir, grid, members, outs):
     if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS
             and threading.active_count() == 1 and hasattr(os, "fork")):
         return _format_slices(grid, step, starts, members, outs)
-    runs = [starts[len(starts) * r // n_workers:len(starts) * (r + 1) // n_workers]
-            for r in range(n_workers)]
+    # at most PIPE_BUF bytes of indices: one write that never blocks
+    per_unit = -(-len(starts) // (select.PIPE_BUF // 4))
+    units = [starts[s:s + per_unit] for s in range(0, len(starts), per_unit)]
+    position = {i: k for k, (i, _) in enumerate(members)}
+
+    def work(queue, worker_parts):
+        claimed, live, failure = [], len(members), None
+        while live and (claim := os.read(queue, 4)):
+            u = int.from_bytes(claim, "little")
+            before = [part.tell() for part in worker_parts[:live]]
+            unit_failure = _format_slices(grid, step, units[u], members[:live],
+                                          [[part] for part in worker_parts[:live]])
+            claimed.append((u, [part.tell() - b for part, b in zip(worker_parts, before)]))
+            if unit_failure is not None:
+                failure = unit_failure[0], u, unit_failure[1]
+                live = position[failure[0]]
+        for part in worker_parts:
+            part.flush()
+        return claimed, failure
+
     with contextlib.ExitStack() as stack:
         parts = [[stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in members]
-                 for _ in runs]
-
-        def work(run, run_parts):
-            failure = _format_slices(grid, step, run, members, [[part] for part in run_parts])
-            for part in run_parts:
-                part.flush()
-            return failure
-
-        reports = _forked([functools.partial(work, run, run_parts)
-                           for run, run_parts in zip(runs, parts)])
-        for report in reports:
-            if report is not None and report[0] is None:  # not a scenario's failure
-                raise report[1]
-        failure = min(filter(None, reports), key=lambda f: f[0], default=None)
-        for k, (i, _) in enumerate(members):
-            if failure is not None and i >= failure[0]:
-                break
-            for fh in outs[k]:
-                for run_parts in parts:
-                    fh.append(run_parts[k])
-    return failure
+                 for _ in range(n_workers)]
+        queue, fill = os.pipe()
+        stack.callback(os.close, queue)
+        try:
+            os.write(fill, b"".join(u.to_bytes(4, "little") for u in range(len(units))))
+        finally:
+            os.close(fill)
+        reports = _forked([functools.partial(work, queue, worker_parts) for worker_parts in parts])
+        for claimed, failure in reports:
+            if claimed is None:  # not a scenario's failure
+                raise failure
+        failure = min((f for _, f in reports if f is not None), key=lambda f: f[:2], default=None)
+        # each unit's part files, and the offset and size of each of its blocks there
+        spans = [None] * len(units)
+        for worker_parts, (claimed, _) in zip(parts, reports):
+            offsets = [0] * len(members)
+            for u, sizes in claimed:
+                spans[u] = worker_parts, offsets, sizes
+                offsets = [offset + size for offset, size in zip(offsets, sizes)]
+        for k in range(len(members) if failure is None else position[failure[0]]):
+            for worker_parts, offsets, sizes in spans:
+                for fh in outs[k]:
+                    fh.append(worker_parts[k], offsets[k], sizes[k])
+    return None if failure is None else (failure[0], failure[2])
 
 
 def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> str:
@@ -387,6 +418,14 @@ def cmd_sweep(args) -> int:
         if args.grid:
             raise ConfigError(f"bad grid {args.grid!r}: {exc}") from exc
         raise
+    # omega * tau passes the largest float, at a frequency spectrum_sweep still
+    # admits, for a tau of about 1e228 s and up; the grid is positive and
+    # increasing, so its last point overflows first
+    if not math.isfinite(float(grid[-1]) * p.tau / (2.0 * math.pi)):
+        with np.errstate(over="ignore"):
+            bad = float(grid[np.argmin(np.isfinite(grid * p.tau / (2.0 * math.pi)))])
+        raise ValueError(f"omega_tau_over_2pi is not finite at omega = {bad!r} rad/s "
+                         f"for tau = {p.tau!r} s")
     os.makedirs(args.out, exist_ok=True)
 
     d_base = derive(p)

@@ -320,8 +320,8 @@ FORK = hasattr(os, "fork")
 POOLED_SWEEP = ["sweep", "--preset", "table1", "--grid", f"log:{2 * _CSV_CHUNK_ROWS + 7}:1e3:1e7",
                 "--scenario", "fig3-nonsym-lossy", "--scenario", "fig2-nonsym",
                 "--scenario", "fig3-nonsym-lossless", "--scenario", "fig2-sym"]
-# the omega between POOLED_SWEEP's slices 2 and 3 (points 5460 and 8190): at
-# two workers, the second one's run starts at slice 3
+# the omega between POOLED_SWEEP's slices 2 and 3 (points 5460 and 8190):
+# slices 3 to 6 start above it, whichever worker claims them
 SECOND_RUN_OMEGA = 5e4
 
 
@@ -346,12 +346,30 @@ def _spy_on_blocks(monkeypatch, log, fail_on=None, on_block=None):
     monkeypatch.setattr(ot.cli, "spectrum_sweep", spy)
 
 
-def _reaped_workers(log):
-    """The pids of the workers that evaluated blocks, as ``log`` of
-    :func:`_spy_on_blocks` holds them, each checked to be reaped: waiting
-    for it without blocking raises, where a live or unreaped child would not."""
-    pids = set(log.read_text().split()) if log.exists() else set()
-    workers = {int(pid) for pid in pids - {str(os.getpid())}}
+def _spy_on_forks(monkeypatch):
+    """The list of the pids that ``os.fork`` returns from now on, in order.
+
+    A worker inherits the list as it was at its fork, so its length there is
+    the worker's index among those forked.
+    """
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped_workers(forks):
+    """The pids of ``forks`` of :func:`_spy_on_forks`, each checked to be
+    reaped: waiting for it without blocking raises, where a live or unreaped
+    child would not.  Counted from the forks, not from the blocks evaluated,
+    because a worker may find the queue of slices already empty."""
+    workers = set(forks)
     for pid in workers:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -360,22 +378,24 @@ def _reaped_workers(log):
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
-    # inline, then 2 and 3 workers, each formatting a contiguous run of the 7
-    # slices of 2730 points; each slice is evaluated once per computed scenario
+    # inline, then 2 and 3 workers, each claiming slices of 2730 points from
+    # the queue of 7; each slice is evaluated once per computed scenario
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log)
+    forks = _spy_on_forks(monkeypatch)
     csvs, stdout = {}, {}
     for cpus in (1, 2, 3):
         monkeypatch.setattr(ot.cli, "_usable_cpus", lambda cpus=cpus: cpus)
         out = tmp_path / f"cpus{cpus}"
         log.write_text("")
+        forks.clear()
         assert run(POOLED_SWEEP + ["--out", out]) == 0
         pids = log.read_text().split()
         assert len(pids) == 21
         if cpus == 1:
-            assert set(pids) == {str(os.getpid())}
+            assert set(pids) == {str(os.getpid())} and not forks
         else:
-            assert str(os.getpid()) not in pids and len(_reaped_workers(log)) == cpus
+            assert str(os.getpid()) not in pids and len(_reaped_workers(forks)) == cpus
         # the CSVs and the manifest, and no part file
         assert sorted(os.listdir(out)) == sorted(
             [f"{name}.csv" for name in POOLED_SWEEP[6::2]] + ["manifest.json"])
@@ -389,15 +409,16 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
         tmp_path, monkeypatch, capsys):
-    # fig2-nonsym's second block fails in the first worker, and its blocks of
-    # the second worker's run fail too: fig2-nonsym and fig2-sym are dropped
+    # fig2-nonsym's blocks fail on every slice but the first, in whichever
+    # worker claims it: fig2-nonsym and fig2-sym are dropped
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     failing = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log, fail_on=failing)
+    forks = _spy_on_forks(monkeypatch)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 2
-    assert len(_reaped_workers(log)) == 2
+    assert len(_reaped_workers(forks)) == 2
     assert capsys.readouterr().err == "numerical failure: injected block failure\n"
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
@@ -405,6 +426,33 @@ def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
     assert run(POOLED_SWEEP[:7] + ["--out", inline]) == 0
     assert ((out / "fig3-nonsym-lossy.csv").read_bytes()
             == (inline / "fig3-nonsym-lossy.csv").read_bytes())
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
+def test_sweep_failure_comes_from_the_earliest_slice_where_it_failed(tmp_path, monkeypatch, capsys):
+    # fig2-nonsym fails on every slice but the first, naming the slice; on
+    # slice 1 it fails only after 0.5 s, once the other worker has failed on
+    # later slices: the sweep still reports slice 1, as an inline run does
+    failing = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
+    real = ot.cli.spectrum_sweep
+
+    def spectrum_sweep(d, grid):
+        if d.phys == failing and grid[0] > 1e3:
+            if grid[0] < 1e4:  # slice 1
+                time.sleep(0.5)
+            raise ValueError(f"injected failure at {float(grid[0])!r}")
+        return real(d, grid)
+
+    monkeypatch.setattr(ot.cli, "spectrum_sweep", spectrum_sweep)
+    errs, csvs = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(ot.cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run(POOLED_SWEEP + ["--out", out]) == 2
+        errs[cpus] = capsys.readouterr().err
+        csvs[cpus] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert errs[1] == errs[2] == "numerical failure: injected failure at 4637.243643500838\n"
+    assert csvs[1] == csvs[2] and list(csvs[2]) == ["fig3-nonsym-lossy.csv"]
 
 
 def _refuse_in_planning(monkeypatch, name):
@@ -426,11 +474,10 @@ def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp
     # cannot be derived is reported only once the CSVs before it are written
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     _refuse_in_planning(monkeypatch, "fig2-nonsym")
-    log = tmp_path / "pids"
-    _spy_on_blocks(monkeypatch, log)
+    forks = _spy_on_forks(monkeypatch)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
-    assert len(_reaped_workers(log)) == 2
+    assert len(_reaped_workers(forks)) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: injected refusal\n"
     assert captured.out.count("wrote ") == 1
@@ -455,8 +502,7 @@ def test_sweep_first_scenario_refused_in_planning_writes_nothing(tmp_path, monke
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
-    log = tmp_path / "pids"
-    _spy_on_blocks(monkeypatch, log)
+    forks = _spy_on_forks(monkeypatch)
 
     def interrupt(d):
         raise KeyboardInterrupt
@@ -466,19 +512,19 @@ def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(POOLED_SWEEP + ["--out", out])
-    assert len(_reaped_workers(log)) == 2
+    assert len(_reaped_workers(forks)) == 2
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_path, monkeypatch):
     # the parent's wait is interrupted once the first worker has ended, while
-    # the second, slowed down, is still formatting its run: it is killed,
-    # both are reaped, and no file is left
+    # the second, slowed down on every block, is still formatting the one
+    # slice it claimed: it is killed, both are reaped, and no file is left
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     log = tmp_path / "pids"
-    _spy_on_blocks(monkeypatch, log,
-                   on_block=lambda grid: time.sleep(0.3 if grid[0] > SECOND_RUN_OMEGA else 0.0))
+    forks = _spy_on_forks(monkeypatch)
+    _spy_on_blocks(monkeypatch, log, on_block=lambda grid: time.sleep(0.3 if len(forks) == 1 else 0.0))
     real_waitpid, waits = os.waitpid, []
 
     def waitpid(pid, options):
@@ -492,10 +538,10 @@ def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_pa
     with pytest.raises(KeyboardInterrupt):
         run(POOLED_SWEEP + ["--out", out])
     monkeypatch.setattr(os, "waitpid", real_waitpid)
-    workers = _reaped_workers(log)
+    workers = _reaped_workers(forks)
     assert len(workers) == 2 and set(waits) == workers
-    # the second worker's run of 4 slices of 3 scenarios was cut short
-    assert len(log.read_text().split()) < 9 + 12
+    # the second worker's slice of 3 scenarios was cut short
+    assert len(log.read_text().split()) < 21
     assert os.listdir(out) == []
 
 
@@ -503,27 +549,93 @@ def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_pa
 def test_sweep_worker_killed_mid_run_fails_the_sweep_and_writes_nothing(
         tmp_path, monkeypatch, capsys):
     # a worker that ends without a report is an error (exit 1) naming it;
-    # no CSV is committed and no part file stays open
+    # no CSV is committed and no part file or queue end stays open.  The
+    # first worker to reach a slice above SECOND_RUN_OMEGA, and only it, is
+    # killed; the other formats every slice left in the queue
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
-    def kill_the_second_worker(grid):
+    def kill_the_first_worker_past_it(grid):
         if os.getpid() != parent and grid[0] > SECOND_RUN_OMEGA:
-            (tmp_path / "killed").write_text(str(os.getpid()))
+            try:
+                fd = os.open(tmp_path / "killed", os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            except FileExistsError:  # another worker was killed
+                return
+            os.write(fd, str(os.getpid()).encode())
             os.kill(os.getpid(), signal.SIGKILL)
 
     log = tmp_path / "pids"
-    _spy_on_blocks(monkeypatch, log, on_block=kill_the_second_worker)
+    _spy_on_blocks(monkeypatch, log, on_block=kill_the_first_worker_past_it)
+    forks = _spy_on_forks(monkeypatch)
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: sweep worker {(tmp_path / 'killed').read_text()} ended without a report "
                    f"(killed by signal {int(signal.SIGKILL)})\n")
-    assert len(_reaped_workers(log)) == 2
+    assert len(_reaped_workers(forks)) == 2
     assert os.listdir(out) == []
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+def _inline_csvs(tmp_path, monkeypatch):
+    """The CSV bytes of POOLED_SWEEP formatted inline, by name."""
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
+    out = tmp_path / "inline"
+    assert run(POOLED_SWEEP + ["--out", out]) == 0
+    return {f.name: f.read_bytes() for f in out.glob("*.csv")}
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
+def test_sweep_slowed_worker_leaves_the_other_slices_to_the_queue(tmp_path, monkeypatch, capsys):
+    # the worker that claims slice 0 takes 0.5 s per block, 1.5 s for the
+    # slice, while the other formats the remaining 6 slices from the queue;
+    # a fixed half of the 7 slices would have held 3 of them
+    inline = _inline_csvs(tmp_path, monkeypatch)
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    slowed, here = tmp_path / "slowed", []  # each worker has its own `here`
+
+    def slow_the_first_slice(grid):
+        if grid[0] == 1e3:
+            slowed.write_text(str(os.getpid()))
+            here.append(True)
+        if here:
+            time.sleep(0.5)
+
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log, on_block=slow_the_first_slice)
+    forks = _spy_on_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 0
+    assert len(_reaped_workers(forks)) == 2
+    pids = log.read_text().split()
+    assert len(pids) == 21 and pids.count(slowed.read_text()) <= 2 * 3
+    assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == inline
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
+def test_sweep_groups_slices_past_the_queue_bound(tmp_path, monkeypatch, capsys):
+    # a queue of at most 3 indices (12 bytes) holds the 7 slices in units of
+    # 3, 3 and 1 consecutive ones; the bytes are those of an inline run
+    inline = _inline_csvs(tmp_path, monkeypatch)
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot.cli.select, "PIPE_BUF", 12)
+    log = tmp_path / "units"
+    real = ot.cli._format_slices
+
+    def format_slices(grid, step, starts, members, outs):
+        with open(log, "a") as fh:
+            fh.write(f"{len(starts)}\n")
+        return real(grid, step, starts, members, outs)
+
+    monkeypatch.setattr(ot.cli, "_format_slices", format_slices)
+    forks = _spy_on_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 0
+    assert len(_reaped_workers(forks)) == 2
+    assert sorted(log.read_text().split()) == ["1", "3", "3"]
+    assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == inline
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
@@ -534,8 +646,7 @@ def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
                 "--grid", "log:300:1:1e7"]) == 0  # warm caches
-    log = tmp_path / "pids"
-    _spy_on_blocks(monkeypatch, log)
+    forks = _spy_on_forks(monkeypatch)
     tracemalloc.start()
     try:
         assert run(["sweep", "--preset", "table1", "--out", out, "--scenario",
@@ -543,7 +654,7 @@ def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(_reaped_workers(log)) == ot.cli._MAX_WORKERS
+    assert len(_reaped_workers(forks)) == ot.cli._MAX_WORKERS
     assert peak < 12e6
 
 
@@ -564,8 +675,7 @@ def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(ot.cli, "_plan_sweep", plan_sweep)
-    log = tmp_path / "pids"
-    _spy_on_blocks(monkeypatch, log)
+    forks = _spy_on_forks(monkeypatch)
     tracemalloc.start()
     try:
         assert run(["sweep", "--preset", "table1", "--out", out, "--grid", "log:100003:1:1e7"]
@@ -573,7 +683,7 @@ def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(_reaped_workers(log)) == 2
+    assert len(_reaped_workers(forks)) == 2
     assert peak < 1.4e6
 
 
@@ -672,6 +782,22 @@ def test_overflow_is_one_numerical_failure_line(tmp_path, capsys, args):
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
     assert (f"tau = {float(args[-1])!r} s" in err) if args[0] == "minforce" else ("omega = 1e+" in err)
     assert not list(tmp_path.iterdir())
+
+
+def test_sweep_refuses_a_tau_that_overflows_omega_tau_over_2pi(tmp_path, capsys):
+    # 1e70 rad/s * 1e250 s passes the largest float, where S_qu is still
+    # finite: exit 2 and one line naming tau and the frequency, with no
+    # warning before it and no output
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("tau = 1e250\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["sweep", "--preset", "table1", "--config", cfg, "--grid", "log:3:1:1e70",
+                    "--scenario", "fig2-sym", "--out", out]) == 2
+    assert capsys.readouterr() == ("", "numerical failure: omega_tau_over_2pi is not finite at "
+                                   "omega = 1e+70 rad/s for tau = 1e+250 s\n")
+    assert not out.exists()
 
 
 def test_presets_listing(capsys):
