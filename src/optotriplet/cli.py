@@ -22,19 +22,18 @@ import itertools
 import json
 import math
 import os
-import pickle
 import select
 import sys
 import tempfile
-import threading
 import time
-import warnings
 
 import numpy as np
 
 from . import __version__
 from ._atomic import AtomicFile as _AtomicFile
 from ._atomic import atomic_write as _atomic_write
+from ._forks import Forked as _Forked
+from ._forks import may_fork as _may_fork
 from .params import (
     DerivedParams,
     ParameterError,
@@ -150,93 +149,6 @@ def _format_slices(grid, step, starts, members, outs):
     return failure
 
 
-def _forked(works) -> list:
-    """What each of ``works``, callables without arguments, returns, in
-    order, each called in a child process forked for it.
-
-    A child stops tracing memory, calls its work and reports what it
-    returned, or ``(None, exception)`` if it raised, as a pickle through a
-    pipe; it always leaves with ``os._exit``, so it flushes no buffer it
-    shares with this process.  Every child is waited for.  One that ends
-    without a report (killed, crashed) raises :class:`ChildProcessError`
-    with its pid and status once all have ended.  On any exception here,
-    ``KeyboardInterrupt`` included, every child still running is killed and
-    every child reaped before it propagates.
-    """
-    pending, reports = [], []
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns at a fork whenever the process has other OS
-            # threads.  Workers are only forked when no other Python thread
-            # runs, so the others are OpenBLAS's idle threads, which exist
-            # from `import numpy` on; the workers run only elementwise numpy
-            # and never call BLAS, so no lock a BLAS thread held at the fork
-            # is ever taken.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded, use of fork\(\) may lead to deadlocks",
-                DeprecationWarning)
-            for work in works:
-                rfd, wfd = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(rfd)
-                    os.close(wfd)
-                    raise
-                if pid == 0:
-                    _child(work, wfd)
-                os.close(wfd)
-                pending.append((pid, open(rfd, "rb")))
-        lost = []
-        while pending:
-            pid, fh = pending[0]
-            report = fh.read()  # until the child has ended
-            fh.close()
-            _, status = os.waitpid(pid, 0)
-            pending.pop(0)
-            if report:
-                reports.append(pickle.loads(report))
-            else:
-                code = os.waitstatus_to_exitcode(status)
-                lost.append(f"sweep worker {pid} ended without a report ("
-                            + (f"killed by signal {-code})" if code < 0 else f"exit status {code})"))
-    except BaseException:
-        import signal
-
-        for pid, fh in pending:
-            fh.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-        raise
-    if lost:
-        raise ChildProcessError("; ".join(lost))
-    return reports
-
-
-def _child(work, wfd: int):
-    """Body of a child of :func:`_forked`; never returns."""
-    try:
-        import tracemalloc
-
-        # a child forked from a traced process would trace every allocation
-        # of its slices, which no one reads, at several times the cost of
-        # formatting them
-        tracemalloc.stop()
-        try:
-            report = work()
-        except BaseException as exc:  # reported to the parent, which raises it
-            report = None, exc
-        # a report that cannot be pickled is not written: the parent then
-        # finds none
-        data = pickle.dumps(report)
-        with open(wfd, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(0)
-
-
 def _write_blocks(out_dir, grid, members, outs):
     """Write the CSV blocks of each of ``members`` over ``grid`` to every file
     of ``outs[k]``, and return the failure, as :func:`_format_slices` does.
@@ -245,29 +157,30 @@ def _write_blocks(out_dir, grid, members, outs):
     so that a slice formats at most ``_CSV_CHUNK_ROWS`` rows over all its
     scenarios.  The slices are formatted in forked worker processes, one per
     usable CPU up to ``_MAX_WORKERS``, when there are at least two such CPUs
-    and ``_POOL_MIN_ROWS`` rows, no other Python thread runs and the platform
-    can fork; otherwise they are formatted inline.  The workers claim units,
-    each one slice or, past ``select.PIPE_BUF // 4`` slices, a run of
-    consecutive ones, from a queue: a pipe holding every unit's index as 4
-    bytes, written at once before the first fork, whose write end is closed
-    before it, so a faster worker claims more units and each sees EOF once
-    the queue is empty.  A worker formats each unit it claims into anonymous
+    and ``_POOL_MIN_ROWS`` rows and :func:`_may_fork` allows it; otherwise
+    they are formatted inline.  The workers claim units, each one slice or,
+    past ``select.PIPE_BUF // 4`` slices, a run of consecutive ones, from a
+    queue: a pipe holding every unit's index as 4 bytes, written at once
+    before the first fork, whose write end is closed before it, so a faster
+    worker claims more units and each sees EOF once the queue is empty.  A worker formats each unit it claims into anonymous
     part files in ``out_dir``, one per member, and reports the size of each
     of the unit's blocks.  A member that fails is dropped, with those after
     it, from the worker's units still to format; the earliest failing member
     in plan order, with its exception from the earliest unit where it failed,
     is the sweep's failure.  Once every worker has ended, each block of the
     members before it is copied from its part file to ``outs``, in unit
-    order, one byte range at a time.  Either way the bytes are the same, and
-    no worker outlives the call.
+    order, one byte range at a time.  Any other exception of a worker (an
+    ``OSError`` from its part file, say), or a worker that ends without a
+    report, is raised as soon as it is read, once the other workers are
+    killed (:class:`_Forked`).  Either way the bytes are the same, and no
+    worker outlives the call.
     """
     if not members:  # the first scenario was refused in planning
         return None
     step = _CSV_CHUNK_ROWS // len(members)
     starts = range(0, grid.size, step)
     n_workers = min(_usable_cpus(), _MAX_WORKERS, len(starts))
-    if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS
-            and threading.active_count() == 1 and hasattr(os, "fork")):
+    if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS and _may_fork()):
         return _format_slices(grid, step, starts, members, outs)
     # at most PIPE_BUF bytes of indices: one write that never blocks
     per_unit = -(-len(starts) // (select.PIPE_BUF // 4))
@@ -298,10 +211,9 @@ def _write_blocks(out_dir, grid, members, outs):
             os.write(fill, b"".join(u.to_bytes(4, "little") for u in range(len(units))))
         finally:
             os.close(fill)
-        reports = _forked([functools.partial(work, queue, worker_parts) for worker_parts in parts])
-        for claimed, failure in reports:
-            if claimed is None:  # not a scenario's failure
-                raise failure
+        with _Forked([("sweep worker {pid}", functools.partial(work, queue, worker_parts))
+                      for worker_parts in parts]) as workers:
+            reports = workers.results()
         failure = min((f for _, f in reports if f is not None), key=lambda f: f[:2], default=None)
         # each unit's part files, and the offset and size of each of its blocks there
         spans = [None] * len(units)
@@ -400,7 +312,8 @@ def cmd_sweep(args) -> int:
     finished and written, those from it on are dropped from the slices still
     to format and their files removed, and its exception is raised.  A
     worker that ends without a report raises :class:`ChildProcessError`, an
-    ``OSError`` (exit 1), and no CSV is written.
+    ``OSError`` (exit 1), as soon as the others are killed, and no CSV is
+    written; so does any exception of a worker that is not a scenario's.
     """
     p = _resolve_params(args)
     # a scenario named more than once is swept once, where it was first named

@@ -31,15 +31,21 @@ from the run's seed, and mixed, scanned and turned into outputs before the
 next quarter is drawn.
 
 A run is split into contiguous shards of trajectories, one per usable CPU
-(at most one per trajectory), and each shard runs end to end on a thread of
-its own: it draws its streams, mixes and scans its quarters and, in the
-spectral estimate, windows, transforms and weights its segments and sums
-each trajectory's periodograms over its segments, in order.  The calling
-thread waits for every shard to end and sums those per-trajectory sums in
-trajectory order.  Each stream is read in order and every sum runs in the
-same order, so the records and the estimate are the same bit for bit
-whatever the number of CPUs.  The scan's two large products are issued per
-trajectory, small enough that BLAS runs them on the shard's own thread.
+(at most one per trajectory), and each shard runs end to end in a process of
+its own: the first in the calling process, each other in a child forked for
+it (:func:`_in_shards`).  A shard draws its streams, mixes and scans its
+quarters and, in the spectral estimate, windows, transforms and weights its
+segments and sums each trajectory's periodograms over its segments, in
+order; a child reports those per-trajectory sums through a pipe, and writes
+:func:`simulate`'s records in place, into a shared mapping.  The calling
+process runs the first shard, polling the children between its quarters,
+then waits for the others and sums the per-trajectory sums in trajectory
+order.  Each stream is read in order and every sum runs in the same order,
+so the records and the estimate are the same bit for bit whatever the number
+of CPUs.  Where the platform cannot fork, or another Python thread runs, the
+run is one shard in the calling process.  The scan's two large products are
+issued per trajectory, small enough that BLAS runs them on the shard's own
+thread.
 
 Because the sampler is exact, the step is bounded by what the comparison
 needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
@@ -81,15 +87,17 @@ and the averaged periodogram is compared against ``S_qu + S_T``.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import mmap
 import numbers
 import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._atomic import atomic_write
+from ._forks import Forked, may_fork
 from .constants import HBAR
 from .params import DerivedParams
 from .spectra import SpectrumTable, coeffs, resolve_y, spectrum_sweep
@@ -165,7 +173,7 @@ class SimConfig:
     records, :func:`run_comparison` two segment buffers of
     ``n_traj * (n_steps // segments)`` and a windowed copy of one, a
     transform, the band bins' mix and one quarter's scan buffers; both plans
-    refuse more than 4 GiB.  Both run on up to ``n_traj`` threads, one per
+    refuse more than 4 GiB.  Both run in up to ``n_traj`` processes, one per
     usable CPU, each drawing, scanning and transforming its own trajectories
     to the end of the run and summing their periodograms; records and
     estimates do not depend on how many.  The default ``n_traj``, 36, gives
@@ -617,61 +625,45 @@ def _cpu_quota() -> int | None:
 
 def _shards(n_traj: int) -> list[slice]:
     """Contiguous ranges of the trajectories, one per usable CPU and at most
-    one per trajectory."""
+    one per trajectory; one range of all where :func:`may_fork` refuses."""
     n = min(_usable_cpus(), n_traj)
+    if not may_fork():
+        n = 1
     cuts = [n_traj * g // n for g in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-class _Stopped(Exception):
-    """A shard told to stop: another one failed, or the caller went away."""
+def _in_shards(shards, work) -> list:
+    """``work(rows, chunks)`` of each ``(rows, chunks)`` of ``shards``, in
+    shard order: the first shard's in the calling process, each other's in a
+    child forked for it (:class:`Forked`), which reports what ``work``
+    returned.
+
+    Before each chunk of the first shard the children's pipes are polled
+    without waiting, so a child's error stops the run before the first
+    shard's next chunk; once the first shard has ended, the calling process
+    waits on every child's pipe at once.  Any error, the first shard's, a
+    child's or an interrupt, kills and reaps every child before it is raised.
+    """
+    (rows, chunks), rest = shards[0], shards[1:]
+    if not rest:
+        return [work(rows, chunks)]
+    works = [(f"shard process {{pid}} (trajectories {r.start}-{r.stop - 1})",
+              functools.partial(work, r, c)) for r, c in rest]
+    with Forked(works) as children:
+        first = work(rows, _polled(children, chunks))
+        return [first, *children.results()]
 
 
-def _until(stop: threading.Event, chunks):
-    """``chunks`` until ``stop`` is set, checked before each is made."""
+def _polled(children: Forked, chunks):
+    """``chunks``, with ``children`` polled before each is made."""
     chunks = iter(chunks)
-    while not stop.is_set():
+    while True:
+        children.poll()
         chunk = next(chunks, None)
         if chunk is None:
             return
         yield chunk
-    raise _Stopped
-
-
-def _sharded(shards, work) -> list:
-    """Run ``work(rows, chunks)`` for each ``(rows, chunks)`` of ``shards`` on
-    a thread of its own, and return the results in shard order.
-
-    The first error of any shard stops the others before their next chunk
-    and is raised here once every thread has ended; an interrupt of the
-    wait stops them the same way, and is raised once they have ended.
-    """
-    stop = threading.Event()
-    results, errors = [None] * len(shards), []
-
-    def run(g, rows, chunks):
-        try:
-            results[g] = work(rows, _until(stop, chunks))
-        except _Stopped:
-            pass
-        except BaseException as exc:  # raised by the caller
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=run, args=(g, *shard), daemon=True)
-               for g, shard in enumerate(shards)]
-    for thread in threads:
-        thread.start()
-    try:
-        for thread in threads:
-            thread.join()
-    finally:
-        stop.set()  # only an interrupted wait finds a shard still running
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
 
 
 # --- run plan -----------------------------------------------------------------
@@ -838,8 +830,8 @@ def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
 
 class _Sampler:
     """What every shard of a planned run reads: the step operators, the
-    stationary start, the drive and one seed per trajectory.  Built once, on
-    the calling thread, and never changed."""
+    stationary start, the drive and one seed per trajectory.  Built once, in
+    the calling process before any shard is forked, and never changed."""
 
     def __init__(self, d: DerivedParams, cfg: SimConfig, plan: _Plan):
         drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
@@ -882,8 +874,8 @@ def _panels(sampler: _Sampler, rows: slice):
     The noise of each quarter is drawn into one reused buffer, one call per
     trajectory, then mixed, scanned and output, so the draws, the mixed
     increments and the scan temporaries are a quarter's.  All work, the
-    streams' creation included, waits for the first output, so it runs on
-    the thread that reads them.  Each trajectory draws from its own PCG64
+    streams' creation included, waits for the first output, so it runs in
+    the process that reads them.  Each trajectory draws from its own PCG64
     stream, in the same order whatever consumes the outputs.
     """
     n_steps, (i0, i1), amp = sampler.n_steps, sampler.signal, sampler.amp
@@ -926,17 +918,19 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
 
     Refuses what the run's plan refuses, records above 4 GiB among it;
     :func:`run_comparison` streams long runs instead.  Identical config and
-    seed give bit-identical records.  Each shard fills its own rows of them.
+    seed give bit-identical records.  Each shard fills its own rows of them
+    in place: both records live in one shared anonymous mapping, which the
+    shards' child processes write too.
     """
     plan = _plan(d, cfg)
-    b_plus = np.empty((cfg.n_traj, plan.n_steps))
-    b_minus = np.empty((cfg.n_traj, plan.n_steps))
+    shared = mmap.mmap(-1, 16 * cfg.n_traj * plan.n_steps)
+    b_plus, b_minus = np.frombuffer(shared, dtype=float).reshape(2, cfg.n_traj, plan.n_steps)
 
     def record(rows, panels):
         for _ in _recorded(panels, b_plus[rows], b_minus[rows]):
             pass
 
-    _sharded(_shard_panels(d, cfg, plan), record)
+    _in_shards(_shard_panels(d, cfg, plan), record)
     return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
 
 
@@ -998,7 +992,7 @@ class _BlockScan:
         n_tr, n = x0.shape[0], self.n
         # one product per trajectory, not one for the whole quarter: products of
         # this size stay on the calling thread, so BLAS starts no worker thread
-        # to compete with the other shards
+        # to compete with the other shards' processes
         w = w.reshape(n_tr, -1, _BLOCK * n)
         local = w @ self.toeplitz              # block solutions from zero start
         ends = (local[..., -n:].reshape(-1, n) @ self.phi_t
@@ -1050,8 +1044,8 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
     ``m`` arbitrary.
     The segments are ``seg_len = n_len // segments`` samples long and start
     every ``hop = seg_len // 2`` samples, ``K`` of them over the first
-    ``segments * seg_len`` samples (:func:`_overlap`).  Each shard, on a
-    thread of its own (:func:`_sharded`), fills one buffer with both
+    ``segments * seg_len`` samples (:func:`_overlap`).  Each shard, in a
+    process of its own (:func:`_in_shards`), fills one buffer with both
     channels' current segment; each full segment is Hann-windowed into one
     scratch array, a channel at a time, and transformed, and the transforms
     are mixed per bin with the weights of :func:`sigma_weights` (so
@@ -1118,7 +1112,7 @@ def _welch(d: DerivedParams, cfg: SimConfig, n_len: int, segments: int, shards,
                     fill, left = seg_len - hop, left - 1
         return sums
 
-    psd = norm * np.sum(np.concatenate(_sharded(shards, segment_sums)), axis=0)
+    psd = norm * np.sum(np.concatenate(_in_shards(shards, segment_sums)), axis=0)
     # v of PsdEstimate, from the window's correlation at the lag of one hop
     rho = np.dot(win[:-hop], win[hop:]) / np.dot(win, win)
     v = 1.0 + 2.0 * (1.0 - 1.0 / periodograms) * rho**2
@@ -1274,8 +1268,8 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = _SEGMENTS):
 def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan):
     """:func:`run_comparison` of a planned run, and its trajectory 0 as a
     one-trajectory :class:`TimeSeriesBundle` where the plan has a dump (else
-    ``None``), copied out of the first shard's panels as the estimate reads
-    them."""
+    ``None``), copied out of the first shard's panels, in the calling process,
+    as the estimate reads them."""
     shards = _shard_panels(d, cfg, plan)
     dump = None
     if plan.dump:

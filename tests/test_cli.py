@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -346,43 +347,12 @@ def _spy_on_blocks(monkeypatch, log, fail_on=None, on_block=None):
     monkeypatch.setattr(ot.cli, "spectrum_sweep", spy)
 
 
-def _spy_on_forks(monkeypatch):
-    """The list of the pids that ``os.fork`` returns from now on, in order.
-
-    A worker inherits the list as it was at its fork, so its length there is
-    the worker's index among those forked.
-    """
-    pids, real = [], os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _reaped_workers(forks):
-    """The pids of ``forks`` of :func:`_spy_on_forks`, each checked to be
-    reaped: waiting for it without blocking raises, where a live or unreaped
-    child would not.  Counted from the forks, not from the blocks evaluated,
-    because a worker may find the queue of slices already empty."""
-    workers = set(forks)
-    for pid in workers:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-    return workers
-
-
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys, forks):
     # inline, then 2 and 3 workers, each claiming slices of 2730 points from
     # the queue of 7; each slice is evaluated once per computed scenario
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log)
-    forks = _spy_on_forks(monkeypatch)
     csvs, stdout = {}, {}
     for cpus in (1, 2, 3):
         monkeypatch.setattr(ot.cli, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -395,7 +365,7 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
         if cpus == 1:
             assert set(pids) == {str(os.getpid())} and not forks
         else:
-            assert str(os.getpid()) not in pids and len(_reaped_workers(forks)) == cpus
+            assert str(os.getpid()) not in pids and len(forks.reaped()) == cpus
         # the CSVs and the manifest, and no part file
         assert sorted(os.listdir(out)) == sorted(
             [f"{name}.csv" for name in POOLED_SWEEP[6::2]] + ["manifest.json"])
@@ -408,17 +378,16 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch, capsys, forks):
     # fig2-nonsym's blocks fail on every slice but the first, in whichever
     # worker claims it: fig2-nonsym and fig2-sym are dropped
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     failing = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log, fail_on=failing)
-    forks = _spy_on_forks(monkeypatch)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 2
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
     assert capsys.readouterr().err == "numerical failure: injected block failure\n"
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
@@ -469,15 +438,14 @@ def _refuse_in_planning(monkeypatch, name):
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys):
+def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys, forks):
     # scenarios are planned before any block is formatted, but one that
     # cannot be derived is reported only once the CSVs before it are written
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     _refuse_in_planning(monkeypatch, "fig2-nonsym")
-    forks = _spy_on_forks(monkeypatch)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: injected refusal\n"
     assert captured.out.count("wrote ") == 1
@@ -500,9 +468,8 @@ def test_sweep_first_scenario_refused_in_planning_writes_nothing(tmp_path, monke
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
+def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch, forks):
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
-    forks = _spy_on_forks(monkeypatch)
 
     def interrupt(d):
         raise KeyboardInterrupt
@@ -512,18 +479,17 @@ def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         run(POOLED_SWEEP + ["--out", out])
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_path, monkeypatch):
+def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_path, monkeypatch, forks):
     # the parent's wait is interrupted once the first worker has ended, while
     # the second, slowed down on every block, is still formatting the one
     # slice it claimed: it is killed, both are reaped, and no file is left
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     log = tmp_path / "pids"
-    forks = _spy_on_forks(monkeypatch)
     _spy_on_blocks(monkeypatch, log, on_block=lambda grid: time.sleep(0.3 if len(forks) == 1 else 0.0))
     real_waitpid, waits = os.waitpid, []
 
@@ -538,7 +504,7 @@ def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_pa
     with pytest.raises(KeyboardInterrupt):
         run(POOLED_SWEEP + ["--out", out])
     monkeypatch.setattr(os, "waitpid", real_waitpid)
-    workers = _reaped_workers(forks)
+    workers = forks.reaped()
     assert len(workers) == 2 and set(waits) == workers
     # the second worker's slice of 3 scenarios was cut short
     assert len(log.read_text().split()) < 21
@@ -547,11 +513,11 @@ def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_pa
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_worker_killed_mid_run_fails_the_sweep_and_writes_nothing(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch, capsys, forks):
     # a worker that ends without a report is an error (exit 1) naming it;
     # no CSV is committed and no part file or queue end stays open.  The
     # first worker to reach a slice above SECOND_RUN_OMEGA, and only it, is
-    # killed; the other formats every slice left in the queue
+    # killed; the other is killed once that is seen
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
@@ -566,14 +532,46 @@ def test_sweep_worker_killed_mid_run_fails_the_sweep_and_writes_nothing(
 
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log, on_block=kill_the_first_worker_past_it)
-    forks = _spy_on_forks(monkeypatch)
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert err == (f"error: sweep worker {(tmp_path / 'killed').read_text()} ended without a report "
                    f"(killed by signal {int(signal.SIGKILL)})\n")
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
+    assert os.listdir(out) == []
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+@pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
+def test_sweep_stops_at_a_worker_exception(tmp_path, monkeypatch, capsys, forks):
+    # the first worker forked raises an OSError, as from its part file on a
+    # full disk, at its first block, while the other takes 0.2 s per block:
+    # the other is killed at once, having formatted at most the slice of 3
+    # blocks it was on, not the 6 slices left; exit 1, and no CSV, part
+    # file, child or file descriptor is left
+    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fail_in_the_first_worker(grid):
+        if os.getpid() == parent:
+            return
+        if not forks:  # the list as it was at this worker's fork
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        time.sleep(0.2)
+
+    log = tmp_path / "pids"
+    _spy_on_blocks(monkeypatch, log, on_block=fail_in_the_first_worker)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    out = tmp_path / "out"
+    assert run(POOLED_SWEEP + ["--out", out]) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    workers = forks.reaped()
+    assert len(workers) == 2
+    pids = log.read_text().split()
+    assert pids.count(str(forks[0])) == 1
+    assert pids.count(str(forks[1])) <= 3
     assert os.listdir(out) == []
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == len(fds)
@@ -588,7 +586,7 @@ def _inline_csvs(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_slowed_worker_leaves_the_other_slices_to_the_queue(tmp_path, monkeypatch, capsys):
+def test_sweep_slowed_worker_leaves_the_other_slices_to_the_queue(tmp_path, monkeypatch, capsys, forks):
     # the worker that claims slice 0 takes 0.5 s per block, 1.5 s for the
     # slice, while the other formats the remaining 6 slices from the queue;
     # a fixed half of the 7 slices would have held 3 of them
@@ -605,17 +603,16 @@ def test_sweep_slowed_worker_leaves_the_other_slices_to_the_queue(tmp_path, monk
 
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log, on_block=slow_the_first_slice)
-    forks = _spy_on_forks(monkeypatch)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 0
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
     pids = log.read_text().split()
     assert len(pids) == 21 and pids.count(slowed.read_text()) <= 2 * 3
     assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == inline
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_groups_slices_past_the_queue_bound(tmp_path, monkeypatch, capsys):
+def test_sweep_groups_slices_past_the_queue_bound(tmp_path, monkeypatch, capsys, forks):
     # a queue of at most 3 indices (12 bytes) holds the 7 slices in units of
     # 3, 3 and 1 consecutive ones; the bytes are those of an inline run
     inline = _inline_csvs(tmp_path, monkeypatch)
@@ -630,23 +627,22 @@ def test_sweep_groups_slices_past_the_queue_bound(tmp_path, monkeypatch, capsys)
         return real(grid, step, starts, members, outs)
 
     monkeypatch.setattr(ot.cli, "_format_slices", format_slices)
-    forks = _spy_on_forks(monkeypatch)
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 0
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
     assert sorted(log.read_text().split()) == ["1", "3", "3"]
     assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == inline
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
+def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch, forks):
     # 64 usable CPUs start at most 4 workers, and the parent holds no slice
     # of text however many there are
     monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 64)
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
                 "--grid", "log:300:1:1e7"]) == 0  # warm caches
-    forks = _spy_on_forks(monkeypatch)
+    forks.clear()
     tracemalloc.start()
     try:
         assert run(["sweep", "--preset", "table1", "--out", out, "--scenario",
@@ -654,12 +650,12 @@ def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(_reaped_workers(forks)) == ot.cli._MAX_WORKERS
+    assert len(forks.reaped()) == ot.cli._MAX_WORKERS
     assert peak < 12e6
 
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
-def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch):
+def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch, forks):
     # four computed scenarios in 49 slices of 2048 points at two workers:
     # once the grid is built and checked, the parent's peak stays under one
     # slice of text (about 1.4 MB), the 0.8 MB grid included
@@ -675,7 +671,7 @@ def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(ot.cli, "_plan_sweep", plan_sweep)
-    forks = _spy_on_forks(monkeypatch)
+    forks.clear()
     tracemalloc.start()
     try:
         assert run(["sweep", "--preset", "table1", "--out", out, "--grid", "log:100003:1:1e7"]
@@ -683,7 +679,7 @@ def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(_reaped_workers(forks)) == 2
+    assert len(forks.reaped()) == 2
     assert peak < 1.4e6
 
 
@@ -970,10 +966,11 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
         assert len(outputs) == 1
 
 
-def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys):
+def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys, child_peaks):
     # 20000 steps in 32 segments: the records of 15 more trajectories would
-    # take 4.8 MB, but only trajectory 0 is dumped; the growth is the streamed
-    # working set, 1.06 MB by the plan's count
+    # take 4.8 MB, but only trajectory 0 is dumped; the growth, in this
+    # process and every shard child together, is the streamed working set,
+    # 1.06 MB by the plan's count
     d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
     t_dur = 20_000 * ot.default_sim_config(d).dt
     args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--duration",
@@ -987,10 +984,38 @@ def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys
             _, peaks[n_traj] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        peaks[n_traj] += sum(child_peaks())
         cfg = ot.default_sim_config(d, 3, n_traj=n_traj, t_dur=t_dur)
         stream[n_traj] = _plan(d, cfg, 32, dump=True).stream_bytes
     assert (tmp_path / "16" / "nonsym-lossy-timeseries.txt").exists()
     assert peaks[16] - peaks[1] <= stream[16] - stream[1]
+
+
+@pytest.mark.skipif(not FORK, reason="the shard processes need fork")
+def test_oracle_shard_killed_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, forks):
+    # the child that runs the second shard's trajectories, 1-2 of 3, is
+    # killed at its first panel: one error line names it, exit 1, no child
+    # is left, and --out holds no report, dump or manifest
+    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 2)
+    panels, parent = ot.timedomain._panels, os.getpid()
+
+    def killed(sampler, rows):
+        if os.getpid() != parent:
+            (tmp_path / "killed").write_text(str(os.getpid()))
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield from panels(sampler, rows)
+
+    monkeypatch.setattr(ot.timedomain, "_panels", killed)
+    out = tmp_path / "out"
+    assert run(["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--trajectories",
+                3, "--seed", 3, "--dump-timeseries", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: shard process {(tmp_path / 'killed').read_text()} (trajectories 1-2) ended "
+        f"without a report (killed by signal {int(signal.SIGKILL)})\n")
+    assert captured.out == ""
+    assert len(forks.reaped()) == 1
+    assert os.listdir(out) == []
 
 
 def test_oracle_dt_violation(tmp_path, capsys):
@@ -1093,11 +1118,14 @@ def test_cli_import_leaves_out_the_test_only_scipy_subpackages():
 
 
 def test_cli_import_and_sweep_load_no_thread_pool(tmp_path):
-    # the sweep's workers are plain forks, started here on a grid of two full
-    # slices where two CPUs are usable, and the oracle's shards plain threads
+    # the sweep's workers and the oracle's shards after the first are plain
+    # forks, started here on a grid of two full slices and for two
+    # trajectories where two CPUs are usable
     code = ("from optotriplet.cli import main; "
             f"assert main(['sweep', '--preset', 'table1', '--scenario', 'fig2-sym', "
-            f"'--grid', 'log:{2 * _CSV_CHUNK_ROWS}:1:1e7', '--out', {str(tmp_path)!r}]) == 0")
+            f"'--grid', 'log:{2 * _CSV_CHUNK_ROWS}:1:1e7', '--out', {str(tmp_path)!r}]) == 0; "
+            f"assert main(['oracle', '--preset', 'table1', '--trajectories', '2', "
+            f"'--out', {str(tmp_path)!r}]) == 0")
     assert _loaded_modules(code, "concurrent") == "[]"
     assert _loaded_modules(code, "multiprocessing") == "[]"
 
