@@ -11,6 +11,16 @@ import sys
 import threading
 import warnings
 
+# processes at most that run a sweep's slices, or an oracle run's shards.
+# The parent forks them one after another, about 2 ms each on a 2-vCPU host,
+# before it works on its own; with the CPU count patched to 4, 8 and 36
+# there, the forks of a default oracle run of about 0.1 s took 3-4, 13-36
+# and 240-310 ms (the last two with the CPUs oversubscribed)
+_MAX_WORKERS = 4
+
+# in a child of Forked, the pid of the process that forked it; None elsewhere
+_parent = None
+
 
 def may_fork() -> bool:
     """Whether work may run in forked child processes: the platform can fork
@@ -19,15 +29,26 @@ def may_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
+def end_if_orphaned() -> None:
+    """In a child of :class:`Forked` whose parent has ended (killed, say), so
+    that no one would read its report, end the child at once; elsewhere do
+    nothing.  A child's work calls it between its steps."""
+    if _parent is not None and os.getppid() != _parent:
+        os._exit(1)
+
+
 class Forked:
     """Child processes forked for ``works``, a sequence of ``(name, work)``:
     ``work`` a callable without arguments, ``name`` what the child runs, with
     ``{pid}`` where its pid goes.
 
-    Entering forks one child per work; each stops tracing memory, calls its
-    work and reports ``(result, None)``, or ``(None, exception)`` if it
-    raised, as a pickle through a pipe of its own, and always leaves with
-    ``os._exit``, so it flushes no buffer it shares with this process.
+    Entering forks one child per work; each stops tracing memory, takes
+    SIGTERM's default action again (it dies of it), calls its work and
+    reports ``(result, None)``, or ``(None, exception)`` if it raised, as a
+    pickle through a pipe of its own, and always leaves with ``os._exit``,
+    so it flushes no buffer it shares with this process.  A work that runs
+    long calls :func:`end_if_orphaned` between its steps, so a child outlives
+    a parent killed without the chance to kill it by one step at most.
     :meth:`poll` reads what the pipes hold without waiting, and
     :meth:`results` waits on every pipe at once until each child has ended,
     and returns what each work returned, in order.  Both raise as soon as a
@@ -45,6 +66,8 @@ class Forked:
         self.poller = select.poll()
 
     def __enter__(self):
+        global _parent  # set in each child only
+        parent = os.getpid()
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns at a fork whenever the process has other
@@ -68,6 +91,7 @@ class Forked:
                         os.close(wfd)
                         raise
                     if pid == 0:
+                        _parent = parent
                         _child(work, wfd)
                     os.close(wfd)
                     os.set_blocking(rfd, False)
@@ -126,6 +150,9 @@ class Forked:
 def _child(work, wfd: int):
     """Body of a child of :class:`Forked`; never returns."""
     try:
+        # a handler the parent set (the CLI's raises SystemExit) would make a
+        # child sent SIGTERM report that exception as its work's
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         # a child forked from a traced process would trace every allocation of
         # its work, which no one reads, at several times the cost of the work.
         # Tracing started through the module is stopped; the module is not

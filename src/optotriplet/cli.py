@@ -9,7 +9,9 @@ Verbs
 - ``presets``   list the named scenarios
 
 Exit codes: 0 success, 1 usage/config error or a file that cannot be read or
-written, 2 numerical failure, 3 spectral comparison failure.
+written, 2 numerical failure, 3 spectral comparison failure; 143 (128 + 15)
+at SIGTERM, once every forked process is killed and every partial file
+removed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import select
+import signal
 import sys
 import tempfile
 import time
@@ -32,7 +35,9 @@ import numpy as np
 from . import __version__
 from ._atomic import AtomicFile as _AtomicFile
 from ._atomic import atomic_write as _atomic_write
+from ._forks import _MAX_WORKERS
 from ._forks import Forked as _Forked
+from ._forks import end_if_orphaned as _end_if_orphaned
 from ._forks import may_fork as _may_fork
 from .params import (
     DerivedParams,
@@ -72,10 +77,6 @@ _CSV_CHUNK_ROWS = 8192
 # a sweep's slices are formatted in forked worker processes from this many
 # rows on; below it, starting the workers cost more than they saved
 _POOL_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
-# worker processes of a sweep at most; each claims slices from a shared queue
-# and formats them into part files of its own, so the main process holds no
-# slice of text however many there are
-_MAX_WORKERS = 4
 
 
 class ConfigError(ValueError):
@@ -190,6 +191,7 @@ def _write_blocks(out_dir, grid, members, outs):
     def work(queue, worker_parts):
         claimed, live, failure = [], len(members), None
         while live and (claim := os.read(queue, 4)):
+            _end_if_orphaned()
             u = int.from_bytes(claim, "little")
             before = [part.tell() for part in worker_parts[:live]]
             unit_failure = _format_slices(grid, step, units[u], members[:live],
@@ -504,6 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _terminated(signum, frame):
+    """SIGTERM as ``SystemExit(143)``, so that leaving the run's ``with``
+    blocks kills and reaps its forked processes and removes its partial
+    files, which the signal's default action would leave behind."""
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
     """Run the verb of ``argv`` and return its exit code.
 
@@ -515,6 +524,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        previous = signal.signal(signal.SIGTERM, _terminated)
+    except ValueError:  # not the main thread, where _may_fork refuses: no child to kill
+        previous = None
+    try:
         return args.func(args)
     except (ConfigError, ParameterError, RunRangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -522,6 +535,9 @@ def main(argv=None) -> int:
     except (SimulationError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

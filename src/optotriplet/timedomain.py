@@ -31,21 +31,21 @@ from the run's seed, and mixed, scanned and turned into outputs before the
 next quarter is drawn.
 
 A run is split into contiguous shards of trajectories, one per usable CPU
-(at most one per trajectory), and each shard runs end to end in a process of
-its own: the first in the calling process, each other in a child forked for
-it (:func:`_in_shards`).  A shard draws its streams, mixes and scans its
-quarters and, in the spectral estimate, windows, transforms and weights its
-segments and sums each trajectory's periodograms over its segments, in
-order; a child reports those per-trajectory sums through a pipe, and writes
-:func:`simulate`'s records in place, into a shared mapping.  The calling
-process runs the first shard, polling the children between its quarters,
-then waits for the others and sums the per-trajectory sums in trajectory
-order.  Each stream is read in order and every sum runs in the same order,
-so the records and the estimate are the same bit for bit whatever the number
-of CPUs.  Where the platform cannot fork, or another Python thread runs, the
-run is one shard in the calling process.  The scan's two large products are
-issued per trajectory, small enough that BLAS runs them on the shard's own
-thread.
+(at most ``_MAX_WORKERS``, and at most one per trajectory), and each shard
+runs end to end in a process of its own: the first in the calling process,
+each other in a child forked for it (:func:`_in_shards`).  A shard draws its
+streams, mixes and scans its quarters and, in the spectral estimate,
+windows, transforms and weights its segments and sums each trajectory's
+periodograms over its segments, in order; a child reports those
+per-trajectory sums through a pipe, and writes :func:`simulate`'s records in
+place, into a shared mapping.  The calling process runs the first shard,
+polling the children between its quarters, then waits for the others and
+sums the per-trajectory sums in trajectory order.  Each stream is read in
+order and every sum runs in the same order, so the records and the estimate
+are the same bit for bit whatever the number of CPUs.  Where the platform
+cannot fork, or another Python thread runs, the run is one shard in the
+calling process.  The scan's two large products are issued per trajectory,
+small enough that BLAS runs them on the shard's own thread.
 
 Because the sampler is exact, the step is bounded by what the comparison
 needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
@@ -97,7 +97,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._atomic import atomic_write
-from ._forks import Forked, may_fork
+from ._forks import _MAX_WORKERS, Forked, end_if_orphaned, may_fork
 from .constants import HBAR
 from .params import DerivedParams
 from .spectra import SpectrumTable, coeffs, resolve_y, spectrum_sweep
@@ -624,9 +624,10 @@ def _cpu_quota() -> int | None:
 
 
 def _shards(n_traj: int) -> list[slice]:
-    """Contiguous ranges of the trajectories, one per usable CPU and at most
-    one per trajectory; one range of all where :func:`may_fork` refuses."""
-    n = min(_usable_cpus(), n_traj)
+    """Contiguous ranges of the trajectories, one per usable CPU, at most
+    ``_MAX_WORKERS`` and at most one per trajectory; one range of all where
+    :func:`may_fork` refuses."""
+    n = min(_usable_cpus(), _MAX_WORKERS, n_traj)
     if not may_fork():
         n = 1
     cuts = [n_traj * g // n for g in range(n + 1)]
@@ -649,17 +650,18 @@ def _in_shards(shards, work) -> list:
     if not rest:
         return [work(rows, chunks)]
     works = [(f"shard process {{pid}} (trajectories {r.start}-{r.stop - 1})",
-              functools.partial(work, r, c)) for r, c in rest]
+              functools.partial(work, r, _checked(end_if_orphaned, c)))
+             for r, c in rest]
     with Forked(works) as children:
-        first = work(rows, _polled(children, chunks))
+        first = work(rows, _checked(children.poll, chunks))
         return [first, *children.results()]
 
 
-def _polled(children: Forked, chunks):
-    """``chunks``, with ``children`` polled before each is made."""
+def _checked(check, chunks):
+    """``chunks``, with ``check()`` called before each is made."""
     chunks = iter(chunks)
     while True:
-        children.poll()
+        check()
         chunk = next(chunks, None)
         if chunk is None:
             return

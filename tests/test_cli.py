@@ -953,6 +953,7 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
         return dataclasses.replace(cfg, signal=pulse)
 
     monkeypatch.setattr(ot.cli, "default_sim_config", with_pulse)
+    monkeypatch.setattr(ot.timedomain, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
     for n_traj in (3, 7):
         outputs = set()
         for cpus in (1, 2, 3, 5):
@@ -1016,6 +1017,83 @@ def test_oracle_shard_killed_exits_1_and_writes_nothing(tmp_path, capsys, monkey
     assert captured.out == ""
     assert len(forks.reaped()) == 1
     assert os.listdir(out) == []
+
+
+# runs main with argv[2:] on two usable CPUs, writing each forked pid to argv[1]
+_LOGGED_FORKS = """
+import os, sys
+import optotriplet as ot
+from optotriplet import cli
+
+log, fork = sys.argv[1], os.fork
+
+def logged():
+    pid = fork()
+    if pid:
+        with open(log, "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+os.fork = logged
+ot.timedomain._usable_cpus = cli._usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _ended(pid) -> bool:
+    """Whether process ``pid`` has ended: it is gone, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not (FORK and os.path.isdir("/proc/self")),
+                    reason="the children need fork, and /proc shows them")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+@pytest.mark.parametrize("verb", [
+    ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--duration", "60",
+     "--trajectories", "4", "--segments", "1024"],
+    ["sweep", "--preset", "table1", "--scenario", "fig2-sym", "--grid", "log:2000000:1:1e7"],
+], ids=["oracle", "sweep"])
+def test_a_killed_run_leaves_no_child(tmp_path, sig, verb):
+    # a CLI run of several seconds, whose work after the first fork runs in
+    # forked children, is sent a signal while they run.  SIGTERM exits 143
+    # once every child is killed and reaped, and leaves --out empty; after
+    # SIGKILL, which the process cannot act on, each child ends itself at its
+    # next panel or slice, once it finds its parent gone
+    script, log, out = tmp_path / "run.py", tmp_path / "forks", tmp_path / "out"
+    script.write_text(_LOGGED_FORKS)
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ot.__file__)))
+    # stderr to a file: the children would hold a pipe's write end open
+    with open(tmp_path / "err", "w") as err:
+        proc = subprocess.Popen([sys.executable, str(script), str(log), *verb, "--out", str(out)],
+                                env=env, stderr=err)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (log.exists() and len(log.read_text().split()) == (1 if verb[0] == "oracle" else 2)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.3)
+        proc.send_signal(sig)
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    children = [int(pid) for pid in log.read_text().split()]
+    if sig == signal.SIGTERM:
+        assert (proc.returncode, (tmp_path / "err").read_text()) == (143, "")
+        assert os.listdir(out) == []
+        assert all(map(_ended, children))
+    else:
+        assert proc.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 3.0  # well before the children's work would end
+        while not all(map(_ended, children)):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
 
 
 def test_oracle_dt_violation(tmp_path, capsys):

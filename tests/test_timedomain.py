@@ -849,6 +849,7 @@ def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
         time.sleep(0.005 * (len(sampler.seeds) - rows.start))
 
     monkeypatch.setattr(ot.timedomain, "_panels", reverse_ends)
+    monkeypatch.setattr(ot.timedomain, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
     for noise in (True, False):
         for n_traj in (3, 7):
             cfg = dataclasses.replace(run_7001.cfg, n_traj=n_traj, noise=noise)
@@ -894,6 +895,25 @@ def test_usable_cpus_obey_the_cgroup_cpu_quota(tmp_path, monkeypatch, cgroup, cp
     monkeypatch.setattr(ot.timedomain, "_CGROUP_ROOT", str(tmp_path / "fs"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     assert ot.timedomain._usable_cpus() == want
+
+
+@pytest.mark.skipif(not FORK, reason="the shard processes need fork")
+def test_shards_are_capped_and_one_where_another_thread_runs(monkeypatch):
+    # one shard per usable CPU up to _MAX_WORKERS, whose forks the calling
+    # process makes one after another before its own shard starts; and one
+    # shard, in the calling process, while another Python thread runs, which
+    # a child could inherit in the middle of holding a lock
+    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 36)
+    assert ot.timedomain._shards(36) == [slice(0, 9), slice(9, 18), slice(18, 27), slice(27, 36)]
+    assert ot.timedomain._shards(3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    stop = threading.Event()
+    idle = threading.Thread(target=stop.wait)
+    idle.start()
+    try:
+        assert ot.timedomain._shards(36) == [slice(0, 36)]
+    finally:
+        stop.set()
+        idle.join()
 
 
 def _open_fds():
