@@ -22,11 +22,48 @@ _MAX_WORKERS = 4
 _parent = None
 
 
-def may_fork() -> bool:
-    """Whether work may run in forked child processes: the platform can fork
-    and no other Python thread runs, one that a child could inherit in the
-    middle of holding a lock."""
-    return hasattr(os, "fork") and threading.active_count() == 1
+def processes(n: int) -> int:
+    """Processes to run ``n`` pieces of work in, forked children included: one
+    per usable CPU, at most ``_MAX_WORKERS`` and at most ``n``; 1 where the
+    platform cannot fork or another Python thread runs, one that a child could
+    inherit in the middle of holding a lock."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), _MAX_WORKERS, n)
+
+
+# where _cpu_quota finds this process's cgroup v2 and its cpu.max
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else every CPU, and no more than its cgroup CPU quota allows."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _cpu_quota() -> int | None:
+    """``ceil(quota / period)`` of the ``cpu.max`` of this process's cgroup v2,
+    the ``0::`` path of ``/proc/self/cgroup``; ``None`` for a ``max`` quota and
+    where either file is missing or malformed (cgroup v1 has no ``cpu.max``)."""
+    try:
+        with open(_PROC_CGROUP, encoding="utf-8") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(os.path.join(_CGROUP_ROOT, path.lstrip("/"), "cpu.max"),
+                  encoding="utf-8") as fh:
+            quota, period = fh.read().split()
+        if quota == "max":
+            return None
+        quota, period = int(quota), int(period)
+    except (OSError, StopIteration, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
 
 
 def end_if_orphaned() -> None:
@@ -56,7 +93,7 @@ class Forked:
     (killed, crashed; :class:`ChildProcessError`, naming it).  Leaving the
     ``with`` block, by any exception, ``KeyboardInterrupt`` included, or
     normally, kills every child still running and reaps every child first.
-    The caller checks :func:`may_fork` before it enters.
+    The caller asks :func:`processes` how many it may fork.
     """
 
     def __init__(self, works):
@@ -71,7 +108,7 @@ class Forked:
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns at a fork whenever the process has other
-                # OS threads.  No other Python thread runs (may_fork), so the
+                # OS threads.  No other Python thread runs (processes), so the
                 # others are OpenBLAS's pool, which exists from `import numpy`
                 # on.  numpy's bundled OpenBLAS (scipy-openblas 0.3.31, numpy
                 # 2.4) stops that pool before a fork and restarts it on the next

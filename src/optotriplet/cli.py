@@ -35,10 +35,9 @@ import numpy as np
 from . import __version__
 from ._atomic import AtomicFile as _AtomicFile
 from ._atomic import atomic_write as _atomic_write
-from ._forks import _MAX_WORKERS
 from ._forks import Forked as _Forked
 from ._forks import end_if_orphaned as _end_if_orphaned
-from ._forks import may_fork as _may_fork
+from ._forks import processes as _processes
 from .params import (
     DerivedParams,
     ParameterError,
@@ -52,6 +51,7 @@ from .scenarios import ORACLE_SCENARIOS, SWEEP_SCENARIOS, sweep_grid_spec
 from .spectra import SpectrumTable, _checked_grid, make_grid, spectrum_sweep
 from .sqlimit import min_force
 from .timedomain import (
+    _MAX_RECORD_BYTES,
     _SEGMENTS,
     _STEP_GAP,
     ComparisonReport,
@@ -59,7 +59,6 @@ from .timedomain import (
     SimulationError,
     _plan,
     _run_comparison,
-    _usable_cpus,
     default_sim_config,
 )
 
@@ -83,30 +82,41 @@ class ConfigError(ValueError):
     """Usage-level problem: bad flags, missing or malformed config."""
 
 
-def _csv_slice(scenarios, grid: np.ndarray):
-    """CSV rows over ``grid``, a checked slice of a sweep's grid, of each of
-    ``scenarios``, a sequence of derived parameter sets of one sweep.
+def _format_slices(grid, step, starts, members, outs):
+    """Format the slices of ``step`` points of ``grid`` at ``starts``, in
+    order, and write each block of the ``k``-th of ``members``, as UTF-8
+    bytes, to every file of ``outs[k]``.
 
-    Each scenario's rows are evaluated by :func:`spectrum_sweep`, and every
-    value is written with ``repr`` (shortest round trip).  ``omega``,
-    ``omega_tau_over_2pi`` and ``S_SQL`` depend only on the grid, ``tau`` and
-    ``gamma_m``, which no scenario switch changes, so they are formatted once
-    per slice, for every scenario: the first two from the grid and the first
-    scenario's ``tau``, ``S_SQL`` from the first table's ``s_sql`` column.
-    :func:`_format_slices` calls it once per slice, inline or in a sweep
-    worker.
+    ``members`` lists ``(index, derived)`` of each computed scenario of a
+    sweep, as :func:`_plan_sweep` gives them.  Each member's rows of a slice
+    are evaluated by :func:`spectrum_sweep`, every value written with
+    ``repr`` (shortest round trip), and written before the next member's are
+    evaluated.  ``omega``, ``omega_tau_over_2pi`` and ``S_SQL`` depend only on
+    the grid, ``tau`` and ``gamma_m``, which no scenario switch changes, so
+    they are formatted once per slice, for every member: the first two from
+    the grid and the first member's ``tau``, ``S_SQL`` from its ``s_sql``
+    column.  It runs inline or in a sweep worker.
 
-    Returns the blocks of the scenarios before the first one that fails with
-    a ``ValueError`` or ``ArithmeticError``, and that exception (``None`` if
-    none does); any other exception propagates.
+    A member that fails with a ``ValueError`` or ``ArithmeticError`` is
+    dropped, with those after it, from the slices still to format, once the
+    members before it have written its slice; any other exception
+    propagates.  Returns ``(index, exception)`` of the earliest failing member
+    in plan order, or ``None``.
     """
-    blocks = []
-    try:
-        for d in scenarios:
-            table = spectrum_sweep(d, grid)
-            if not blocks:  # the grid's columns, from the first scenario
+    live, failure = len(members), None
+    for start in starts:
+        if not live:
+            break
+        part = grid[start:start + step]
+        for k, ((index, d), files) in enumerate(zip(members[:live], outs)):
+            try:
+                table = spectrum_sweep(d, part)
+            except (ValueError, ArithmeticError) as exc:
+                live, failure = k, (index, exc)
+                break
+            if not k:  # the grid's columns, from the first member
                 omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
-                    grid, grid * d.phys.tau / (2.0 * math.pi), table.s_sql))
+                    part, part * d.phys.tau / (2.0 * math.pi), table.s_sql))
             columns = (
                 omega,
                 omega_scaled,
@@ -118,35 +128,10 @@ def _csv_slice(scenarios, grid: np.ndarray):
                 sql,
                 map(repr, table.ratio.tolist()),
             )
-            blocks.append("\n".join(map(",".join, zip(*columns))) + "\n")
-    except (ValueError, ArithmeticError) as exc:  # raised once the scenarios before it are written
-        return blocks, exc
-    return blocks, None
-
-
-def _format_slices(grid, step, starts, members, outs):
-    """Format the slices of ``step`` points of ``grid`` at ``starts``, in
-    order, and write each block of the ``k``-th of ``members``, as UTF-8
-    bytes, to every file of ``outs[k]``.
-
-    ``members`` lists ``(index, derived)`` of each computed scenario of a
-    sweep, as :func:`_plan_sweep` gives them.  A member that fails is dropped,
-    with those after it, from the slices still to format.  Returns ``(index,
-    exception)`` of the earliest failing member in plan order, or ``None``.
-    """
-    live, failure = len(members), None
-    for start in starts:
-        if not live:
-            break
-        blocks, exc = _csv_slice([d for _, d in members[:live]], grid[start:start + step])
-        for block, files in zip(blocks, outs):
-            data = block.encode("utf-8")
+            data = ("\n".join(map(",".join, zip(*columns))) + "\n").encode("utf-8")
             for fh in files:
                 fh.write(data)
-        if exc is not None:
-            live = len(blocks)
-            failure = members[live][0], exc
-        blocks = block = data = None  # hold no slice while the next one is formatted
+            table = columns = data = None  # hold no block while the next one is made
     return failure
 
 
@@ -156,32 +141,32 @@ def _write_blocks(out_dir, grid, members, outs):
 
     ``grid`` is cut into slices of ``_CSV_CHUNK_ROWS // len(members)`` points,
     so that a slice formats at most ``_CSV_CHUNK_ROWS`` rows over all its
-    scenarios.  The slices are formatted in forked worker processes, one per
-    usable CPU up to ``_MAX_WORKERS``, when there are at least two such CPUs
-    and ``_POOL_MIN_ROWS`` rows and :func:`_may_fork` allows it; otherwise
-    they are formatted inline.  The workers claim units, each one slice or,
-    past ``select.PIPE_BUF // 4`` slices, a run of consecutive ones, from a
-    queue: a pipe holding every unit's index as 4 bytes, written at once
-    before the first fork, whose write end is closed before it, so a faster
-    worker claims more units and each sees EOF once the queue is empty.  A worker formats each unit it claims into anonymous
-    part files in ``out_dir``, one per member, and reports the size of each
-    of the unit's blocks.  A member that fails is dropped, with those after
-    it, from the worker's units still to format; the earliest failing member
-    in plan order, with its exception from the earliest unit where it failed,
-    is the sweep's failure.  Once every worker has ended, each block of the
-    members before it is copied from its part file to ``outs``, in unit
-    order, one byte range at a time.  Any other exception of a worker (an
-    ``OSError`` from its part file, say), or a worker that ends without a
-    report, is raised as soon as it is read, once the other workers are
-    killed (:class:`_Forked`).  Either way the bytes are the same, and no
-    worker outlives the call.
+    scenarios.  The slices are formatted in forked worker processes, as many
+    as :func:`_processes` allows, when it allows at least two and there are
+    at least ``_POOL_MIN_ROWS`` rows; otherwise they are formatted inline.
+    The workers claim units, each one slice or, past ``select.PIPE_BUF // 4``
+    slices, a run of consecutive ones, from a queue: a pipe holding every
+    unit's index as 4 bytes, written at once before the first fork, whose
+    write end is closed before it, so a faster worker claims more units and
+    each sees EOF once the queue is empty.  A worker formats each unit it
+    claims into anonymous part files in ``out_dir``, one per member, and
+    reports the size of each of the unit's blocks.  A member that fails is
+    dropped, with those after it, from the worker's units still to format;
+    the earliest failing member in plan order, with its exception from the
+    earliest unit where it failed, is the sweep's failure.  Once every worker
+    has ended, each block of the members before it is copied from its part
+    file to ``outs``, in unit order, one byte range at a time.  Any other
+    exception of a worker (an ``OSError`` from its part file, say), or a
+    worker that ends without a report, is raised as soon as it is read, once
+    the other workers are killed (:class:`_Forked`).  Either way the bytes
+    are the same, and no worker outlives the call.
     """
     if not members:  # the first scenario was refused in planning
         return None
     step = _CSV_CHUNK_ROWS // len(members)
     starts = range(0, grid.size, step)
-    n_workers = min(_usable_cpus(), _MAX_WORKERS, len(starts))
-    if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS and _may_fork()):
+    n_workers = _processes(len(starts))
+    if not (n_workers >= 2 and grid.size * len(members) >= _POOL_MIN_ROWS):
         return _format_slices(grid, step, starts, members, outs)
     # at most PIPE_BUF bytes of indices: one write that never blocks
     per_unit = -(-len(starts) // (select.PIPE_BUF // 4))
@@ -328,6 +313,8 @@ def cmd_sweep(args) -> int:
         )
     spec = _parse_grid(args.grid) if args.grid else sweep_grid_spec(p.tau)
     try:
+        if 17 * spec["n"] > _MAX_RECORD_BYTES:  # building and checking it peaks at 17 bytes a point
+            raise ValueError(f"{spec['n']} points take over {_MAX_RECORD_BYTES / 2**30:g} GiB")
         grid = _checked_grid(make_grid(p.tau, **spec))
     except ValueError as exc:
         if args.grid:
@@ -525,7 +512,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         previous = signal.signal(signal.SIGTERM, _terminated)
-    except ValueError:  # not the main thread, where _may_fork refuses: no child to kill
+    except ValueError:  # not the main thread, where _processes forks none: no child to kill
         previous = None
     try:
         return args.func(args)

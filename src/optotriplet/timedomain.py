@@ -30,22 +30,21 @@ a time into one reused buffer, from one PCG64 stream per trajectory spawned
 from the run's seed, and mixed, scanned and turned into outputs before the
 next quarter is drawn.
 
-A run is split into contiguous shards of trajectories, one per usable CPU
-(at most ``_MAX_WORKERS``, and at most one per trajectory), and each shard
-runs end to end in a process of its own: the first in the calling process,
-each other in a child forked for it (:func:`_in_shards`).  A shard draws its
-streams, mixes and scans its quarters and, in the spectral estimate,
-windows, transforms and weights its segments and sums each trajectory's
-periodograms over its segments, in order; a child reports those
+A run is split into contiguous shards of trajectories, one per process the
+package's process policy allows (:func:`optotriplet._forks.processes`), and
+each shard runs end to end in a process of its own: the first in the calling
+process, each other in a child forked for it (:func:`_in_shards`).  A shard
+draws its streams, mixes and scans its quarters and, in the spectral
+estimate, windows, transforms and weights its segments and sums each
+trajectory's periodograms over its segments, in order; a child reports those
 per-trajectory sums through a pipe, and writes :func:`simulate`'s records in
 place, into a shared mapping.  The calling process runs the first shard,
 polling the children between its quarters, then waits for the others and
 sums the per-trajectory sums in trajectory order.  Each stream is read in
 order and every sum runs in the same order, so the records and the estimate
-are the same bit for bit whatever the number of CPUs.  Where the platform
-cannot fork, or another Python thread runs, the run is one shard in the
-calling process.  The scan's two large products are issued per trajectory,
-small enough that BLAS runs them on the shard's own thread.
+are the same bit for bit whatever the number of processes.  The scan's two
+large products are issued per trajectory, small enough that BLAS runs them
+on the shard's own thread.
 
 Because the sampler is exact, the step is bounded by what the comparison
 needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
@@ -91,13 +90,12 @@ import functools
 import math
 import mmap
 import numbers
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._atomic import atomic_write
-from ._forks import _MAX_WORKERS, Forked, end_if_orphaned, may_fork
+from ._forks import Forked, end_if_orphaned, processes
 from .constants import HBAR
 from .params import DerivedParams
 from .spectra import SpectrumTable, coeffs, resolve_y, spectrum_sweep
@@ -236,13 +234,14 @@ def _default_steps(d: DerivedParams, t_dur: float) -> int:
     edge ``2 pi 10 / tau`` within Nyquist and that the step bound of
     :func:`_plan` admits.
 
-    Where the bound refuses the first such ``m``, ``m0``, the gap grows as
-    ``dt^2``: the search starts at the least 5-smooth ``m >= m0 sqrt(gap /
-    _STEP_GAP)`` and gallops over the 5-smooth counts up to 4 times that
-    estimate, in strides of 1, 2, 4, ... neighbours, to a refused and an
-    admitted count, then bisects between them to the fewest admitted.  A
-    drift that is not stable and a gap at ``m0`` that is not finite, both
-    refused by the plan, end at ``m0``.
+    Where the bound refuses the first such ``m``, ``m0``, the gap grows about
+    as ``dt^2``, so the fewest admitted ``m`` lies near ``m0 sqrt(gap /
+    _STEP_GAP)``: the search bisects the 5-smooth counts above ``m0`` up to 4
+    times that estimate to the first admitted one.  The last of them is taken
+    unchecked (the plan refuses it if the bound does), and the count before
+    the one returned is refused, monotone gap or not.  A drift that is not
+    stable and a gap at ``m0`` that is not finite, both refused by the plan,
+    end at ``m0``.
     """
     # Nyquist pi / dt reaches the edge  <=>  _SEGMENTS m >= t_dur edge / pi
     least = max(_MIN_SEG_LEN, math.ceil(t_dur * _band_edge(d) / math.pi / _SEGMENTS))
@@ -250,35 +249,11 @@ def _default_steps(d: DerivedParams, t_dur: float) -> int:
     gap = math.inf if _drift_rates(d)[-1] >= 0.0 else _step_gap(d, t_dur / (_SEGMENTS * m0))
     if not _STEP_GAP < gap < math.inf:
         return _SEGMENTS * m0
-    estimate = m0 * math.sqrt(gap / _STEP_GAP)
-    smooth = _smooth(m0, math.floor(4 * estimate))
-
-    def admitted(i):
-        return _step_gap(d, t_dur / (_SEGMENTS * smooth[i])) <= _STEP_GAP
-
-    # smooth[lo] is refused, m0 first, and smooth[hi] taken as admitted, the
-    # last unchecked (the plan refuses it if not); smooth[k] < 2 estimate, so
-    # 2 smooth[k] follows it
-    k = bisect.bisect_left(smooth, estimate)
-    lo, hi, stride = 0, len(smooth) - 1, 1
-    if admitted(k):
-        hi = k
-        while hi - stride > lo:
-            if not admitted(hi - stride):
-                lo = hi - stride
-                break
-            hi, stride = hi - stride, 2 * stride
-    else:
-        lo = k
-        while lo + stride < hi:
-            if admitted(lo + stride):
-                hi = lo + stride
-                break
-            lo, stride = lo + stride, 2 * stride
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if admitted(mid) else (mid, hi)
-    return _SEGMENTS * smooth[hi]
+    # smooth[0] = m0 is refused; m0, 2 m0 and 4 m0 are all in it
+    smooth = _smooth(m0, math.floor(4 * m0 * math.sqrt(gap / _STEP_GAP)))
+    k = bisect.bisect_left(smooth, True, 1, len(smooth) - 1,
+                           key=lambda m: _step_gap(d, t_dur / (_SEGMENTS * m)) <= _STEP_GAP)
+    return _SEGMENTS * smooth[k]
 
 
 def _drift_rates(d: DerivedParams) -> np.ndarray:
@@ -589,47 +564,10 @@ def _step_gap(d: DerivedParams, dt: float) -> float:
     return float(np.max(gap)) if np.all(np.isfinite(gap)) else math.inf
 
 
-# where _cpu_quota finds this process's cgroup v2 and its cpu.max
-_PROC_CGROUP = "/proc/self/cgroup"
-_CGROUP_ROOT = "/sys/fs/cgroup"
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has
-    one, else every CPU, and no more than its cgroup CPU quota allows."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
-
-
-def _cpu_quota() -> int | None:
-    """``ceil(quota / period)`` of the ``cpu.max`` of this process's cgroup v2,
-    the ``0::`` path of ``/proc/self/cgroup``; ``None`` for a ``max`` quota and
-    where either file is missing or malformed (cgroup v1 has no ``cpu.max``)."""
-    try:
-        with open(_PROC_CGROUP, encoding="utf-8") as fh:
-            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join(_CGROUP_ROOT, path.lstrip("/"), "cpu.max"),
-                  encoding="utf-8") as fh:
-            quota, period = fh.read().split()
-        if quota == "max":
-            return None
-        quota, period = int(quota), int(period)
-    except (OSError, StopIteration, ValueError):
-        return None
-    return -(-quota // period) if quota > 0 and period > 0 else None
-
-
 def _shards(n_traj: int) -> list[slice]:
-    """Contiguous ranges of the trajectories, one per usable CPU, at most
-    ``_MAX_WORKERS`` and at most one per trajectory; one range of all where
-    :func:`may_fork` refuses."""
-    n = min(_usable_cpus(), _MAX_WORKERS, n_traj)
-    if not may_fork():
-        n = 1
+    """Contiguous ranges of the trajectories, one per process that
+    :func:`processes` allows."""
+    n = processes(n_traj)
     cuts = [n_traj * g // n for g in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import optotriplet as ot
-from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, _csv_slice, main
+from optotriplet.cli import _CSV_CHUNK_ROWS, CSV_COLUMNS, _format_slices, main
 from optotriplet.timedomain import _plan
 
 
@@ -163,13 +164,21 @@ def test_sweep_csv_in_several_chunks(tmp_path):
     assert (out / "fig3-nonsym-lossy.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def _one_slice(derived, grid):
+    """The block of each of ``derived`` that :func:`_format_slices` writes
+    over ``grid`` as one slice, up to the first that fails, and the failure."""
+    outs = [[io.BytesIO()] for _ in derived]
+    failure = _format_slices(grid, grid.size, [0], list(enumerate(derived)), outs)
+    return [fh.getvalue().decode("utf-8") for (fh,) in outs if fh.getvalue()], failure
+
+
 def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
     # the grid-only columns are formatted once per slice, for every scenario
     base = ot.table1_preset()
     derived = [ot.derive(ot.SWEEP_SCENARIOS[name].apply(base))
                for name in ("fig2-sym", "fig3-nonsym-lossy", "fig2-nonsym", "fig4-sym-lossy")]
     grid = ot.make_grid(base.tau, kind="log", n=1000, lo=1.0, hi=1e7)
-    blocks, failure = _csv_slice(derived, grid)
+    blocks, failure = _one_slice(derived, grid)
     assert failure is None
     for block, d in zip(blocks, derived, strict=True):
         table = ot.spectrum_sweep(d, grid)
@@ -178,7 +187,7 @@ def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
             table.y[i].imag, table.s_qu[i], table.s_t, table.s_f[i], table.s_sql[i],
             table.ratio[i])) for i in range(grid.size)]
         assert block == "\n".join(lines) + "\n"
-        assert block == _csv_slice([d], grid)[0][0]
+        assert block == _one_slice([d], grid)[0][0]
     # a scenario that fails ends the slice: the blocks before it, and its exception
     real = ot.cli.spectrum_sweep
 
@@ -188,8 +197,9 @@ def test_csv_slice_formats_each_scenario_as_alone(monkeypatch):
         return real(d, grid)
 
     monkeypatch.setattr(ot.cli, "spectrum_sweep", spectrum_sweep)
-    partial, failure = _csv_slice(derived, grid)
+    partial, (index, failure) = _one_slice(derived, grid)
     assert partial == blocks[:2]
+    assert index == 2
     assert isinstance(failure, ValueError) and "injected" in str(failure)
 
 
@@ -272,7 +282,8 @@ def test_sweep_bad_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["log:0:1:10", "log:-5:1:10", "log:10:10:1", "log:10:0:10",
-                                  "linear:10:1:nan", "log:10:1:inf", "cubic:10:1:10"])
+                                  "linear:10:1:nan", "log:10:1:inf", "cubic:10:1:10",
+                                  "log:1000000000000:1:1e7"])
 def test_sweep_bad_grid_values(tmp_path, capsys, spec):
     # well-formed specs that make_grid rejects are usage errors, found before any output
     out = tmp_path / "out"
@@ -280,6 +291,24 @@ def test_sweep_bad_grid_values(tmp_path, capsys, spec):
         warnings.simplefilter("error")
         assert run(["sweep", "--preset", "table1", "--out", out, "--grid", spec]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_sweep_grid_past_the_memory_cap_is_refused_before_it_is_built(tmp_path, capsys):
+    # building and checking a grid peaks at 17 bytes a point: 252645136
+    # points would take just over 4 GiB, and are refused with one error line
+    # before any is allocated
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--preset", "table1", "--out", out,
+                    "--grid", "log:252645136:1:1e7"]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad grid") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -355,7 +384,7 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
     _spy_on_blocks(monkeypatch, log)
     csvs, stdout = {}, {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(ot.cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(ot._forks, "_usable_cpus", lambda cpus=cpus: cpus)
         out = tmp_path / f"cpus{cpus}"
         log.write_text("")
         forks.clear()
@@ -376,12 +405,27 @@ def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
     assert stdout[1].count("wrote OUT") == 4
 
 
+def test_a_platform_without_fork_runs_in_one_process(tmp_path, monkeypatch):
+    # without os.fork, two usable CPUs give one process, one oracle shard and
+    # an inline sweep whose bytes are the 1-CPU run's; a fork would raise
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 1)
+    assert run(POOLED_SWEEP + ["--out", tmp_path / "cpus1"]) == 0
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
+    assert ot._forks.processes(36) == 1
+    assert ot.timedomain._shards(36) == [slice(0, 36)]
+    assert run(POOLED_SWEEP + ["--out", tmp_path / "nofork"]) == 0
+    csvs = [{f.name: f.read_bytes() for f in (tmp_path / name).glob("*.csv")}
+            for name in ("cpus1", "nofork")]
+    assert len(csvs[0]) == 4 and csvs[0] == csvs[1]
+
+
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
         tmp_path, monkeypatch, capsys, forks):
     # fig2-nonsym's blocks fail on every slice but the first, in whichever
     # worker claims it: fig2-nonsym and fig2-sym are dropped
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     failing = ot.SWEEP_SCENARIOS["fig2-nonsym"].apply(ot.table1_preset())
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log, fail_on=failing)
@@ -390,7 +434,7 @@ def test_sweep_block_failure_in_a_worker_keeps_the_files_of_an_inline_run(
     assert len(forks.reaped()) == 2
     assert capsys.readouterr().err == "numerical failure: injected block failure\n"
     assert sorted(os.listdir(out)) == ["fig3-nonsym-lossy.csv"]
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 1)
     inline = tmp_path / "inline"
     assert run(POOLED_SWEEP[:7] + ["--out", inline]) == 0
     assert ((out / "fig3-nonsym-lossy.csv").read_bytes()
@@ -415,7 +459,7 @@ def test_sweep_failure_comes_from_the_earliest_slice_where_it_failed(tmp_path, m
     monkeypatch.setattr(ot.cli, "spectrum_sweep", spectrum_sweep)
     errs, csvs = {}, {}
     for cpus in (1, 2):
-        monkeypatch.setattr(ot.cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(ot._forks, "_usable_cpus", lambda cpus=cpus: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert run(POOLED_SWEEP + ["--out", out]) == 2
         errs[cpus] = capsys.readouterr().err
@@ -441,7 +485,7 @@ def _refuse_in_planning(monkeypatch, name):
 def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp_path, monkeypatch, capsys, forks):
     # scenarios are planned before any block is formatted, but one that
     # cannot be derived is reported only once the CSVs before it are written
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     _refuse_in_planning(monkeypatch, "fig2-nonsym")
     out = tmp_path / "out"
     assert run(POOLED_SWEEP + ["--out", out]) == 1
@@ -454,7 +498,7 @@ def test_sweep_scenario_refused_in_planning_keeps_the_files_of_an_inline_run(tmp
 
 def test_sweep_first_scenario_refused_in_planning_writes_nothing(tmp_path, monkeypatch, capsys):
     # no scenario is computed, so no slice is formatted and no worker started
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     _refuse_in_planning(monkeypatch, "fig3-nonsym-lossy")
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log)
@@ -469,7 +513,7 @@ def test_sweep_first_scenario_refused_in_planning_writes_nothing(tmp_path, monke
 
 @pytest.mark.skipif(not FORK, reason="the sweep workers need fork")
 def test_sweep_interrupted_mid_run_leaves_no_worker(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
 
     def interrupt(d):
         raise KeyboardInterrupt
@@ -488,7 +532,7 @@ def test_sweep_interrupted_with_slices_in_flight_leaves_no_worker_or_file(tmp_pa
     # the parent's wait is interrupted once the first worker has ended, while
     # the second, slowed down on every block, is still formatting the one
     # slice it claimed: it is killed, both are reaped, and no file is left
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log, on_block=lambda grid: time.sleep(0.3 if len(forks) == 1 else 0.0))
     real_waitpid, waits = os.waitpid, []
@@ -518,7 +562,7 @@ def test_sweep_worker_killed_mid_run_fails_the_sweep_and_writes_nothing(
     # no CSV is committed and no part file or queue end stays open.  The
     # first worker to reach a slice above SECOND_RUN_OMEGA, and only it, is
     # killed; the other is killed once that is seen
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def kill_the_first_worker_past_it(grid):
@@ -551,7 +595,7 @@ def test_sweep_stops_at_a_worker_exception(tmp_path, monkeypatch, capsys, forks)
     # the other is killed at once, having formatted at most the slice of 3
     # blocks it was on, not the 6 slices left; exit 1, and no CSV, part
     # file, child or file descriptor is left
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def fail_in_the_first_worker(grid):
@@ -579,7 +623,7 @@ def test_sweep_stops_at_a_worker_exception(tmp_path, monkeypatch, capsys, forks)
 
 def _inline_csvs(tmp_path, monkeypatch):
     """The CSV bytes of POOLED_SWEEP formatted inline, by name."""
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 1)
     out = tmp_path / "inline"
     assert run(POOLED_SWEEP + ["--out", out]) == 0
     return {f.name: f.read_bytes() for f in out.glob("*.csv")}
@@ -591,7 +635,7 @@ def test_sweep_slowed_worker_leaves_the_other_slices_to_the_queue(tmp_path, monk
     # slice, while the other formats the remaining 6 slices from the queue;
     # a fixed half of the 7 slices would have held 3 of them
     inline = _inline_csvs(tmp_path, monkeypatch)
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     slowed, here = tmp_path / "slowed", []  # each worker has its own `here`
 
     def slow_the_first_slice(grid):
@@ -616,7 +660,7 @@ def test_sweep_groups_slices_past_the_queue_bound(tmp_path, monkeypatch, capsys,
     # a queue of at most 3 indices (12 bytes) holds the 7 slices in units of
     # 3, 3 and 1 consecutive ones; the bytes are those of an inline run
     inline = _inline_csvs(tmp_path, monkeypatch)
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ot.cli.select, "PIPE_BUF", 12)
     log = tmp_path / "units"
     real = ot.cli._format_slices
@@ -638,7 +682,7 @@ def test_sweep_groups_slices_past_the_queue_bound(tmp_path, monkeypatch, capsys,
 def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch, forks):
     # 64 usable CPUs start at most 4 workers, and the parent holds no slice
     # of text however many there are
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 64)
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
                 "--grid", "log:300:1:1e7"]) == 0  # warm caches
@@ -650,7 +694,7 @@ def test_sweep_memory_is_bounded_whatever_the_cpu_count(tmp_path, monkeypatch, f
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(forks.reaped()) == ot.cli._MAX_WORKERS
+    assert len(forks.reaped()) == ot._forks._MAX_WORKERS
     assert peak < 12e6
 
 
@@ -659,7 +703,7 @@ def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch,
     # four computed scenarios in 49 slices of 2048 points at two workers:
     # once the grid is built and checked, the parent's peak stays under one
     # slice of text (about 1.4 MB), the 0.8 MB grid included
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     out = tmp_path / "out"
     assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
                 "--grid", "log:300:1:1e7"]) == 0  # warm caches
@@ -687,7 +731,7 @@ def test_sweep_parent_holds_no_slice_while_workers_format(tmp_path, monkeypatch,
 def test_sweep_formats_inline_while_another_thread_runs(tmp_path, monkeypatch):
     # a thread that holds a lock when a worker is forked could deadlock it,
     # so a host process with other Python threads formats inline
-    monkeypatch.setattr(ot.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     log = tmp_path / "pids"
     _spy_on_blocks(monkeypatch, log)
     release = threading.Event()
@@ -953,11 +997,11 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
         return dataclasses.replace(cfg, signal=pulse)
 
     monkeypatch.setattr(ot.cli, "default_sim_config", with_pulse)
-    monkeypatch.setattr(ot.timedomain, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
+    monkeypatch.setattr(ot._forks, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
     for n_traj in (3, 7):
         outputs = set()
         for cpus in (1, 2, 3, 5):
-            monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: cpus)
             out = tmp_path / f"{n_traj}-{cpus}"
             code = run(["oracle", "--preset", "table1", "--scenario", "nonsym-lossy",
                         "--trajectories", n_traj, "--duration", repr(7001 * dt),
@@ -997,7 +1041,7 @@ def test_oracle_shard_killed_exits_1_and_writes_nothing(tmp_path, capsys, monkey
     # the child that runs the second shard's trajectories, 1-2 of 3, is
     # killed at its first panel: one error line names it, exit 1, no child
     # is left, and --out holds no report, dump or manifest
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     panels, parent = ot.timedomain._panels, os.getpid()
 
     def killed(sampler, rows):
@@ -1035,7 +1079,7 @@ def logged():
     return pid
 
 os.fork = logged
-ot.timedomain._usable_cpus = cli._usable_cpus = lambda: 2
+ot._forks._usable_cpus = lambda: 2
 sys.exit(cli.main(sys.argv[2:]))
 """
 

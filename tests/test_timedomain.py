@@ -323,9 +323,10 @@ def test_default_step_covariance_is_one_exponential(monkeypatch, scenario, pump)
 ])
 def test_default_step_counts_at_1x_to_1000x_pump(monkeypatch, scenario, counts):
     # at 1x pump the band's edge sets the step, in one step-bound evaluation,
-    # and Nyquist may reach it; above it the bound sets the step, in three:
-    # the counts the earlier searches by doubling and by one 5-smooth
-    # neighbour at a time found
+    # and Nyquist may reach it; above it the bound sets the step, in 7, 8 and
+    # 9 at 10x, 100x and 1000x (the bisection over the 5-smooth counts up to
+    # 4 times the dt^2 estimate): the counts the earlier searches by doubling,
+    # by one 5-smooth neighbour at a time and by galloping found
     sc = ot.ORACLE_SCENARIOS[scenario]
     step_gap = ot.timedomain._step_gap
     calls = []
@@ -337,15 +338,16 @@ def test_default_step_counts_at_1x_to_1000x_pump(monkeypatch, scenario, counts):
         calls.clear()
         cfg = ot.default_sim_config(d)
         assert round(cfg.t_dur / cfg.dt) == n_steps
-        assert len(calls) == (1 if pump == 1.0 else 3)
+        assert len(calls) == {1.0: 1, 10.0: 7, 100.0: 8, 1000.0: 9}[pump]
 
 
-def test_default_step_search_gallops(monkeypatch):
+def test_default_step_search_bisects(monkeypatch):
     # a stable parameter set from the property test's ranges, pump 7390x: the
     # gap grows much faster than dt^2 at coarse steps, so the dt^2 estimate
     # (m = 108000) lies 65 5-smooth counts above the fewest admitted (40500).
-    # One neighbour per step-bound evaluation took 68 evaluations; strides of
-    # 1, 2, 4, ... then bisection take 15, for the same count
+    # One neighbour per step-bound evaluation took 68 evaluations, a gallop
+    # from the estimate then bisection 15; bisecting all the counts up to 4
+    # times the estimate takes 10, for the same count
     base = ot.table1_preset()
     scales = {"m": 2.28, "omega_m": 0.778, "Q": 3.35, "T": 5.06, "tau": 0.753, "L": 0.453,
               "wavelength": 4.33, "gamma0": 3.39, "gamma0_plus": 1.88, "gamma0_minus": 9.16,
@@ -361,7 +363,7 @@ def test_default_step_search_gallops(monkeypatch):
                         lambda d, dt: calls.append(dt) or step_gap(d, dt))
     cfg = ot.default_sim_config(d)
     assert round(cfg.t_dur / cfg.dt) == 16 * 40500
-    assert len(calls) == 15
+    assert len(calls) == 10
 
 
 # norm 0 is the zero matrix, whose exponential is the identity to the rounding
@@ -824,7 +826,7 @@ def test_default_records_and_estimate_keep_their_bits(monkeypatch, pulsed):
         pulse = ot.SignalPulse(force_amp=1e-15, duration=600 * cfg.dt, t_start=1000 * cfg.dt)
         cfg = dataclasses.replace(cfg, signal=pulse)
     for cpus in (1, 3):
-        monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: cpus)
         ts = ot.simulate(d, cfg)
         psd = ot.run_comparison(d, cfg)[1].psd
         got = (hashlib.sha256(ts.b_plus.tobytes() + ts.b_minus.tobytes()).hexdigest(),
@@ -849,13 +851,13 @@ def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
         time.sleep(0.005 * (len(sampler.seeds) - rows.start))
 
     monkeypatch.setattr(ot.timedomain, "_panels", reverse_ends)
-    monkeypatch.setattr(ot.timedomain, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
+    monkeypatch.setattr(ot._forks, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
     for noise in (True, False):
         for n_traj in (3, 7):
             cfg = dataclasses.replace(run_7001.cfg, n_traj=n_traj, noise=noise)
             for cpus in (1, 2, 3, 5):
                 asked = []
-                monkeypatch.setattr(ot.timedomain, "_usable_cpus",
+                monkeypatch.setattr(ot._forks, "_usable_cpus",
                                     lambda: asked.append(cpus) or cpus)
                 ts = ot.simulate(d, cfg)
                 streamed = ot.run_comparison(d, cfg, segments=8)[1]
@@ -891,10 +893,10 @@ def test_usable_cpus_obey_the_cgroup_cpu_quota(tmp_path, monkeypatch, cgroup, cp
         (tmp_path / "cgroup").write_text(cgroup)
     if cpu_max is not None:
         (leaf / "cpu.max").write_text(cpu_max)
-    monkeypatch.setattr(ot.timedomain, "_PROC_CGROUP", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(ot.timedomain, "_CGROUP_ROOT", str(tmp_path / "fs"))
+    monkeypatch.setattr(ot._forks, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(ot._forks, "_CGROUP_ROOT", str(tmp_path / "fs"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert ot.timedomain._usable_cpus() == want
+    assert ot._forks._usable_cpus() == want
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
@@ -903,7 +905,7 @@ def test_shards_are_capped_and_one_where_another_thread_runs(monkeypatch):
     # process makes one after another before its own shard starts; and one
     # shard, in the calling process, while another Python thread runs, which
     # a child could inherit in the middle of holding a lock
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 36)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 36)
     assert ot.timedomain._shards(36) == [slice(0, 9), slice(9, 18), slice(18, 27), slice(27, 36)]
     assert ot.timedomain._shards(3) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     stop = threading.Event()
@@ -926,7 +928,7 @@ def _open_fds():
 def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch, forks):
     # three shards: the first in this process, the others in two forked
     # children; no run starts a thread, and none leaves a child or a pipe
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 3)
     cfg = short_cfg(d_lossy, n_traj=3, dt=fine_dt(d_lossy))
     start, fds = threading.active_count(), _open_fds()
     ot.simulate(d_lossy, cfg)
@@ -1033,7 +1035,7 @@ def test_a_failing_shard_stops_the_others(d_lossy, tmp_path, monkeypatch, forks,
     # panel: its error reaches the caller, which runs the first shard and
     # sees it before that shard's next panel; the others make at most the
     # panel they are making, and every child has been reaped
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 3)
     dt = ot.default_sim_config(d_lossy).dt
     cfg = short_cfg(d_lossy, n_traj=3, t_dur=40 * 1024 * dt)
     counts = _fail_a_shard(monkeypatch, tmp_path, failing=2)
@@ -1054,7 +1056,7 @@ def test_a_failing_first_shard_stops_the_children(d_lossy, tmp_path, monkeypatch
     # the first of three shards, in the calling process, diverges once the
     # children have made a panel: its error reaches the caller once both are
     # killed and reaped, each having made at most the panel it was making
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 3)
     dt = ot.default_sim_config(d_lossy).dt
     cfg = short_cfg(d_lossy, n_traj=3, t_dur=40 * 1024 * dt)
     counts = _fail_a_shard(monkeypatch, tmp_path, failing=0)
@@ -1074,7 +1076,7 @@ def test_a_failing_first_shard_stops_the_children(d_lossy, tmp_path, monkeypatch
 def test_a_killed_shard_process_fails_the_run_naming_it(d_lossy, tmp_path, monkeypatch, forks, run):
     # the child that runs trajectories 1-2 is killed at its first panel: the
     # run fails with one error naming it, and no child or pipe is left
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     panels, parent = ot.timedomain._panels, os.getpid()
 
     def killed(sampler, rows):
@@ -1155,7 +1157,7 @@ def test_streamed_run_reads_every_panel_of_every_shard(d_lossy, tmp_path, monkey
     # 8193 = 8 * 1024 + 1 steps: 33 panels, the last of one step, after the
     # last whole segment; every shard of a plain run (no dump) draws it too,
     # the second in a forked child, so each panel is logged to a file
-    monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     panels, log = ot.timedomain._panels, tmp_path / "panels"
 
     def counted(sampler, rows):
@@ -1285,7 +1287,7 @@ def test_streamed_memory_stays_within_the_plan_whatever_the_shards(d_lossy, monk
     cfg = short_cfg(d_lossy, n_traj=8, t_dur=20_000 * dt)
     stream_bytes = _plan(d_lossy, cfg, 16).stream_bytes
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(ot.timedomain, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: cpus)
         ot.run_comparison(d_lossy, short_cfg(d_lossy, n_traj=cpus, dt=fine_dt(d_lossy)),
                           segments=16)  # warm caches
         child_peaks()
