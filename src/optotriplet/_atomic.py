@@ -72,8 +72,9 @@ class AtomicFile:
 
 
 def atomic_write(path, chunks) -> None:
-    """Write ``chunks`` (a string or an iterable of strings) to ``path`` through
-    an :class:`AtomicFile`; the temporary file is removed when the write fails."""
+    """Write ``chunks`` (a string, or an iterable of strings and bytes) to
+    ``path`` through an :class:`AtomicFile`; the temporary file is removed
+    when the write fails."""
     if isinstance(chunks, str):
         chunks = (chunks,)
     with AtomicFile(path) as fh:

@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -76,6 +75,8 @@ _CSV_CHUNK_ROWS = 8192
 # a sweep's slices are formatted in forked worker processes from this many
 # rows on; below it, starting the workers cost more than they saved
 _POOL_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
+# rows of a scenario's block formatted and written at once
+_FORMAT_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -89,13 +90,16 @@ def _format_slices(grid, step, starts, members, outs):
 
     ``members`` lists ``(index, derived)`` of each computed scenario of a
     sweep, as :func:`_plan_sweep` gives them.  Each member's rows of a slice
-    are evaluated by :func:`spectrum_sweep`, every value written with
-    ``repr`` (shortest round trip), and written before the next member's are
-    evaluated.  ``omega``, ``omega_tau_over_2pi`` and ``S_SQL`` depend only on
+    are evaluated by :func:`spectrum_sweep`, then formatted and written
+    ``_FORMAT_ROWS`` rows at a time, before the next member's are evaluated.
+    Every value is written as ``repr`` writes it (shortest round trip), by
+    the vectorised writer :mod:`._reprs`, which only a process that formats
+    imports.  ``omega``, ``omega_tau_over_2pi`` and ``S_SQL`` depend only on
     the grid, ``tau`` and ``gamma_m``, which no scenario switch changes, so
     they are formatted once per slice, for every member: the first two from
     the grid and the first member's ``tau``, ``S_SQL`` from its ``s_sql``
-    column.  It runs inline or in a sweep worker.
+    column.  A member's ``S_T``, the same on every row, is formatted once per
+    slice.  It runs inline or in a sweep worker.
 
     A member that fails with a ``ValueError`` or ``ArithmeticError`` is
     dropped, with those after it, from the slices still to format, once the
@@ -103,6 +107,8 @@ def _format_slices(grid, step, starts, members, outs):
     propagates.  Returns ``(index, exception)`` of the earliest failing member
     in plan order, or ``None``.
     """
+    from . import _reprs
+
     live, failure = len(members), None
     for start in starts:
         if not live:
@@ -115,23 +121,25 @@ def _format_slices(grid, step, starts, members, outs):
                 live, failure = k, (index, exc)
                 break
             if not k:  # the grid's columns, from the first member
-                omega, omega_scaled, sql = (list(map(repr, column.tolist())) for column in (
-                    part, part * d.phys.tau / (2.0 * math.pi), table.s_sql))
-            columns = (
-                omega,
-                omega_scaled,
-                map(repr, table.y.real.tolist()),
-                map(repr, table.y.imag.tolist()),
-                map(repr, table.s_qu.tolist()),
-                itertools.repeat(repr(float(table.s_t))),  # the same on every row
-                map(repr, table.s_f.tolist()),
-                sql,
-                map(repr, table.ratio.tolist()),
-            )
-            data = ("\n".join(map(",".join, zip(*columns))) + "\n").encode("utf-8")
-            for fh in files:
-                fh.write(data)
-            table = columns = data = None  # hold no block while the next one is made
+                omega, omega_scaled, sql = np.split(_reprs.cells(np.stack(
+                    (part, part * d.phys.tau / (2.0 * math.pi), table.s_sql), axis=1)), 3, axis=1)
+            values = np.stack((table.y.real, table.y.imag, table.s_qu, table.s_f, table.ratio), axis=1)
+            s_t = None  # formatted once, with the first rows' values
+            for r in range(0, part.size, _FORMAT_ROWS):
+                rows = values[r:r + _FORMAT_ROWS]
+                n = len(rows)
+                if s_t is None:
+                    cells = _reprs.cells(np.append(rows, table.s_t))
+                    s_t, cells = cells[-1], cells[:-1]
+                else:
+                    cells = _reprs.cells(rows)
+                y_re, y_im, s_qu, s_f, ratio = np.split(cells.reshape(n, 5, -1), 5, axis=1)
+                data = _reprs.rows((omega[r:r + n], omega_scaled[r:r + n], y_re, y_im, s_qu,
+                                    np.broadcast_to(s_t, (n, 1, s_t.size)), s_f, sql[r:r + n],
+                                    ratio))
+                for fh in files:
+                    fh.write(data)
+            table = values = cells = data = None  # hold no block while the next one is made
     return failure
 
 
@@ -216,11 +224,16 @@ def _write_blocks(out_dir, grid, members, outs):
     return None if failure is None else (failure[0], failure[2])
 
 
-def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> str:
-    """Per-bin diagnostics of a comparison, every value written with ``repr``."""
-    columns = (analytic.omega, report.est_psd, analytic.s_f, report.dev_sigma)
-    rows = zip(*(col.tolist() for col in columns))
-    return "".join([",".join(BINS_COLUMNS) + "\n"] + ["%r,%r,%r,%r\n" % r for r in rows])
+def _bins_csv(report: ComparisonReport, analytic: SpectrumTable) -> list:
+    """Per-bin diagnostics of a comparison, as a header and blocks of rows,
+    every value as ``repr`` writes it (:mod:`._reprs`, imported only by a
+    failed comparison)."""
+    from . import _reprs
+
+    columns = np.stack((analytic.omega, report.est_psd, analytic.s_f, report.dev_sigma), axis=1)
+    return [",".join(BINS_COLUMNS) + "\n"] + [
+        _reprs.rows((_reprs.cells(columns[r:r + _FORMAT_ROWS]),))
+        for r in range(0, len(columns), _FORMAT_ROWS)]
 
 
 def _resolve_params(args) -> PhysParams:

@@ -328,6 +328,23 @@ def test_sweep_memory_is_bounded_per_chunk(tmp_path):
     assert peak < 12e6
 
 
+def test_inline_sweep_memory_is_bounded_per_chunk(tmp_path, monkeypatch):
+    # on one usable CPU this process formats the slices itself: one slice's
+    # table, its grid columns' cells and one block of text at a time
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 1)
+    out = tmp_path / "out"
+    assert run(["sweep", "--preset", "table1", "--out", out, "--scenario", "fig2-sym",
+                "--grid", "log:300:1:1e7"]) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert run(["sweep", "--preset", "table1", "--out", out, "--scenario",
+                    "fig3-nonsym-lossy", "--grid", "log:100003:1:1e7"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 def test_sweep_memory_is_bounded_per_slice_of_several_scenarios(tmp_path):
     # four computed scenarios share each slice of 8192 // 4 = 2048 points
     out = tmp_path / "out"
@@ -925,6 +942,10 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
     header, rows = read_csv(out / "nonsym-lossy-bins.csv")
     assert header == ["omega", "est", "analytic", "dev_sigma"]
     assert rows.shape == (n_bins, 4)
+    # every value as repr writes it
+    assert (out / "nonsym-lossy-bins.csv").read_bytes() == (
+        "omega,est,analytic,dev_sigma\n"
+        + "".join("%r,%r,%r,%r\n" % tuple(row) for row in rows.tolist())).encode()
     omega, est, analytic, dev = rows.T
     assert np.all(np.diff(omega) > 0.0)
     assert f"{np.max(np.abs(dev)):.3f}" == f"{worst:.3f}"
