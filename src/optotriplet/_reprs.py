@@ -4,10 +4,11 @@
 with Ryū (Adams, "Ryū: fast float-to-string conversion", PLDI 2018), which
 needs only 64-bit integer arithmetic, on whole ``uint64`` arrays at once, and
 lays them out by the rules of CPython's ``float.__repr__``.  :func:`rows`
-joins cells into CSV rows.  Only numpy is used.  Every operand of the integer
-kernel is an explicit ``uint64`` or ``int64``: numpy 1.x casts Python ints and
-numpy scalars by value and numpy 2 does not (NEP 50), and ``uint64`` mixed
-with ``int64`` gives ``float64`` in both.
+joins cells into CSV rows.  Only numpy is used.  Every arithmetic operand of
+the integer kernel is an explicit ``uint64`` or ``int64`` (Python ints appear
+only in comparisons and assignments): numpy 1.x casts Python ints and numpy
+scalars by value and numpy 2 does not (NEP 50), and ``uint64`` mixed with
+``int64`` gives ``float64`` in both.
 """
 
 from __future__ import annotations
@@ -257,7 +258,8 @@ def _layouts():
         text = b""
         if not _FIXED_MIN <= point <= _FIXED_MAX:
             x = point - 1
-            text = b"e%s%s%02d" % (b"-" if x < 0 else b"+", b"" if abs(x) >= 100 else b"\0", abs(x))
+            sign = b"-" if x < 0 else b"+"
+            text = b"e%s%s%02d" % (sign, b"" if abs(x) >= 100 else b"\0", abs(x))
         words += bytes(_TAIL_SLOT - 24) + text.ljust(8 - (_TAIL_SLOT - 24), b"\0")
     special = len(entries)
     for word in ("0.0", "inf", "nan"):

@@ -123,23 +123,25 @@ def _format_slices(grid, step, starts, members, outs):
             if not k:  # the grid's columns, from the first member
                 omega, omega_scaled, sql = np.split(_reprs.cells(np.stack(
                     (part, part * d.phys.tau / (2.0 * math.pi), table.s_sql), axis=1)), 3, axis=1)
-            values = np.stack((table.y.real, table.y.imag, table.s_qu, table.s_f, table.ratio), axis=1)
+            values = np.stack(
+                (table.y.real, table.y.imag, table.s_qu, table.s_f, table.ratio), axis=1)
             s_t = None  # formatted once, with the first rows' values
             for r in range(0, part.size, _FORMAT_ROWS):
-                rows = values[r:r + _FORMAT_ROWS]
-                n = len(rows)
+                block = values[r:r + _FORMAT_ROWS]
+                n = len(block)
                 if s_t is None:
-                    cells = _reprs.cells(np.append(rows, table.s_t))
+                    cells = _reprs.cells(np.append(block, table.s_t))
                     s_t, cells = cells[-1], cells[:-1]
                 else:
-                    cells = _reprs.cells(rows)
+                    cells = _reprs.cells(block)
                 y_re, y_im, s_qu, s_f, ratio = np.split(cells.reshape(n, 5, -1), 5, axis=1)
                 data = _reprs.rows((omega[r:r + n], omega_scaled[r:r + n], y_re, y_im, s_qu,
-                                    np.broadcast_to(s_t, (n, 1, s_t.size)), s_f, sql[r:r + n],
-                                    ratio))
+                                    np.broadcast_to(s_t, (n, 1, _reprs.WIDTH)), s_f,
+                                    sql[r:r + n], ratio))
                 for fh in files:
                     fh.write(data)
-            table = values = cells = data = None  # hold no block while the next one is made
+            # hold no block while the next one is made
+            table = values = block = cells = data = None
     return failure
 
 

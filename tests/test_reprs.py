@@ -1,7 +1,6 @@
 """The vectorised float writer against ``repr``, the text it must match byte
 for byte."""
 
-import os
 import subprocess
 import sys
 
@@ -85,11 +84,12 @@ def test_the_cli_and_a_passing_oracle_do_not_import_the_writer(tmp_path):
         "import sys\n"
         "import optotriplet.cli as cli\n"
         "assert 'optotriplet._reprs' not in sys.modules\n"
-        "argv = ['oracle', '--preset', 'table1', '--scenario', 'sym-lossless', '--out', sys.argv[1],\n"
+        "argv = ['oracle', '--preset', 'table1', '--scenario', 'sym-lossless',\n"
+        "        '--out', sys.argv[1],\n"
         "        '--trajectories', '8', '--duration', '0.008', '--dt', '3.306878306878307e-06',\n"
         "        '--segments', '8', '--seed', '4']\n"
         "assert cli.main(argv) == 0\n"
         "assert 'optotriplet._reprs' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True,
-                   env=dict(os.environ), stdout=subprocess.DEVNULL)
+                   stdout=subprocess.DEVNULL, timeout=300)
