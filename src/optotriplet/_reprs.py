@@ -4,11 +4,13 @@
 with Ryū (Adams, "Ryū: fast float-to-string conversion", PLDI 2018), which
 needs only 64-bit integer arithmetic, on whole ``uint64`` arrays at once, and
 lays them out by the rules of CPython's ``float.__repr__``.  :func:`rows`
-joins cells into CSV rows.  Only numpy is used.  Every arithmetic operand of
-the integer kernel is an explicit ``uint64`` or ``int64`` (Python ints appear
-only in comparisons and assignments): numpy 1.x casts Python ints and numpy
-scalars by value and numpy 2 does not (NEP 50), and ``uint64`` mixed with
-``int64`` gives ``float64`` in both.
+joins cells into CSV rows.  Only numpy is used.  Every ``uint64`` operand of
+the integer kernel is explicit: numpy 1.x casts Python ints and numpy scalars
+by value and numpy 2 does not (NEP 50), and ``uint64`` mixed with ``int64``
+gives ``float64`` in both.  Python ints enter arithmetic only with signed
+``int64`` or ``intp`` arrays (``point * 18``, ``removed - 1``), where both
+rules keep the array's type, and meet ``uint64`` arrays only in comparisons
+and assignments.
 """
 
 from __future__ import annotations

@@ -58,6 +58,7 @@ from .timedomain import (
     SimulationError,
     _plan,
     _run_comparison,
+    _simulate,
     default_sim_config,
 )
 
@@ -395,7 +396,7 @@ def cmd_oracle(args) -> int:
     cfg = default_sim_config(d, args.seed, **{k: v for k, v in flags.items() if v is not None})
     plan = _plan(d, cfg, args.segments, dump=args.dump_timeseries)
     os.makedirs(args.out, exist_ok=True)
-    report, _, analytic, dump = _run_comparison(d, cfg, plan)
+    report, _, analytic = _run_comparison(d, cfg, plan)
 
     header = (
         f"scenario {scen.name} ({scen.describe()})\n"
@@ -404,8 +405,11 @@ def cmd_oracle(args) -> int:
     )
     report_text = header + report.format() + "\n"
     _atomic_write(os.path.join(args.out, f"{scen.name}-report.txt"), report_text)
-    if dump is not None:
-        dump.dump_text(os.path.join(args.out, f"{scen.name}-timeseries.txt"))
+    if args.dump_timeseries:
+        # trajectory 0 alone, with the run's seed and plan: the same records as
+        # in the streamed run, which has released its buffers
+        _simulate(d, dataclasses.replace(cfg, n_traj=1), plan).dump_text(
+            os.path.join(args.out, f"{scen.name}-timeseries.txt"))
     if not report.passed:
         _atomic_write(os.path.join(args.out, f"{scen.name}-bins.csv"), _bins_csv(report, analytic))
     manifest = _manifest(p, d, {

@@ -72,10 +72,11 @@ segment's transforms are mixed into buffers it reuses, so the streamed run
 needs ``O(n_traj * (segment + quarter))`` memory whatever its length.  The
 estimator reads every panel, the ones after the last whole segment too.  Its
 estimate covers only the comparison band's bins, each bit-identical to the
-same bin of :func:`estimate_psd` of the records.  Records are copied out of
-the panels by :func:`_recorded`, which passes them on: :func:`simulate`
-keeps every trajectory, and a streamed run planned with a dump keeps
-trajectory 0, 16 bytes per step that the plan counts in its working set.
+same bin of :func:`estimate_psd` of the records.  A trajectory's records
+do not depend on how many trajectories run with it, so simulating one
+trajectory of a streamed run alone, with the run's plan (:func:`_simulate`),
+reproduces it to the bit; the CLI's time-series dump does so for trajectory
+0 once the comparison has returned, so the two never hold memory at once.
 
 The weight is applied only where records are combined, in the frequency
 domain: segmented Hann-windowed transforms of the two records are mixed per
@@ -90,7 +91,7 @@ import functools
 import math
 import mmap
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -620,8 +621,7 @@ class _Plan:
     band: tuple[float, float] | None = None
     bins: slice | None = None          # the band's bins of a segment's rfft
     periodograms: int | None = None    # half-overlapped segments per trajectory: _overlap
-    stream_bytes: int | None = None    # working set of the streamed estimate and its dump
-    dump: bool = False                 # trajectory 0 of the streamed run is kept
+    stream_bytes: int | None = None    # working set of the streamed estimate
 
 
 def _gib(size: int) -> str:
@@ -645,8 +645,9 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     drift matrix that is not strictly stable; (2) a step count ``t_dur / dt``
     that is not finite; (3) fewer than 8 segments ("need at least 8
     segments"); (4) a streamed working set above ``_MAX_RECORD_BYTES``, known
-    once the segment length is, which with ``dump`` includes the 16 bytes per
-    step of trajectory 0's dump; (5) segments under 64 samples; (6) no
+    once the segment length is, then with ``dump`` the records of trajectory 0
+    and their scan buffers above it, which :func:`_simulate` holds for the
+    dump once the stream has ended; (5) segments under 64 samples; (6) no
     :func:`default_band`, or none of its bins; (7) a signal window outside the
     run; (8) the step bound, last, once the run is known to be in range: a
     step at which :func:`exact_discrete_psd`, the density the sampler draws,
@@ -657,7 +658,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     size.  Without ``segments`` only the records are planned, for
     :func:`simulate`: (3) to (6) are skipped, and (4) is the records of
     ``16 * n_traj * n_steps`` bytes with one quarter's scan buffers above the
-    cap.  ``dump`` is recorded for :func:`_run_comparison`.
+    cap.
     """
     rates = _drift_rates(d)
     if rates[-1] >= 0.0:
@@ -694,18 +695,23 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
         # two samples, the complex mix, its periodogram row and their sum) and per
         # sample (window, bin weights), and 256 KiB whatever the run's size (the
         # step bound's frequencies and the scan's operators): run_comparison's
-        # tracemalloc peak, rounded up; a dump adds both channels of trajectory 0
-        # at every step
-        dump_bytes = 16 * n_steps if dump else 0
-        stream_bytes = (8 * (6 * cfg.n_traj + 24) * seg_len + scan_bytes + 2**18
-                        + dump_bytes)
+        # tracemalloc peak, rounded up
+        stream_bytes = 8 * (6 * cfg.n_traj + 24) * seg_len + scan_bytes + 2**18
         if stream_bytes > _MAX_RECORD_BYTES:
-            dumped = f", {_gib(dump_bytes)} GiB of it the dump" if dump else ""
             raise RunRangeError(
                 f"a streamed run of {_count(cfg.n_traj)} trajectories in segments of "
-                f"{_count(seg_len)} steps would hold {_gib(stream_bytes)} GiB{dumped} "
+                f"{_count(seg_len)} steps would hold {_gib(stream_bytes)} GiB "
                 f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
                 "use fewer trajectories, a larger dt or more segments"
+            )
+        # the dump's records of one trajectory and its scan buffers, made once
+        # the stream's buffers are released
+        dump_bytes = 16 * n_steps + 8 * 20 * _QUARTER
+        if dump and dump_bytes > _MAX_RECORD_BYTES:
+            raise RunRangeError(
+                f"a dump of trajectory 0 over {_count(n_steps)} steps would hold "
+                f"{_gib(dump_bytes)} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
+                "use a larger dt or a shorter duration"
             )
         _check_segment_len(n_steps, seg_len)
         periodograms = _overlap(seg_len, segments)[1]
@@ -727,7 +733,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
             f"relative (bound {_STEP_GAP:g}); use a smaller dt"
         )
     return _Plan(n_steps, signal, gap, segments, seg_len, band, bins, periodograms,
-                 stream_bytes, dump)
+                 stream_bytes)
 
 
 def _segment_len(n_len: int, segments: int) -> int:
@@ -785,11 +791,9 @@ class _Sampler:
         self.x_kick = j_dt @ e_drive          # state response to unit drive over one step
         self.z_kick = (c_out @ jj @ e_drive) / cfg.dt
 
-        if cfg.noise:
-            stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
-            self.stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
-        else:
-            self.stat_factor = np.zeros((3, 3))
+        # without noise the intensity is zero, and so is the stationary factor
+        stat_cov = _lyapunov(drift, -(f_in @ intens @ f_in.T))
+        self.stat_factor = _factor_psd(0.5 * (stat_cov + stat_cov.T))
 
         self.scan = _BlockScan(phi)
         # transposed operators for trajectory-major rows, contiguous for BLAS
@@ -862,28 +866,25 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     in place: both records live in one shared anonymous mapping, which the
     shards' child processes write too.
     """
-    plan = _plan(d, cfg)
+    return _simulate(d, cfg, _plan(d, cfg))
+
+
+def _simulate(d: DerivedParams, cfg: SimConfig, plan: _Plan) -> TimeSeriesBundle:
+    """:func:`simulate` of a planned run.  It reads only the plan's step
+    count and signal window, which do not depend on ``cfg.n_traj``: a streamed
+    run's plan serves one of its trajectories alone."""
     shared = mmap.mmap(-1, 16 * cfg.n_traj * plan.n_steps)
     b_plus, b_minus = np.frombuffer(shared, dtype=float).reshape(2, cfg.n_traj, plan.n_steps)
 
     def record(rows, panels):
-        for _ in _recorded(panels, b_plus[rows], b_minus[rows]):
-            pass
+        n0 = 0
+        for zp, zm in panels:
+            n1 = n0 + zp.shape[1]
+            b_plus[rows, n0:n1], b_minus[rows, n0:n1] = zp, zm
+            n0 = n1
 
     _in_shards(_shard_panels(d, cfg, plan), record)
     return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
-
-
-def _recorded(panels, b_plus: np.ndarray, b_minus: np.ndarray):
-    """Yield ``panels`` on unchanged, after copying the first ``k`` trajectories
-    of each into ``b_plus`` and ``b_minus``, of shape ``(k, n_steps)``."""
-    k, n0 = b_plus.shape[0], 0
-    for zp, zm in panels:
-        m = zp.shape[1]
-        b_plus[:, n0:n0 + m] = zp[:k]
-        b_minus[:, n0:n0 + m] = zm[:k]
-        n0 += m
-        yield zp, zm
 
 
 class _BlockScan:
@@ -1202,20 +1203,11 @@ def run_comparison(d: DerivedParams, cfg: SimConfig, segments: int = _SEGMENTS):
     length.  Returns ``(report, estimate, analytic)``, the last two over the
     bins of :func:`default_band` only.
     """
-    return _run_comparison(d, cfg, _plan(d, cfg, segments))[:3]
+    return _run_comparison(d, cfg, _plan(d, cfg, segments))
 
 
 def _run_comparison(d: DerivedParams, cfg: SimConfig, plan: _Plan):
-    """:func:`run_comparison` of a planned run, and its trajectory 0 as a
-    one-trajectory :class:`TimeSeriesBundle` where the plan has a dump (else
-    ``None``), copied out of the first shard's panels, in the calling process,
-    as the estimate reads them."""
-    shards = _shard_panels(d, cfg, plan)
-    dump = None
-    if plan.dump:
-        dump = TimeSeriesBundle(d, replace(cfg, n_traj=1), *np.empty((2, 1, plan.n_steps)))
-        rows, panels = shards[0]
-        shards[0] = rows, _recorded(panels, dump.b_plus, dump.b_minus)
-    est = _welch(d, cfg, plan.n_steps, plan.segments, shards, plan.bins)
+    """:func:`run_comparison` of a planned run."""
+    est = _welch(d, cfg, plan.n_steps, plan.segments, _shard_panels(d, cfg, plan), plan.bins)
     analytic = analytic_records_for(d, est, plan.band)
-    return compare(analytic, est, plan.band), est, analytic, dump
+    return compare(analytic, est, plan.band), est, analytic

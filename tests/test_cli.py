@@ -960,12 +960,30 @@ def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
                 "--dump-timeseries"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "4.75 GiB, 4.24 GiB of it the dump" in err
+    assert err.startswith("error: ") and (
+        "a dump of trajectory 0 over 284625000 steps would hold 4.24 GiB" in err)
     assert not list(tmp_path.iterdir())
     # without the dump the same plan fits
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
     cfg = ot.default_sim_config(d, t_dur=100.0, dt=float(FINE_DT))
     assert _plan(d, cfg, 1000).stream_bytes < 2**30
+
+
+def test_oracle_dump_and_stream_each_fit_the_cap(tmp_path, capsys, monkeypatch):
+    # 7001 steps in 8 segments of 2 trajectories: the stream holds 596064 B
+    # and the dump, simulated once the stream has ended, 152976 B; under a
+    # cap of 650000 B each fits, though not both together, and the run
+    # writes what it writes at the default cap
+    d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
+    args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--trajectories", 2,
+            "--duration", repr(7001 * ot.default_sim_config(d).dt), "--segments", 8,
+            "--seed", 5, "--dump-timeseries"]
+    assert run([*args, "--out", tmp_path / "default"]) == 0
+    monkeypatch.setattr(ot.timedomain, "_MAX_RECORD_BYTES", 650_000)
+    assert run([*args, "--out", tmp_path / "capped"]) == 0
+    for name in ("report", "timeseries"):
+        assert ((tmp_path / "capped" / f"nonsym-lossy-{name}.txt").read_bytes()
+                == (tmp_path / "default" / f"nonsym-lossy-{name}.txt").read_bytes())
 
 
 @pytest.mark.parametrize("n_steps", [7001, 8193])
@@ -1019,6 +1037,7 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(ot.cli, "default_sim_config", with_pulse)
     monkeypatch.setattr(ot._forks, "_MAX_WORKERS", 5)  # 5 CPUs make 5 shards
+    series = set()
     for n_traj in (3, 7):
         outputs = set()
         for cpus in (1, 2, 3, 5):
@@ -1030,6 +1049,9 @@ def test_oracle_dump_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypa
             outputs.add((code, *((out / f"nonsym-lossy-{name}.txt").read_bytes()
                                  for name in ("report", "timeseries"))))
         assert len(outputs) == 1
+        series.add(outputs.pop()[2])
+    # trajectory 0's time series does not depend on how many run with it
+    assert len(series) == 1
 
 
 def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys, child_peaks):
@@ -1231,7 +1253,7 @@ def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, 
     (["--dt", "2e-5", "--segments", "4"], 1, "need at least 8 segments"),
     (["--segments", "4", "--trajectories", "100000"], 1, "need at least 8 segments"),
     (["--duration", "100", "--segments", "10000000", "--dump-timeseries", "--dt", FINE_DT], 1,
-     "of it the dump"),
+     "a dump of trajectory 0 over"),
 ])
 def test_oracle_refusal_order(tmp_path, capsys, flags, code, message):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags]) == code
