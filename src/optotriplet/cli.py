@@ -90,17 +90,18 @@ def _format_slices(grid, step, starts, members, outs):
     bytes, to every file of ``outs[k]``.
 
     ``members`` lists ``(index, derived)`` of each computed scenario of a
-    sweep, as :func:`_plan_sweep` gives them.  Each member's rows of a slice
-    are evaluated by :func:`spectrum_sweep`, then formatted and written
-    ``_FORMAT_ROWS`` rows at a time, before the next member's are evaluated.
-    Every value is written as ``repr`` writes it (shortest round trip), by
-    the vectorised writer :mod:`._reprs`, which only a process that formats
-    imports.  ``omega``, ``omega_tau_over_2pi`` and ``S_SQL`` depend only on
-    the grid, ``tau`` and ``gamma_m``, which no scenario switch changes, so
-    they are formatted once per slice, for every member: the first two from
-    the grid and the first member's ``tau``, ``S_SQL`` from its ``s_sql``
-    column.  A member's ``S_T``, the same on every row, is formatted once per
-    slice.  It runs inline or in a sweep worker.
+    sweep, as :func:`_plan_sweep` gives them.  Each slice is one pass: every
+    member's rows are evaluated by :func:`spectrum_sweep`, all their values
+    are formatted by one call of the vectorised writer :mod:`._reprs` (as
+    ``repr`` writes them, shortest round trip; only a process that formats
+    imports it), and each member's block is then joined and written
+    ``_FORMAT_ROWS`` rows at a time from that one array of cells.
+    ``omega``, ``omega_tau_over_2pi`` and ``S_SQL`` depend only on the grid,
+    ``tau`` and ``gamma_m``, which no scenario switch changes, so they are
+    formatted once per slice, for every member: the first two from the grid
+    and the first member's ``tau``, ``S_SQL`` from its ``s_sql`` column.  A
+    member's ``S_T``, the same on every row, is formatted once per slice.  It
+    runs inline or in a sweep worker.
 
     A member that fails with a ``ValueError`` or ``ArithmeticError`` is
     dropped, with those after it, from the slices still to format, once the
@@ -112,37 +113,37 @@ def _format_slices(grid, step, starts, members, outs):
 
     live, failure = len(members), None
     for start in starts:
-        if not live:
-            break
         part = grid[start:start + step]
-        for k, ((index, d), files) in enumerate(zip(members[:live], outs)):
+        tables = []
+        for k, (index, d) in enumerate(members[:live]):
             try:
-                table = spectrum_sweep(d, part)
+                tables.append(spectrum_sweep(d, part))
             except (ValueError, ArithmeticError) as exc:
                 live, failure = k, (index, exc)
                 break
-            if not k:  # the grid's columns, from the first member
-                omega, omega_scaled, sql = np.split(_reprs.cells(np.stack(
-                    (part, part * d.phys.tau / (2.0 * math.pi), table.s_sql), axis=1)), 3, axis=1)
-            values = np.stack(
-                (table.y.real, table.y.imag, table.s_qu, table.s_f, table.ratio), axis=1)
-            s_t = None  # formatted once, with the first rows' values
-            for r in range(0, part.size, _FORMAT_ROWS):
-                block = values[r:r + _FORMAT_ROWS]
-                n = len(block)
-                if s_t is None:
-                    cells = _reprs.cells(np.append(block, table.s_t))
-                    s_t, cells = cells[-1], cells[:-1]
-                else:
-                    cells = _reprs.cells(block)
-                y_re, y_im, s_qu, s_f, ratio = np.split(cells.reshape(n, 5, -1), 5, axis=1)
-                data = _reprs.rows((omega[r:r + n], omega_scaled[r:r + n], y_re, y_im, s_qu,
-                                    np.broadcast_to(s_t, (n, 1, _reprs.WIDTH)), s_f,
-                                    sql[r:r + n], ratio))
+        if not tables:
+            break
+        # a row of the grid's three columns and each member's five, then
+        # each member's S_T
+        columns = [part, part * members[0][1].phys.tau / (2.0 * math.pi), tables[0].s_sql]
+        for table in tables:
+            columns += (table.y.real, table.y.imag, table.s_qu, table.s_f, table.ratio)
+        n, width = part.size, len(columns)
+        cells = _reprs.cells(np.append(np.stack(columns, axis=1), [t.s_t for t in tables]))
+        s_t = cells[n * width:, None]
+        cells = cells[:n * width].reshape(n, width, _reprs.WIDTH)
+        # hold no table while the text is made
+        tables = columns = table = None
+        for k, files in enumerate(outs[:live]):
+            c = 3 + 5 * k
+            for r in range(0, n, _FORMAT_ROWS):
+                block = cells[r:r + _FORMAT_ROWS]
+                data = _reprs.rows((block[:, :2], block[:, c:c + 3],
+                                    np.broadcast_to(s_t[k], (len(block), 1, _reprs.WIDTH)),
+                                    block[:, c + 3:c + 4], block[:, 2:3], block[:, c + 4:c + 5]))
                 for fh in files:
                     fh.write(data)
-            # hold no block while the next one is made
-            table = values = block = cells = data = None
+        cells = s_t = block = data = None
     return failure
 
 

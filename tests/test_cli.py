@@ -954,8 +954,9 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
-    # 2.8e8 steps in 1000 segments: 0.51 GiB of streamed working set, plus
-    # 4.24 GiB for both channels of trajectory 0 when they are dumped
+    # 2.8e8 steps in 1000 segments: 0.51 GiB of streamed working set; the
+    # dump, simulated once the stream has ended, would hold 4.24 GiB on its
+    # own, both channels of trajectory 0 and their scan buffers
     flags = ["--duration", 100, "--segments", 1000, "--dt", FINE_DT]
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
                 "--dump-timeseries"]) == 1
@@ -963,7 +964,7 @@ def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
     assert err.startswith("error: ") and (
         "a dump of trajectory 0 over 284625000 steps would hold 4.24 GiB" in err)
     assert not list(tmp_path.iterdir())
-    # without the dump the same plan fits
+    # the refusal is the dump's alone: the stream fits the cap
     d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
     cfg = ot.default_sim_config(d, t_dur=100.0, dt=float(FINE_DT))
     assert _plan(d, cfg, 1000).stream_bytes < 2**30
@@ -987,8 +988,8 @@ def test_oracle_dump_and_stream_each_fit_the_cap(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("n_steps", [7001, 8193])
-def test_oracle_dump_taps_trajectory_0_of_the_streamed_run(tmp_path, capsys, monkeypatch,
-                                                            n_steps):
+def test_oracle_dump_matches_simulate_and_leaves_the_report(tmp_path, capsys, monkeypatch,
+                                                             n_steps):
     # 7001 = 8 * 875 + 1 steps: a partial last panel, and one sample after the
     # last segment; 8193 = 8 * 1024 + 1: the last panel, of one step, comes
     # after the last segment, and the estimator reads it all the same.  The
@@ -1077,6 +1078,44 @@ def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys
         stream[n_traj] = _plan(d, cfg, 32, dump=True).stream_bytes
     assert (tmp_path / "16" / "nonsym-lossy-timeseries.txt").exists()
     assert peaks[16] - peaks[1] <= stream[16] - stream[1]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_oracle_dump_records_stay_within_the_plans_dump_bound():
+    # the records live in an anonymous mapping that tracemalloc does not see,
+    # so a fresh process reads its peak resident set around the dump's
+    # simulation of 1e6 steps, while it holds the records as the dump does
+    # when it writes them: it must grow by about the 16 MB of records, and by
+    # at most the plan's dump bound, records and scan buffers, plus 1 MiB of
+    # slack for page rounding and the panels in flight.  A process keeps
+    # across exec the peak of the one it replaced, here this test's, so the
+    # fresh interpreter forks first and its child measures from its own size
+    src = os.path.dirname(os.path.dirname(ot.__file__))
+    code = """if True:
+        import os
+        if os.fork():
+            os._exit(os.waitstatus_to_exitcode(os.wait()[1]))
+        import resource
+        import optotriplet as ot
+        from optotriplet.timedomain import _QUARTER, _plan, _simulate
+        d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
+        dt = ot.default_sim_config(d).dt
+
+        def dump(n_steps):
+            cfg = ot.default_sim_config(d, 3, n_traj=1, t_dur=n_steps * dt)
+            return _simulate(d, cfg, _plan(d, cfg, 32, dump=True))
+
+        dump(8192)  # warm caches
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        records = dump(1_000_000)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(1024 * (after - before), 8 * 20 * _QUARTER)
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    growth, scan_bytes = map(int, done.stdout.split())
+    records = 16 * 1_000_000
+    assert 0.9 * records <= growth <= records + scan_bytes + 2**20
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
@@ -1247,8 +1286,8 @@ def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, 
 
 # each case breaks two checks of the run plan; the first in the order of
 # timedomain._plan wins: every range check before the step bound, the segment
-# count before the working set, and the working set, a dump's steps included,
-# before segments of 28 samples
+# count before the working set, and the streamed working set, then a dump's
+# records on their own, before segments of 28 samples
 @pytest.mark.parametrize("flags, code, message", [
     (["--dt", "2e-5", "--segments", "4"], 1, "need at least 8 segments"),
     (["--segments", "4", "--trajectories", "100000"], 1, "need at least 8 segments"),
