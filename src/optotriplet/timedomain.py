@@ -30,21 +30,21 @@ a time into one reused buffer, from one PCG64 stream per trajectory spawned
 from the run's seed, and mixed, scanned and turned into outputs before the
 next quarter is drawn.
 
-A run is split into contiguous shards of trajectories, one per process the
-package's process policy allows (:func:`optotriplet._forks.processes`), and
-each shard runs end to end in a process of its own: the first in the calling
-process, each other in a child forked for it (:func:`_in_shards`).  A shard
-draws its streams, mixes and scans its quarters and, in the spectral
-estimate, windows, transforms and weights its segments and sums each
-trajectory's periodograms over its segments, in order; a child reports those
-per-trajectory sums through a pipe, and writes :func:`simulate`'s records in
-place, into a shared mapping.  The calling process runs the first shard,
-polling the children between its quarters, then waits for the others and
-sums the per-trajectory sums in trajectory order.  Each stream is read in
-order and every sum runs in the same order, so the records and the estimate
-are the same bit for bit whatever the number of processes.  The scan's two
-large products are issued per trajectory, small enough that BLAS runs them
-on the shard's own thread.
+A streamed run (:func:`run_comparison`) is split into contiguous shards of
+trajectories, one per process the package's process policy allows
+(:func:`optotriplet._forks.processes`), and each shard runs end to end in a
+process of its own: the first in the calling process, each other in a child
+forked for it (:func:`_in_shards`).  A shard draws its streams, mixes and
+scans its quarters, windows, transforms and weights its segments and sums
+each trajectory's periodograms over its segments, in order; a child reports
+those per-trajectory sums through a pipe.  The calling process runs the
+first shard, polling the children between its quarters, then waits for the
+others and sums the per-trajectory sums in trajectory order.
+:func:`simulate` and :func:`estimate_psd`, which hold whole records, run in
+the calling process alone.  Each stream is read in order and every sum runs
+in the same order, so the records and the estimate are the same bit for bit
+whatever the number of processes.  The scan's two large products are issued
+per trajectory, small enough that BLAS runs them on the shard's own thread.
 
 Because the sampler is exact, the step is bounded by what the comparison
 needs, not by an integrator's accuracy: :func:`exact_discrete_psd` is the
@@ -89,7 +89,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import mmap
 import numbers
 from dataclasses import dataclass, field
 
@@ -172,9 +171,10 @@ class SimConfig:
     records, :func:`run_comparison` two segment buffers of
     ``n_traj * (n_steps // segments)`` and a windowed copy of one, a
     transform, the band bins' mix and one quarter's scan buffers; both plans
-    refuse more than 4 GiB.  Both run in up to ``n_traj`` processes, one per
-    usable CPU, each drawing, scanning and transforming its own trajectories
-    to the end of the run and summing their periodograms; records and
+    refuse more than 4 GiB.  :func:`run_comparison` runs in up to
+    ``n_traj`` processes, one per usable CPU, each drawing, scanning and
+    transforming its own trajectories to the end of the run and summing their
+    periodograms; :func:`simulate` runs in the calling process.  Records and
     estimates do not depend on how many.  The default ``n_traj``, 36, gives
     a default run's half-overlapped segments a 3.07% per-bin error bar
     (:class:`PsdEstimate`) and splits evenly over 2 and 4 CPUs.
@@ -862,9 +862,7 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
 
     Refuses what the run's plan refuses, records above 4 GiB among it;
     :func:`run_comparison` streams long runs instead.  Identical config and
-    seed give bit-identical records.  Each shard fills its own rows of them
-    in place: both records live in one shared anonymous mapping, which the
-    shards' child processes write too.
+    seed give bit-identical records, made in the calling process.
     """
     return _simulate(d, cfg, _plan(d, cfg))
 
@@ -873,17 +871,12 @@ def _simulate(d: DerivedParams, cfg: SimConfig, plan: _Plan) -> TimeSeriesBundle
     """:func:`simulate` of a planned run.  It reads only the plan's step
     count and signal window, which do not depend on ``cfg.n_traj``: a streamed
     run's plan serves one of its trajectories alone."""
-    shared = mmap.mmap(-1, 16 * cfg.n_traj * plan.n_steps)
-    b_plus, b_minus = np.frombuffer(shared, dtype=float).reshape(2, cfg.n_traj, plan.n_steps)
-
-    def record(rows, panels):
-        n0 = 0
-        for zp, zm in panels:
-            n1 = n0 + zp.shape[1]
-            b_plus[rows, n0:n1], b_minus[rows, n0:n1] = zp, zm
-            n0 = n1
-
-    _in_shards(_shard_panels(d, cfg, plan), record)
+    b_plus, b_minus = np.empty((2, cfg.n_traj, plan.n_steps))
+    n0 = 0
+    for zp, zm in _panels(_Sampler(d, cfg, plan), slice(0, cfg.n_traj)):
+        n1 = n0 + zp.shape[1]
+        b_plus[:, n0:n1], b_minus[:, n0:n1] = zp, zm
+        n0 = n1
     return TimeSeriesBundle(d=d, cfg=cfg, b_plus=b_plus, b_minus=b_minus)
 
 
@@ -1069,13 +1062,14 @@ def estimate_psd(ts: TimeSeriesBundle, segments: int = _SEGMENTS, y_policy="opti
     ``segments`` fixes the segment length ``n_steps // segments``, and the
     segments overlap by half (:func:`_welch`).  The weight is one of
     :func:`sigma_weights`; the step bound admits the run's step for the
-    optimal weight only and bounds no other.  Each shard's
-    rows go to :func:`_welch` as one chunk.  Fewer than 8 segments, and
-    segments under 64 samples, raise :class:`RunRangeError`.
+    optimal weight only and bounds no other.  The records go to
+    :func:`_welch` as one chunk of one shard, in the calling process.  Fewer
+    than 8 segments, and segments under 64 samples, raise
+    :class:`RunRangeError`.
     """
     _check_segment_len(ts.n_steps, _segment_len(ts.n_steps, segments))
-    shards = [(rows, [(ts.b_plus[rows], ts.b_minus[rows])]) for rows in _shards(ts.cfg.n_traj)]
-    return _welch(ts.d, ts.cfg, ts.n_steps, segments, shards, y_policy=y_policy)
+    shard = (slice(0, ts.cfg.n_traj), [(ts.b_plus, ts.b_minus)])
+    return _welch(ts.d, ts.cfg, ts.n_steps, segments, [shard], y_policy=y_policy)
 
 
 # --- comparison against the analytic engine -----------------------------------

@@ -1082,14 +1082,14 @@ def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_oracle_dump_records_stay_within_the_plans_dump_bound():
-    # the records live in an anonymous mapping that tracemalloc does not see,
-    # so a fresh process reads its peak resident set around the dump's
-    # simulation of 1e6 steps, while it holds the records as the dump does
-    # when it writes them: it must grow by about the 16 MB of records, and by
-    # at most the plan's dump bound, records and scan buffers, plus 1 MiB of
-    # slack for page rounding and the panels in flight.  A process keeps
-    # across exec the peak of the one it replaced, here this test's, so the
-    # fresh interpreter forks first and its child measures from its own size
+    # a fresh process reads its peak resident set, the pages the records
+    # really occupy, around the dump's simulation of 1e6 steps, while it holds
+    # the records as the dump does when it writes them: it must grow by about
+    # the 16 MB of records, and by at most the plan's dump bound, records and
+    # scan buffers, plus 1 MiB of slack for page rounding and the panels in
+    # flight.  A process keeps across exec the peak of the one it replaced,
+    # here this test's, so the fresh interpreter forks first and its child
+    # measures from its own size
     src = os.path.dirname(os.path.dirname(ot.__file__))
     code = """if True:
         import os

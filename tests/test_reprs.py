@@ -49,19 +49,90 @@ def test_powers_neighbours_and_layout_edges_are_written_as_repr_writes_them():
     assert texts(-values) == reprs(-values)
 
 
-@pytest.mark.parametrize("sure", [_reprs._SURE, 0.5])
-def test_many_values_over_several_chunks_are_written_as_repr_writes_them(monkeypatch, sure):
-    # at 0.5 every value's bounds are recomputed exactly
-    monkeypatch.setattr(_reprs, "_SURE", sure)
+def _chunk_values():
     rng = np.random.default_rng(30)
     n = 3 * _reprs._CHUNK + 7
-    values = np.concatenate((
+    return np.concatenate((
         rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True).view(np.float64),
         rng.integers(0, 10**6, n) / 10.0 ** rng.integers(0, 9, n),
         rng.integers(0, 2**62, n).astype(np.float64),
         rng.integers(1, 10**6, n) * 10.0 ** rng.integers(-320, 300, n),
     ))
+
+
+@pytest.mark.parametrize("sure", [_reprs._SURE, 0.5])
+def test_many_values_over_several_chunks_are_written_as_repr_writes_them(monkeypatch, sure):
+    # at 0.5 every value's bounds are recomputed exactly
+    monkeypatch.setattr(_reprs, "_SURE", sure)
+    values = _chunk_values()
     assert texts(values) == reprs(values)
+
+
+# the binary ufuncs whose result type numpy 1.x's value-based casting and
+# NEP 50 may choose differently when one operand is a Python or mixed-kind scalar
+_ARITHMETIC = {np.add, np.subtract, np.multiply, np.floor_divide, np.true_divide,
+               np.remainder, np.divmod, np.power, np.minimum, np.maximum, np.left_shift,
+               np.right_shift, np.bitwise_and, np.bitwise_or, np.bitwise_xor}
+
+
+def _implicit(operand) -> bool:
+    """Whether ``operand``, beside a ``uint64`` array, leaves the result type
+    to the casting rules: a Python int or float, a numpy scalar of another
+    type, or a signed or float array."""
+    if isinstance(operand, np.generic):
+        return operand.dtype != np.uint64
+    if isinstance(operand, np.ndarray):
+        return operand.dtype.kind in "if"
+    return isinstance(operand, (int, float)) and not isinstance(operand, bool)
+
+
+class _Operands(np.ndarray):
+    """An array that logs, in ``found``, every arithmetic or bitwise ufunc in
+    which a ``uint64`` array meets an operand of :func:`_implicit`; every
+    array computed from it is one too."""
+
+    found = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if (ufunc in _ARITHMETIC
+                and any(isinstance(x, np.ndarray) and x.dtype == np.uint64 for x in inputs)
+                and any(map(_implicit, inputs))):
+            self.found.append((ufunc.__name__, [getattr(x, "dtype", type(x)) for x in inputs]))
+        inputs = [x.view(np.ndarray) if isinstance(x, _Operands) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Operands) else x
+                                  for x in out)
+            getattr(ufunc, method)(*inputs, **kwargs)
+            return out[0] if len(out) == 1 else out
+        return _as_operands(getattr(ufunc, method)(*inputs, **kwargs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        return _as_operands(super().__array_function__(func, types, args, kwargs))
+
+
+def _as_operands(result):
+    if isinstance(result, tuple):
+        return tuple(map(_as_operands, result))
+    return result.view(_Operands) if type(result) is np.ndarray else result
+
+
+@pytest.mark.parametrize("sure", [_reprs._SURE, 0.5])
+def test_the_integer_kernel_keeps_every_uint64_operand_explicit(monkeypatch, sure):
+    # the bit patterns that _format reads, and every array computed from
+    # them, log each operation that mixes a uint64 array with an operand whose
+    # type the casting rules would choose: numpy 1.24 and numpy 2 could give
+    # such an operation different types, and so different bytes
+    monkeypatch.setattr(_reprs, "_SURE", sure)
+    monkeypatch.setattr(_Operands, "found", [])
+    values = np.concatenate((_edge_values(), _chunk_values()))
+    bits = values.view(np.uint64)
+    out = np.empty((values.size, _reprs.WIDTH // 8), dtype=_reprs._WORD)
+    for start in range(0, values.size, _reprs._CHUNK):
+        end = start + _reprs._CHUNK
+        _reprs._format(bits[start:end].view(_Operands), out[start:end])
+    assert _Operands.found == []
+    cells = out.view(np.uint8).reshape(-1, _reprs.WIDTH)
+    assert [bytes(cell).replace(b"\0", b"").decode() for cell in cells] == reprs(values)
 
 
 def test_rows_join_fields_with_commas_and_end_each_row():

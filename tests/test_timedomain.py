@@ -19,6 +19,7 @@ import optotriplet as ot
 from optotriplet.optimizer import y_opt_analytic
 from optotriplet.timedomain import (
     _BLOCK,
+    _QUARTER,
     _THETA13,
     RunRangeError,
     SimulationError,
@@ -839,10 +840,12 @@ def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
     # uneven shards, shards of one trajectory and more CPUs than trajectories.
     # The records, the streamed estimate and estimate_psd of the records are
     # the same bit for bit, and a trajectory's record does not depend on how
-    # many trajectories run with it.  Every shard but the first runs in a
-    # forked child, and each shard's last panel is held back the longer the
-    # earlier its rows, so the shards end in reverse order and a lost or
-    # misplaced row, or a report taken for another shard's, would show.
+    # many trajectories run with it.  Only the streamed run asks the process
+    # policy for its shards; simulate and estimate_psd run in this process.
+    # Every shard but the first runs in a forked child, and each shard's last
+    # panel is held back the longer the earlier its rows, so the shards end in
+    # reverse order and a lost or misplaced row, or a report taken for another
+    # shard's, would show.
     d, runs = run_7001.d, {}
     panels = ot.timedomain._panels
 
@@ -862,7 +865,7 @@ def test_records_do_not_depend_on_the_cpu_count(run_7001, monkeypatch):
                 ts = ot.simulate(d, cfg)
                 streamed = ot.run_comparison(d, cfg, segments=8)[1]
                 records = ot.estimate_psd(ts, segments=8)
-                assert asked == [cpus] * 3
+                assert asked == [cpus]
                 got = (ts.b_plus, ts.b_minus, streamed.psd, records.psd)
                 want = runs.setdefault((noise, n_traj), got)
                 assert all(map(np.array_equal, got, want))
@@ -926,17 +929,53 @@ def _open_fds():
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
 def test_runs_leave_no_draw_thread_behind(d_lossy, monkeypatch, forks):
-    # three shards: the first in this process, the others in two forked
-    # children; no run starts a thread, and none leaves a child or a pipe
+    # simulate runs in this process; the streamed run in three shards, the
+    # first in this process, the others in two forked children; no run starts
+    # a thread, and none leaves a child or a pipe
     monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 3)
     cfg = short_cfg(d_lossy, n_traj=3, dt=fine_dt(d_lossy))
     start, fds = threading.active_count(), _open_fds()
     ot.simulate(d_lossy, cfg)
     assert threading.active_count() == start
+    assert not forks
     ot.run_comparison(d_lossy, cfg, segments=8)
     assert threading.active_count() == start
-    assert len(forks.reaped()) == 4
+    assert len(forks.reaped()) == 2
     assert _open_fds() == fds
+
+
+@pytest.mark.skipif(not FORK, reason="the check counts forks")
+def test_simulate_and_estimate_psd_run_in_the_calling_process(d_lossy, monkeypatch, forks):
+    # whatever the usable CPUs, simulate reads every trajectory's panels in
+    # this process, as one shard, and neither it nor estimate_psd forks; a
+    # diverging _panels makes simulate raise its SimulationError here, and
+    # no thread or pipe is left
+    panels, seen = ot.timedomain._panels, []
+
+    def logged(sampler, rows):
+        seen.append((os.getpid(), rows))
+        yield from panels(sampler, rows)
+
+    def diverging(sampler, rows):
+        for k, panel in enumerate(logged(sampler, rows)):
+            if k == 4:
+                raise SimulationError("state diverged by step 1024 (of 40960)")
+            yield panel
+
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=3, t_dur=40 * 1024 * dt)
+    start, fds = threading.active_count(), _open_fds()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ot.timedomain, "_panels", logged)
+        ot.estimate_psd(ot.simulate(d_lossy, cfg), segments=8)
+        monkeypatch.setattr(ot.timedomain, "_panels", diverging)
+        with pytest.raises(SimulationError, match="state diverged by step 1024"):
+            ot.simulate(d_lossy, cfg)
+        assert threading.active_count() == start
+        assert _open_fds() == fds
+    assert seen == [(os.getpid(), slice(0, 3))] * 6
+    assert not forks
 
 
 class _InterruptedWait:
@@ -1025,11 +1064,12 @@ def _fail_a_shard(monkeypatch, tmp_path, failing):
     return counts
 
 
-_RUNS = [ot.simulate, lambda d, cfg: ot.run_comparison(d, cfg, 8)]
+# the streamed run is the one that runs in shards
+_RUNS = [lambda d, cfg: ot.run_comparison(d, cfg, 8)]
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
-@pytest.mark.parametrize("run", _RUNS, ids=["simulate", "run_comparison"])
+@pytest.mark.parametrize("run", _RUNS, ids=["run_comparison"])
 def test_a_failing_shard_stops_the_others(d_lossy, tmp_path, monkeypatch, forks, run):
     # the last of three shards, a child, diverges once the others have made a
     # panel: its error reaches the caller, which runs the first shard and
@@ -1051,7 +1091,7 @@ def test_a_failing_shard_stops_the_others(d_lossy, tmp_path, monkeypatch, forks,
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
-@pytest.mark.parametrize("run", _RUNS, ids=["simulate", "run_comparison"])
+@pytest.mark.parametrize("run", _RUNS, ids=["run_comparison"])
 def test_a_failing_first_shard_stops_the_children(d_lossy, tmp_path, monkeypatch, forks, run):
     # the first of three shards, in the calling process, diverges once the
     # children have made a panel: its error reaches the caller once both are
@@ -1072,7 +1112,7 @@ def test_a_failing_first_shard_stops_the_children(d_lossy, tmp_path, monkeypatch
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
-@pytest.mark.parametrize("run", _RUNS, ids=["simulate", "run_comparison"])
+@pytest.mark.parametrize("run", _RUNS, ids=["run_comparison"])
 def test_a_killed_shard_process_fails_the_run_naming_it(d_lossy, tmp_path, monkeypatch, forks, run):
     # the child that runs trajectories 1-2 is killed at its first panel: the
     # run fails with one error naming it, and no child or pipe is left
@@ -1372,6 +1412,26 @@ def test_simulate_cap_counts_the_scan_panel(d_lossy, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_simulate_records_are_traced_memory_within_the_plan(d_lossy):
+    # 8 trajectories x 1e5 steps: 12.8 MB of records, made in this process,
+    # where tracemalloc sees them; the peak is at least 0.9 of the records and
+    # at most the records, one quarter's scan buffers and the plan's fixed
+    # 256 KiB of the streamed run (the step bound's frequencies and the scan's
+    # operators)
+    dt = ot.default_sim_config(d_lossy).dt
+    cfg = short_cfg(d_lossy, n_traj=8, t_dur=100_000 * dt)
+    records = 16 * cfg.n_traj * 100_000
+    ot.simulate(d_lossy, short_cfg(d_lossy, n_traj=8, t_dur=1024 * dt))  # warm caches
+    tracemalloc.start()
+    try:
+        ts = ot.simulate(d_lossy, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ts.b_plus.shape == (8, 100_000)
+    assert 0.9 * records <= peak <= records + 8 * cfg.n_traj * 20 * _QUARTER + 2**18
 
 
 @pytest.mark.parametrize("n_traj, n_steps, streams", [(64, 5_000_000, True), (10**6, 200, False)])
