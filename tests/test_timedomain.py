@@ -1020,12 +1020,13 @@ def test_an_interrupted_wait_stops_every_shard_first(tmp_path, monkeypatch, fork
     assert made["0"] == 3 and made["1"] < 10_000
 
 
-def _fail_a_shard(monkeypatch, tmp_path, failing):
-    """Make the shard of three whose rows start at ``failing`` diverge at its
-    first panel, once the others have made theirs.  The others make each
-    later panel only 0.2 s after it has failed, and log each panel they make
-    as ``start late`` to ``tmp_path / "made"``, ``late`` 1 once it has failed.
-    Returns a function that reads the log into ``(made, late)`` counters."""
+def _fail_a_shard(monkeypatch, tmp_path, failing, starts):
+    """Make the shard whose rows start at ``failing``, of the shards whose
+    rows start at ``starts``, diverge at its first panel, once the others
+    have made theirs.  The others make each later panel only 0.2 s after it
+    has failed, and log each panel they make as ``start late`` to
+    ``tmp_path / "made"``, ``late`` 1 once it has failed.  Returns a function
+    that reads the log into ``(made, late)`` counters."""
     panels, failed, log = ot.timedomain._panels, tmp_path / "failed", tmp_path / "made"
 
     def first(g):
@@ -1040,7 +1041,7 @@ def _fail_a_shard(monkeypatch, tmp_path, failing):
     def diverging(sampler, rows):
         for k, panel in enumerate(panels(sampler, rows)):
             if rows.start == failing:
-                wait_for(*(first(g) for g in range(3) if g != failing))
+                wait_for(*(first(g) for g in starts if g != failing))
                 failed.touch()
                 raise SimulationError("state diverged by step 1024 (of 40960)")
             if k:
@@ -1055,7 +1056,7 @@ def _fail_a_shard(monkeypatch, tmp_path, failing):
 
     def counts():
         made, late = collections.Counter(), collections.Counter()
-        for line in log.read_text().splitlines():
+        for line in log.read_text().splitlines() if log.exists() else []:
             g, was_late = map(int, line.split())
             made[g] += 1
             late[g] += was_late
@@ -1064,58 +1065,64 @@ def _fail_a_shard(monkeypatch, tmp_path, failing):
     return counts
 
 
-# the streamed run is the one that runs in shards
-_RUNS = [lambda d, cfg: ot.run_comparison(d, cfg, 8)]
+# each run, and whether it runs in shards: the streamed run makes one shard
+# a usable CPU, simulate makes one, in the calling process, whatever the CPUs
+_RUNS = [pytest.param(ot.simulate, False, id="simulate"),
+         pytest.param(lambda d, cfg: ot.run_comparison(d, cfg, 8), True, id="run_comparison")]
 
 
-@pytest.mark.skipif(not FORK, reason="the shard processes need fork")
-@pytest.mark.parametrize("run", _RUNS, ids=["run_comparison"])
-def test_a_failing_shard_stops_the_others(d_lossy, tmp_path, monkeypatch, forks, run):
-    # the last of three shards, a child, diverges once the others have made a
-    # panel: its error reaches the caller, which runs the first shard and
-    # sees it before that shard's next panel; the others make at most the
-    # panel they are making, and every child has been reaped
+def _fails_in_its_shard(d, tmp_path, monkeypatch, forks, run, sharded, pick):
+    """Run ``run`` at 3 usable CPUs with the shard ``pick(starts)`` of its
+    shards diverging once the others have made a panel: its error reaches
+    the caller, every child has been reaped, no thread or pipe is left, the
+    failing shard makes no panel and each other shard makes at least one and
+    at most one after the failure."""
     monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 3)
-    dt = ot.default_sim_config(d_lossy).dt
-    cfg = short_cfg(d_lossy, n_traj=3, t_dur=40 * 1024 * dt)
-    counts = _fail_a_shard(monkeypatch, tmp_path, failing=2)
+    starts = (0, 1, 2) if sharded else (0,)
+    dt = ot.default_sim_config(d).dt
+    cfg = short_cfg(d, n_traj=3, t_dur=40 * 1024 * dt)
+    failing = pick(starts)
+    counts = _fail_a_shard(monkeypatch, tmp_path, failing, starts)
     start, fds = threading.active_count(), _open_fds()
     with pytest.raises(SimulationError, match="state diverged by step 1024"):
-        run(d_lossy, cfg)
+        run(d, cfg)
     assert threading.active_count() == start
-    assert len(forks.reaped()) == 2
+    assert len(forks.reaped()) == len(starts) - 1
     assert _open_fds() == fds
     made, late = counts()
-    assert made[0] >= 1 and made[1] >= 1 and made[2] == 0
-    assert late[0] <= 1 and late[1] <= 1
+    assert made[failing] == 0
+    assert all(made[g] >= 1 and late[g] <= 1 for g in starts if g != failing)
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
-@pytest.mark.parametrize("run", _RUNS, ids=["run_comparison"])
-def test_a_failing_first_shard_stops_the_children(d_lossy, tmp_path, monkeypatch, forks, run):
-    # the first of three shards, in the calling process, diverges once the
-    # children have made a panel: its error reaches the caller once both are
-    # killed and reaped, each having made at most the panel it was making
-    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 3)
-    dt = ot.default_sim_config(d_lossy).dt
-    cfg = short_cfg(d_lossy, n_traj=3, t_dur=40 * 1024 * dt)
-    counts = _fail_a_shard(monkeypatch, tmp_path, failing=0)
-    start, fds = threading.active_count(), _open_fds()
-    with pytest.raises(SimulationError, match="state diverged by step 1024"):
-        run(d_lossy, cfg)
-    assert threading.active_count() == start
-    assert len(forks.reaped()) == 2
-    assert _open_fds() == fds
-    made, late = counts()
-    assert made[0] == 0 and made[1] >= 1 and made[2] >= 1
-    assert late[1] <= 1 and late[2] <= 1
+@pytest.mark.parametrize("run, sharded", _RUNS)
+def test_a_failing_shard_stops_the_others(d_lossy, tmp_path, monkeypatch, forks, run, sharded):
+    # the last shard diverges: in the streamed run it is the last of three,
+    # a child, and the caller, which runs the first shard, sees its error
+    # before that shard's next panel; simulate's one shard is the caller's
+    # own, and fails with no child forked
+    _fails_in_its_shard(d_lossy, tmp_path, monkeypatch, forks, run, sharded,
+                        pick=lambda starts: starts[-1])
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
-@pytest.mark.parametrize("run", _RUNS, ids=["run_comparison"])
-def test_a_killed_shard_process_fails_the_run_naming_it(d_lossy, tmp_path, monkeypatch, forks, run):
-    # the child that runs trajectories 1-2 is killed at its first panel: the
-    # run fails with one error naming it, and no child or pipe is left
+@pytest.mark.parametrize("run, sharded", _RUNS)
+def test_a_failing_first_shard_stops_the_children(d_lossy, tmp_path, monkeypatch, forks, run, sharded):
+    # the first shard, in the calling process, diverges: in the streamed run
+    # its error reaches the caller once both children are killed and reaped;
+    # simulate has no children to stop
+    _fails_in_its_shard(d_lossy, tmp_path, monkeypatch, forks, run, sharded,
+                        pick=lambda starts: starts[0])
+
+
+@pytest.mark.skipif(not FORK, reason="the shard processes need fork")
+@pytest.mark.parametrize("run, sharded", _RUNS)
+def test_a_killed_shard_process_fails_the_run_naming_it(d_lossy, tmp_path, monkeypatch, forks,
+                                                         run, sharded):
+    # at 2 usable CPUs any shard outside this process is killed at its first
+    # panel: the streamed run's child, which runs trajectories 1-2, is, and
+    # the run fails with one error naming it; simulate forks no shard that
+    # could be killed, and runs to its end.  No child or pipe is left
     monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
     panels, parent = ot.timedomain._panels, os.getpid()
 
@@ -1127,12 +1134,18 @@ def test_a_killed_shard_process_fails_the_run_naming_it(d_lossy, tmp_path, monke
 
     monkeypatch.setattr(ot.timedomain, "_panels", killed)
     fds = _open_fds()
-    with pytest.raises(ChildProcessError) as lost:
-        run(d_lossy, short_cfg(d_lossy, n_traj=3, dt=fine_dt(d_lossy)))
-    assert str(lost.value) == (
-        f"shard process {(tmp_path / 'killed').read_text()} (trajectories 1-2) ended "
-        f"without a report (killed by signal {int(signal.SIGKILL)})")
-    assert len(forks.reaped()) == 1
+    cfg = short_cfg(d_lossy, n_traj=3, dt=fine_dt(d_lossy))
+    if sharded:
+        with pytest.raises(ChildProcessError) as lost:
+            run(d_lossy, cfg)
+        assert str(lost.value) == (
+            f"shard process {(tmp_path / 'killed').read_text()} (trajectories 1-2) ended "
+            f"without a report (killed by signal {int(signal.SIGKILL)})")
+        assert len(forks.reaped()) == 1
+    else:
+        run(d_lossy, cfg)
+        assert not (tmp_path / "killed").exists()
+        assert not forks
     assert _open_fds() == fds
 
 
