@@ -56,9 +56,11 @@ from .timedomain import (
     ComparisonReport,
     RunRangeError,
     SimulationError,
+    _panels,
     _plan,
     _run_comparison,
-    _simulate,
+    _Sampler,
+    _write_dump,
     default_sim_config,
 )
 
@@ -395,7 +397,7 @@ def cmd_oracle(args) -> int:
     d = derive(scen.apply(p))
     flags = {"n_traj": args.trajectories, "t_dur": args.duration, "dt": args.dt}
     cfg = default_sim_config(d, args.seed, **{k: v for k, v in flags.items() if v is not None})
-    plan = _plan(d, cfg, args.segments, dump=args.dump_timeseries)
+    plan = _plan(d, cfg, args.segments)
     os.makedirs(args.out, exist_ok=True)
     report, _, analytic = _run_comparison(d, cfg, plan)
 
@@ -407,10 +409,11 @@ def cmd_oracle(args) -> int:
     report_text = header + report.format() + "\n"
     _atomic_write(os.path.join(args.out, f"{scen.name}-report.txt"), report_text)
     if args.dump_timeseries:
-        # trajectory 0 alone, with the run's seed and plan: the same records as
-        # in the streamed run, which has released its buffers
-        _simulate(d, dataclasses.replace(cfg, n_traj=1), plan).dump_text(
-            os.path.join(args.out, f"{scen.name}-timeseries.txt"))
+        # trajectory 0 alone, with the run's seed and plan: the same outputs as
+        # in the streamed run, which has released its buffers, written as made
+        one = _Sampler(d, dataclasses.replace(cfg, n_traj=1), plan)
+        _write_dump(os.path.join(args.out, f"{scen.name}-timeseries.txt"), cfg.dt,
+                    _panels(one, slice(0, 1)))
     if not report.passed:
         _atomic_write(os.path.join(args.out, f"{scen.name}-bins.csv"), _bins_csv(report, analytic))
     manifest = _manifest(p, d, {

@@ -59,7 +59,7 @@ it, in one order, before any array that grows with it is built.  A run out of
 range is refused first, as a :class:`RunRangeError` (exit 1 in the CLI); an
 unstable drift or a step over the bound is a numerical failure (exit 2).
 
-Two consumers read the outputs, a quarter (a panel) at a time.
+The outputs are read a quarter (a panel) at a time.
 :func:`simulate` collects them into records of ``2 * n_traj * n_steps``
 floats, for inspection and signal-transfer checks; its plan refuses records
 that, with their scan buffers, would exceed 4 GiB.  :func:`run_comparison`
@@ -72,11 +72,12 @@ segment's transforms are mixed into buffers it reuses, so the streamed run
 needs ``O(n_traj * (segment + quarter))`` memory whatever its length.  The
 estimator reads every panel, the ones after the last whole segment too.  Its
 estimate covers only the comparison band's bins, each bit-identical to the
-same bin of :func:`estimate_psd` of the records.  A trajectory's records
-do not depend on how many trajectories run with it, so simulating one
-trajectory of a streamed run alone, with the run's plan (:func:`_simulate`),
-reproduces it to the bit; the CLI's time-series dump does so for trajectory
-0 once the comparison has returned, so the two never hold memory at once.
+same bin of :func:`estimate_psd` of the records.  A trajectory's outputs
+do not depend on how many trajectories run with it, so the panels of one
+trajectory of a streamed run, sampled alone with the run's plan, reproduce
+it to the bit; the CLI's time-series dump writes trajectory 0's that way,
+each panel as it is made (:func:`_write_dump`), once the comparison has
+returned, so the two never hold memory at once and the dump holds no records.
 
 The weight is applied only where records are combined, in the frequency
 domain: segmented Hann-windowed transforms of the two records are mixed per
@@ -114,8 +115,8 @@ _MIN_SEG_LEN = 64
 # Welch segments of a run by default: the segment length is n_steps // _SEGMENTS
 _SEGMENTS = 16
 # steps per block of the affine scan, and per quarter of 8 blocks (drawn,
-# mixed, scanned and output at a time); rows of the time-series dump
-# formatted at a time
+# mixed, scanned and output at a time); rows of held records that the
+# time-series dump formats at a time
 _BLOCK = 32
 _QUARTER = 8 * _BLOCK
 _PANEL = 4 * _QUARTER
@@ -472,21 +473,33 @@ class TimeSeriesBundle:
         return np.fft.irfft(np.conj(wp * xp + wm * xm), n=n, axis=1)
 
     def dump_text(self, path) -> None:
-        """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a.
+        """Columnar dump of the first trajectory: time, b_plus_a, b_minus_a,
+        one panel of rows at a time (:func:`_write_dump`)."""
+        _write_dump(path, self.dt, ((self.b_plus[:1, n0:n0 + _PANEL],
+                                     self.b_minus[:1, n0:n0 + _PANEL])
+                                    for n0 in range(0, self.n_steps, _PANEL)))
 
-        Formatted one panel of rows at a time, as ``np.savetxt`` formats
-        them (:func:`_rows_text`), so no copy of the series is made, and
-        written through a temporary file, so ``path`` only appears once the
-        dump is complete.
-        """
-        def blocks():
-            yield "time b_plus_a b_minus_a\n"
-            for n0 in range(0, self.n_steps, _PANEL):
-                n1 = min(n0 + _PANEL, self.n_steps)
-                yield _rows_text(np.column_stack([np.arange(n0, n1) * self.dt,
-                                                  self.b_plus[0, n0:n1], self.b_minus[0, n0:n1]]))
 
-        atomic_write(path, blocks())
+def _write_dump(path, dt: float, chunks) -> None:
+    """Columnar dump of the first trajectory of ``chunks``: time, b_plus_a,
+    b_minus_a.
+
+    ``chunks`` yields both channels in time order as ``(b_plus, b_minus)``
+    pieces of one row per trajectory, as :func:`_welch` reads them and
+    :func:`_panels` yields them.  Each piece's first row is formatted as it
+    comes, as ``np.savetxt`` formats it (:func:`_rows_text`), so no copy of
+    the series is made, and written through a temporary file, so ``path``
+    only appears once the dump is complete.
+    """
+    def blocks():
+        yield "time b_plus_a b_minus_a\n"
+        n0 = 0
+        for zp, zm in chunks:
+            n1 = n0 + zp.shape[1]
+            yield _rows_text(np.column_stack([np.arange(n0, n1) * dt, zp[0], zm[0]]))
+            n0 = n1
+
+    atomic_write(path, blocks())
 
 
 def _rows_text(block: np.ndarray) -> str:
@@ -636,8 +649,7 @@ def _count(n: int) -> str:
         return "inf"
 
 
-def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
-          dump: bool = False) -> _Plan:
+def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None) -> _Plan:
     """Check a run and fix its sizes before any array that grows with it.
 
     The refusals come in this order, (1) and (8) as :class:`SimulationError`
@@ -645,9 +657,7 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
     drift matrix that is not strictly stable; (2) a step count ``t_dur / dt``
     that is not finite; (3) fewer than 8 segments ("need at least 8
     segments"); (4) a streamed working set above ``_MAX_RECORD_BYTES``, known
-    once the segment length is, then with ``dump`` the records of trajectory 0
-    and their scan buffers above it, which :func:`_simulate` holds for the
-    dump once the stream has ended; (5) segments under 64 samples; (6) no
+    once the segment length is; (5) segments under 64 samples; (6) no
     :func:`default_band`, or none of its bins; (7) a signal window outside the
     run; (8) the step bound, last, once the run is known to be in range: a
     step at which :func:`exact_discrete_psd`, the density the sampler draws,
@@ -703,15 +713,6 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None,
                 f"{_count(seg_len)} steps would hold {_gib(stream_bytes)} GiB "
                 f"(cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
                 "use fewer trajectories, a larger dt or more segments"
-            )
-        # the dump's records of one trajectory and its scan buffers, made once
-        # the stream's buffers are released
-        dump_bytes = 16 * n_steps + 8 * 20 * _QUARTER
-        if dump and dump_bytes > _MAX_RECORD_BYTES:
-            raise RunRangeError(
-                f"a dump of trajectory 0 over {_count(n_steps)} steps would hold "
-                f"{_gib(dump_bytes)} GiB (cap {_MAX_RECORD_BYTES / 2**30:g} GiB); "
-                "use a larger dt or a shorter duration"
             )
         _check_segment_len(n_steps, seg_len)
         periodograms = _overlap(seg_len, segments)[1]
@@ -777,7 +778,10 @@ def _band_bins(seg_len: int, dt: float, band: tuple[float, float]) -> slice:
 class _Sampler:
     """What every shard of a planned run reads: the step operators, the
     stationary start, the drive and one seed per trajectory.  Built once, in
-    the calling process before any shard is forked, and never changed."""
+    the calling process before any shard is forked, and never changed.  It
+    reads only the plan's step count and signal window, which do not depend
+    on ``cfg.n_traj``: a streamed run's plan serves one of its trajectories
+    alone."""
 
     def __init__(self, d: DerivedParams, cfg: SimConfig, plan: _Plan):
         drift, f_in, intens, c_out, e_sel = _system_matrices(d, cfg.noise)
@@ -864,13 +868,7 @@ def simulate(d: DerivedParams, cfg: SimConfig) -> TimeSeriesBundle:
     :func:`run_comparison` streams long runs instead.  Identical config and
     seed give bit-identical records, made in the calling process.
     """
-    return _simulate(d, cfg, _plan(d, cfg))
-
-
-def _simulate(d: DerivedParams, cfg: SimConfig, plan: _Plan) -> TimeSeriesBundle:
-    """:func:`simulate` of a planned run.  It reads only the plan's step
-    count and signal window, which do not depend on ``cfg.n_traj``: a streamed
-    run's plan serves one of its trajectories alone."""
+    plan = _plan(d, cfg)
     b_plus, b_minus = np.empty((2, cfg.n_traj, plan.n_steps))
     n0 = 0
     for zp, zm in _panels(_Sampler(d, cfg, plan), slice(0, cfg.n_traj)):

@@ -953,28 +953,32 @@ def test_failing_oracle_writes_bins(tmp_path, capsys, monkeypatch):
     assert np.allclose(dev, (est - analytic) / (rel_err * analytic), rtol=1e-12, atol=0.0)
 
 
-def test_oracle_dump_refuses_huge_records(tmp_path, capsys):
-    # 2.8e8 steps in 1000 segments: 0.51 GiB of streamed working set; the
-    # dump, simulated once the stream has ended, would hold 4.24 GiB on its
-    # own, both channels of trajectory 0 and their scan buffers
-    flags = ["--duration", 100, "--segments", 1000, "--dt", FINE_DT]
-    assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags,
-                "--dump-timeseries"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and (
-        "a dump of trajectory 0 over 284625000 steps would hold 4.24 GiB" in err)
-    assert not list(tmp_path.iterdir())
-    # the refusal is the dump's alone: the stream fits the cap
-    d = ot.derive(ot.ORACLE_SCENARIOS["sym-lossless"].apply(ot.table1_preset()))
-    cfg = ot.default_sim_config(d, t_dur=100.0, dt=float(FINE_DT))
-    assert _plan(d, cfg, 1000).stream_bytes < 2**30
+def test_oracle_dump_does_not_reach_the_record_cap(tmp_path, capsys, monkeypatch):
+    # 65536 steps of one trajectory in 64 segments: the stream holds 548864 B,
+    # and trajectory 0's records with their scan buffers would take 1089536 B;
+    # under a cap of 600000 B the dump, written panel by panel as it is
+    # sampled, holds no records, and the run writes what it writes at the
+    # default cap
+    d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
+    cfg = ot.default_sim_config(d, 5, n_traj=1, t_dur=65536 * ot.default_sim_config(d).dt)
+    plan = _plan(d, cfg, 64)
+    assert (plan.n_steps, plan.stream_bytes) == (65536, 548864)
+    assert 16 * plan.n_steps + 8 * 20 * ot.timedomain._QUARTER == 1089536
+    args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--trajectories", 1,
+            "--duration", repr(cfg.t_dur), "--segments", 64, "--seed", 5, "--dump-timeseries"]
+    assert run([*args, "--out", tmp_path / "default"]) == 0
+    monkeypatch.setattr(ot.timedomain, "_MAX_RECORD_BYTES", 600_000)
+    assert run([*args, "--out", tmp_path / "capped"]) == 0
+    for name in ("report", "timeseries"):
+        assert ((tmp_path / "capped" / f"nonsym-lossy-{name}.txt").read_bytes()
+                == (tmp_path / "default" / f"nonsym-lossy-{name}.txt").read_bytes())
 
 
 def test_oracle_dump_and_stream_each_fit_the_cap(tmp_path, capsys, monkeypatch):
-    # 7001 steps in 8 segments of 2 trajectories: the stream holds 596064 B
-    # and the dump, simulated once the stream has ended, 152976 B; under a
-    # cap of 650000 B each fits, though not both together, and the run
-    # writes what it writes at the default cap
+    # 7001 steps in 8 segments of 2 trajectories: the stream holds 596064 B,
+    # and the dump, sampled panel by panel once the stream has ended, holds
+    # no records; under a cap of 650000 B the run writes what it writes at
+    # the default cap
     d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
     args = ["oracle", "--preset", "table1", "--scenario", "nonsym-lossy", "--trajectories", 2,
             "--duration", repr(7001 * ot.default_sim_config(d).dt), "--segments", 8,
@@ -1075,47 +1079,50 @@ def test_oracle_dump_memory_does_not_grow_with_the_trajectories(tmp_path, capsys
             tracemalloc.stop()
         peaks[n_traj] += sum(child_peaks())
         cfg = ot.default_sim_config(d, 3, n_traj=n_traj, t_dur=t_dur)
-        stream[n_traj] = _plan(d, cfg, 32, dump=True).stream_bytes
+        stream[n_traj] = _plan(d, cfg, 32).stream_bytes
     assert (tmp_path / "16" / "nonsym-lossy-timeseries.txt").exists()
     assert peaks[16] - peaks[1] <= stream[16] - stream[1]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_oracle_dump_records_stay_within_the_plans_dump_bound():
-    # a fresh process reads its peak resident set, the pages the records
-    # really occupy, around the dump's simulation of 1e6 steps, while it holds
-    # the records as the dump does when it writes them: it must grow by about
-    # the 16 MB of records, and by at most the plan's dump bound, records and
-    # scan buffers, plus 1 MiB of slack for page rounding and the panels in
-    # flight.  A process keeps across exec the peak of the one it replaced,
-    # here this test's, so the fresh interpreter forks first and its child
-    # measures from its own size
+def test_oracle_dump_holds_no_records(tmp_path):
+    # a fresh process reads its peak resident set, the pages really occupied,
+    # around a one-trajectory oracle run of 1e6 steps with its dump: the dump
+    # formats each panel as it is sampled, so the process must grow by at
+    # most 1 MiB of page rounding and panels in flight, not by the 16 MB that
+    # trajectory 0's records would take.  A process keeps across exec the
+    # peak of the one it replaced, here this test's, so the fresh interpreter
+    # forks first and its child measures from its own size
     src = os.path.dirname(os.path.dirname(ot.__file__))
     code = """if True:
-        import os
+        import os, sys
         if os.fork():
             os._exit(os.waitstatus_to_exitcode(os.wait()[1]))
         import resource
         import optotriplet as ot
-        from optotriplet.timedomain import _QUARTER, _plan, _simulate
+        from optotriplet import cli
         d = ot.derive(ot.ORACLE_SCENARIOS["nonsym-lossy"].apply(ot.table1_preset()))
         dt = ot.default_sim_config(d).dt
 
-        def dump(n_steps):
-            cfg = ot.default_sim_config(d, 3, n_traj=1, t_dur=n_steps * dt)
-            return _simulate(d, cfg, _plan(d, cfg, 32, dump=True))
+        def dump(n_steps, out):
+            return cli.main(["oracle", "--preset", "table1", "--scenario", "nonsym-lossy",
+                             "--trajectories", "1", "--duration", repr(n_steps * dt),
+                             "--segments", "1024", "--seed", "3", "--dump-timeseries",
+                             "--out", os.path.join(sys.argv[1], out)])
 
-        dump(8192)  # warm caches
+        assert dump(65536, "warm") in (0, 3)  # warm caches
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        records = dump(1_000_000)
+        assert dump(1_000_000, "long") in (0, 3)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(1024 * (after - before), 8 * 20 * _QUARTER)
+        print(1024 * (after - before))
     """
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=120)
-    growth, scan_bytes = map(int, done.stdout.split())
-    records = 16 * 1_000_000
-    assert 0.9 * records <= growth <= records + scan_bytes + 2**20
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          check=True, timeout=120)
+    growth = int(done.stdout.split()[-1])
+    with open(tmp_path / "long" / "nonsym-lossy-timeseries.txt", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 1_000_000
+    assert growth <= 2**20
 
 
 @pytest.mark.skipif(not FORK, reason="the shard processes need fork")
@@ -1286,13 +1293,11 @@ def test_oracle_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, 
 
 # each case breaks two checks of the run plan; the first in the order of
 # timedomain._plan wins: every range check before the step bound, the segment
-# count before the working set, and the streamed working set, then a dump's
-# records on their own, before segments of 28 samples
+# count before the working set, and the working set before segments of 1 sample
 @pytest.mark.parametrize("flags, code, message", [
     (["--dt", "2e-5", "--segments", "4"], 1, "need at least 8 segments"),
     (["--segments", "4", "--trajectories", "100000"], 1, "need at least 8 segments"),
-    (["--duration", "100", "--segments", "10000000", "--dump-timeseries", "--dt", FINE_DT], 1,
-     "a dump of trajectory 0 over"),
+    (["--trajectories", "200000", "--duration", "1e-4"], 1, "would hold 7.64 GiB"),
 ])
 def test_oracle_refusal_order(tmp_path, capsys, flags, code, message):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, *flags]) == code

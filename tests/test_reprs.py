@@ -73,6 +73,9 @@ def test_many_values_over_several_chunks_are_written_as_repr_writes_them(monkeyp
 _ARITHMETIC = {np.add, np.subtract, np.multiply, np.floor_divide, np.true_divide,
                np.remainder, np.divmod, np.power, np.minimum, np.maximum, np.left_shift,
                np.right_shift, np.bitwise_and, np.bitwise_or, np.bitwise_xor}
+# the comparisons, whose handling of a Python int outside the integer array's
+# range numpy 1.x's value-based casting and NEP 50 may also choose differently
+_COMPARISON = {np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal}
 
 
 def _implicit(operand) -> bool:
@@ -88,8 +91,9 @@ def _implicit(operand) -> bool:
 
 class _Operands(np.ndarray):
     """An array that logs, in ``found``, every arithmetic or bitwise ufunc in
-    which a ``uint64`` array meets an operand of :func:`_implicit`; every
-    array computed from it is one too."""
+    which a ``uint64`` array meets an operand of :func:`_implicit`, and every
+    comparison in which an integer array meets a Python int outside its
+    dtype's range; every array computed from it is one too."""
 
     found = []
 
@@ -98,6 +102,11 @@ class _Operands(np.ndarray):
                 and any(isinstance(x, np.ndarray) and x.dtype == np.uint64 for x in inputs)
                 and any(map(_implicit, inputs))):
             self.found.append((ufunc.__name__, [getattr(x, "dtype", type(x)) for x in inputs]))
+        if ufunc in _COMPARISON:
+            ranges = [np.iinfo(x.dtype) for x in inputs
+                      if isinstance(x, np.ndarray) and x.dtype.kind in "iu"]
+            self.found.extend((ufunc.__name__, [r.dtype, x]) for r in ranges for x in inputs
+                              if type(x) is int and not r.min <= x <= r.max)
         inputs = [x.view(np.ndarray) if isinstance(x, _Operands) else x for x in inputs]
         if out is not None:
             kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Operands) else x
@@ -120,8 +129,9 @@ def _as_operands(result):
 def test_the_integer_kernel_keeps_every_uint64_operand_explicit(monkeypatch, sure):
     # the bit patterns that _format reads, and every array computed from
     # them, log each operation that mixes a uint64 array with an operand whose
-    # type the casting rules would choose: numpy 1.24 and numpy 2 could give
-    # such an operation different types, and so different bytes
+    # type the casting rules would choose, and each comparison of an integer
+    # array with a Python int outside its range: numpy 1.24 and numpy 2 could
+    # give such an operation different types, and so different bytes
     monkeypatch.setattr(_reprs, "_SURE", sure)
     monkeypatch.setattr(_Operands, "found", [])
     values = np.concatenate((_edge_values(), _chunk_values()))
