@@ -15,7 +15,9 @@ Sampling is exact, not Euler-Maruyama: states advance by the matrix
 exponential with the exact Ito noise increment, the recorded outputs are the
 exact boxcar averages of ``b_pm`` over each step, and the step propagators and
 the joint covariance of state and output noise within a step are blocks of
-matrix exponentials (Van Loan 1978), exact up to rounding at any step size.
+matrix exponentials (Van Loan 1978), exact up to rounding at any step size;
+at sub-picosecond steps that rounding leaves a lossless sensor's step
+covariance singular in floats, and the sampler refuses it (:func:`_factor_psd`).
 The exponentials are scaling-and-squaring Pade [13/13] approximants (Higham
 2005, SIAM J. Matrix Anal. Appl. 26, 1179).  The initial state is drawn from
 the stationary distribution, the solution of the continuous Lyapunov equation
@@ -57,7 +59,9 @@ edge within Nyquist and splits the run into 16 segments of a 5-smooth length.
 Every run is planned first: :func:`_plan` alone fixes its sizes and refuses
 it, in one order, before any array that grows with it is built.  A run out of
 range is refused first, as a :class:`RunRangeError` (exit 1 in the CLI); an
-unstable drift or a step over the bound is a numerical failure (exit 2).
+unstable drift or a step over the bound is a numerical failure (exit 2), and
+so is a noise covariance that Cholesky refuses, found by the sampler right
+after the plan, before any draw or fork.
 
 The outputs are read a quarter (a panel) at a time.
 :func:`simulate` collects them into records of ``2 * n_traj * n_steps``
@@ -120,9 +124,6 @@ _SEGMENTS = 16
 _BLOCK = 32
 _QUARTER = 8 * _BLOCK
 _PANEL = 4 * _QUARTER
-# negative eigenvalue mass, relative to the largest eigenvalue, that
-# _factor_psd may clip as rounding noise
-_PSD_CLIP_TOL = 1e-12
 # largest records simulate() materialises: 4 GiB is 540x the default oracle
 # run's 8 MB, and with the temporaries of sigma_timeseries on top it
 # already exceeds the memory of a typical workstation; the spectral
@@ -167,11 +168,12 @@ class SimConfig:
     or ``seed``, a non-bool ``noise``, a ``signal`` not ``None`` nor a
     :class:`SignalPulse`), then ``dt``, ``t_dur``, ``n_traj`` and ``seed`` out
     of range raise :class:`RunRangeError` here; the run's plan checks the rest
-    (see :func:`_plan`); any ``dt`` the step bound admits samples the same
-    spectrum.  :func:`simulate` holds ``2 * n_traj * n_steps`` float64
-    records, :func:`run_comparison` two segment buffers of
-    ``n_traj * (n_steps // segments)`` and a windowed copy of one, a
-    transform, the band bins' mix and one quarter's scan buffers; both plans
+    (see :func:`_plan`), and the sampler refuses a noise covariance that
+    Cholesky refuses (:func:`_factor_psd`); any ``dt`` the step bound admits
+    and Cholesky factors samples the same spectrum.  :func:`simulate` holds
+    ``2 * n_traj * n_steps`` float64 records, :func:`run_comparison` two
+    segment buffers of ``n_traj * (n_steps // segments)`` and a windowed copy
+    of one, a transform, the band bins' mix and one quarter's scan buffers; both plans
     refuse more than 4 GiB.  :func:`run_comparison` runs in up to
     ``n_traj`` processes, one per usable CPU, each drawing, scanning and
     transforming its own trajectories to the end of the run and summing their
@@ -406,29 +408,27 @@ def _step_operators(drift, f_in, intens, c_out, e_sel, dt):
 
 
 def _factor_psd(cov: np.ndarray) -> np.ndarray:
-    """Cholesky-like factor of a positive semi-definite covariance.
+    """Cholesky factor of a noise covariance; zeros for an all-zero one.
 
-    A singular covariance, where Cholesky fails, is factored from its
-    eigendecomposition with the negative eigenvalues clipped to zero.  The
-    clip is only taken as rounding noise: when the dropped mass exceeds
-    ``_PSD_CLIP_TOL`` of the largest eigenvalue the covariance is rejected.
+    A covariance Cholesky refuses is numerically singular, not singular by
+    construction: the 5x5 step covariance of a lossless sensor has three
+    inputs for five outputs, so its last two eigenvalues sink below rounding
+    at sub-picosecond steps.  It is refused as a :class:`SimulationError`
+    that names the covariance, by its shape, and gives its
+    smallest-to-largest eigenvalue ratio.
     """
     if not np.any(cov):
         return np.zeros_like(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        dropped = -float(np.sum(vals[vals < 0.0]))
-        top = float(vals[-1])
-        if dropped > _PSD_CLIP_TOL * top:
-            raise SimulationError(
-                f"noise covariance is not positive semi-definite: clipping would drop "
-                f"negative eigenvalue mass {dropped:.3e} against a largest eigenvalue "
-                f"of {top:.3e} (tolerance {_PSD_CLIP_TOL:g} relative)"
-            ) from None
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)
+        vals = np.linalg.eigvalsh(cov)
+        what, hint = (("5x5 step", "; use a larger dt") if cov.shape[0] == 5
+                      else ("3x3 stationary", ""))
+        raise SimulationError(
+            f"the {what} noise covariance is numerically singular: Cholesky fails, "
+            f"smallest/largest eigenvalue {vals[0] / vals[-1]:.3g}{hint}"
+        ) from None
 
 
 @dataclass
@@ -668,7 +668,9 @@ def _plan(d: DerivedParams, cfg: SimConfig, segments: int | None = None) -> _Pla
     size.  Without ``segments`` only the records are planned, for
     :func:`simulate`: (3) to (6) are skipped, and (4) is the records of
     ``16 * n_traj * n_steps`` bytes with one quarter's scan buffers above the
-    cap.
+    cap.  One refusal comes after the plan: :class:`_Sampler`, built before
+    any draw or fork, refuses a noise covariance that Cholesky refuses
+    (:func:`_factor_psd`), a :class:`SimulationError` too.
     """
     rates = _drift_rates(d)
     if rates[-1] >= 0.0:

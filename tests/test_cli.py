@@ -1305,6 +1305,29 @@ def test_oracle_refusal_order(tmp_path, capsys, flags, code, message):
     assert not any(tmp_path.iterdir())
 
 
+def test_oracle_refuses_a_singular_step_covariance_before_any_fork(
+        tmp_path, capsys, monkeypatch, forks):
+    # at 1e-13 s a lossless sensor's step covariance (three noise inputs, five
+    # outputs) is singular in floats; the sampler, built before the shards
+    # fork, refuses it: exit 2, one line, no output, no child. The lossy
+    # sensor runs at the same step
+    monkeypatch.setattr(ot._forks, "_usable_cpus", lambda: 2)
+    cfg = tmp_path / "short-tau.cfg"
+    cfg.write_text("tau = 1e-9\n")
+    flags = ["--config", cfg, "--preset", "table1", "--dt", "1e-13", "--duration", "2e-8",
+             "--trajectories", "2"]
+    out = tmp_path / "singular"
+    assert run(["oracle", *flags, "--scenario", "sym-lossless", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the 5x5 step noise covariance is numerically "
+                          "singular") and err.endswith("; use a larger dt\n")
+    assert err.count("\n") == 1
+    assert not any(out.iterdir()) and not forks
+    out = tmp_path / "lossy"
+    assert run(["oracle", *flags, "--scenario", "nonsym-lossy", "--out", out]) == 0
+    assert (out / "nonsym-lossy-report.txt").exists()
+
+
 def test_oracle_unknown_scenario(tmp_path):
     assert run(["oracle", "--preset", "table1", "--out", tmp_path, "--scenario", "nope"]) == 1
 

@@ -1,11 +1,12 @@
 """Property-based checks of the analytic engine, the scenario variants, the
-config parser, the oracle's run plan, its default step and its state-space
-density."""
+config parser, the oracle's run plan, its default and explicit steps and its
+state-space density."""
 
 import dataclasses
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,12 +47,17 @@ _SCALED = ("m", "omega_m", "Q", "T", "tau", "L", "wavelength",
 
 
 @st.composite
-def phys_params(draw):
+def phys_params(draw, zeros=False):
     """Valid parameter sets around the preset; every loss rate stays below gamma0,
-    so the symmetric variant is valid too."""
+    so the symmetric variant is valid too.  With ``zeros``, each loss rate and
+    ``T`` is also drawn exactly zero."""
     scale = st.floats(min_value=0.1, max_value=10.0)
     loss = st.floats(min_value=0.0, max_value=0.99)
+    if zeros:
+        loss = st.one_of(st.just(0.0), loss)
     values = {name: getattr(_BASE, name) * draw(scale) for name in _SCALED}
+    if zeros and draw(st.booleans()):
+        values["T"] = 0.0
     for name in ("gamma_e", "gamma_e_plus", "gamma_e_minus"):
         values[name] = draw(loss) * values["gamma0"]
     for name in ("eps_plus", "eps_minus"):
@@ -194,6 +200,24 @@ def test_default_step_is_the_largest_the_step_bound_admits(p):
         dt = cfg.t_dur / (16 * coarser)
         assert (_band_top(d, dt) < 2.0 * np.pi * 10.0 / p.tau
                 or _step_gap(d, dt) > _STEP_GAP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=phys_params(zeros=True), dt=_log_floats(-14.0, -8.0), seed=st.integers(0, 2**32))
+def test_explicit_steps_give_finite_records_or_refuse(p, dt, seed):
+    # 300 steps of one trajectory at any step from 1e-14 to 1e-8 s, zero loss
+    # rates and T = 0 included: finite records, or a refusal (an unstable
+    # drift, the step bound, a step covariance singular in floats), never a
+    # NaN and never a warning
+    d = ot.derive(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ts = ot.simulate(d, ot.SimConfig(dt=dt, t_dur=300 * dt, n_traj=1, seed=seed))
+        except SimulationError:  # RunRangeError included
+            return
+    assert ts.n_steps == 300
+    assert np.all(np.isfinite(ts.b_plus)) and np.all(np.isfinite(ts.b_minus))
 
 
 @PROPERTY

@@ -31,7 +31,6 @@ from optotriplet.timedomain import (
     _median,
     _plan,
     _segment_len,
-    _Sampler,
     _step_operators,
     _system_matrices,
     _welch,
@@ -444,14 +443,26 @@ def test_lyapunov_matches_exact_rational_solve():
     assert np.max(np.abs(got - got.T)) <= 1e-15 * np.max(np.abs(got))
 
 
-def test_factor_psd_clips_only_rounding_noise():
+def test_factor_psd_refuses_a_numerically_singular_covariance():
+    # no clip: a covariance Cholesky refuses is refused whole, named by its
+    # shape, with its eigenvalue ratio; only the step covariance's message
+    # asks for a larger dt
     v = np.array([[1.0, 2.0, 3.0], [2.0, -1.0, 0.5], [0.3, 0.1, 1.0]])
     rounded = v.T @ np.diag([1.0, 0.5, -1e-15]) @ v  # Cholesky fails here
-    factor = _factor_psd(rounded)
-    np.testing.assert_allclose(factor @ factor.T, rounded, atol=1e-12)
-    indefinite = v.T @ np.diag([1.0, 0.5, -1e-6]) @ v
-    with pytest.raises(SimulationError, match="negative eigenvalue mass"):
-        _factor_psd(indefinite)
+    with pytest.raises(SimulationError, match=r"^the 3x3 stationary noise covariance is "
+                       r"numerically singular: .* eigenvalue -[0-9.]+e-1[0-9]$"):
+        _factor_psd(rounded)
+    assert not np.any(_factor_psd(np.zeros((5, 5))))  # the noise-off runs
+    # the real trigger: a lossless sensor has three noise inputs for five step
+    # outputs, so at 1e-13 s two eigenvalues of its step covariance sink below
+    # rounding; the lossy sensor's five inputs keep it positive definite
+    cfg = ot.SimConfig(dt=1e-13, t_dur=1e-9, n_traj=2, seed=1)
+    for scenario in ("sym-lossless", "nonsym-lossless"):
+        with pytest.raises(SimulationError, match=r"^the 5x5 step noise covariance is "
+                           r"numerically singular: .*; use a larger dt$"):
+            ot.simulate(oracle_derived(scenario), cfg)
+    ts = ot.simulate(oracle_derived("nonsym-lossy"), cfg)
+    assert np.all(np.isfinite(ts.b_plus)) and np.all(np.isfinite(ts.b_minus))
 
 
 def test_dt_bound_rejected_upfront(d_lossy, monkeypatch):
@@ -728,20 +739,6 @@ def test_expected_welch_psd_matches_the_explicit_covariance_of_a_segment(d_lossy
         a = np.stack([wp[j] * taper, wm[j] * taper], axis=1).reshape(-1)
         brute[j] = (a @ cov_z @ np.conj(a)).real / (dt * np.sum(win**2))
     assert np.max(np.abs(expected - brute) / brute) <= 1e-12
-
-
-@pytest.mark.parametrize("scenario", list(ot.ORACLE_SCENARIOS))
-def test_default_step_takes_the_cholesky_path(scenario, monkeypatch):
-    # both covariances of a shipped run, the step's and the stationary one,
-    # are factored without the eigenvalue clip of _factor_psd
-    def no_clip(*args):
-        raise AssertionError("_factor_psd fell back to its eigendecomposition")
-
-    d = oracle_derived(scenario)
-    cfg = ot.default_sim_config(d)
-    plan = _plan(d, cfg, 16)
-    monkeypatch.setattr(np.linalg, "eigh", no_clip)
-    _Sampler(d, cfg, plan)
 
 
 # --- estimator + comparison ------------------------------------------------------
